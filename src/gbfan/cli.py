@@ -297,21 +297,34 @@ def cmd_basic_sets(args):
         _emit(row)
 
 
+def _selfcheck_fail(reason, args, trial, ideal):
+    """Report a failed trial; everything after the FAIL line is an ideal
+    file that reproduces it."""
+    ring = ideal.ring
+    _emit(f"selfcheck: FAIL ({reason})")
+    _emit(f"# seed: {args.seed}, trial: {trial}")
+    _emit(f"# field: {ring.field.name}")
+    _emit(f"# vars: {', '.join(ring.vars)}")
+    for g in ideal.gens:
+        _emit(g.to_str())
+    raise SystemExit(4)
+
+
 def cmd_selfcheck(args):
     rng = Random(args.seed)
     rings = corpus_rings(2) + corpus_rings(3)
     checked = 0
-    for _ in range(args.trials):
+    for trial in range(1, args.trials + 1):
         ring = rng.choice(rings)
         ideal = random_zero_dim_ideal(rng, ring, max_mult=args.max_mult)
         fan = enumerate_fan(ideal)
         oracle = fan_oracle_zerodim(ideal, bound=args.max_mult)
         if fan != oracle:
-            _emit("selfcheck: FAIL (fan and oracle disagree)")
-            raise SystemExit(4)
+            _selfcheck_fail("fan and oracle disagree", args, trial, ideal)
         if unique_gb_fast_check(ideal) != (fan.size == 1):
-            _emit("selfcheck: FAIL (factor-closed test disagrees with fan size)")
-            raise SystemExit(4)
+            _selfcheck_fail(
+                "factor-closed test disagrees with fan size", args, trial, ideal
+            )
         checked += 1
     _emit(f"selfcheck: ok ({checked} random ideals, seed {args.seed})")
 

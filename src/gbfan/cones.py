@@ -10,34 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import InvariantViolation
+from .linalg import primitive_vector
 
 # One constraint is (coeffs, rhs) and means  sum(coeffs[i] * x_i) >= rhs.
 
 
 def _normalize(coeffs, rhs):
     """Positively scale so the entries are coprime integers."""
-    if all(type(x) is int for x in coeffs) and type(rhs) is int:
-        g = 0
-        for x in coeffs:
-            g = gcd(g, x)
-        g = gcd(g, rhs)
-        if g > 1:
-            return tuple(x // g for x in coeffs), rhs // g
-        return tuple(coeffs), rhs
-    fracs = [Fraction(x) for x in coeffs] + [Fraction(rhs)]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1]
+    ints = primitive_vector((*coeffs, rhs))
+    return ints[:-1], ints[-1]
 
 
 def _clean(cons):
@@ -154,16 +137,6 @@ def marking_realizable(vectors, n) -> bool:
     return strict_positive_solution(vectors, n) is not None
 
 
-def primitive_vector(vec) -> tuple[int, ...]:
-    coeffs, _ = _normalize(vec, 0)
-    return coeffs
-
-
-def fraction_point_to_weights(point) -> tuple[int, ...]:
-    """Scale a rational point to a primitive integer vector (same ray)."""
-    return primitive_vector(point)
-
-
 def _redundant(v, others, n) -> bool:
     """Is v·w >= 0 implied by the others within the closed orthant?"""
     cons = [(tuple(u), 0) for u in others]
@@ -215,7 +188,7 @@ class Cone:
         sol = strict_positive_solution(self.ineqs, self.nvars)
         if sol is None:
             raise InvariantViolation("cone has empty interior")
-        return fraction_point_to_weights(sol)
+        return primitive_vector(sol)
 
     def facet_interior_point(self, v):
         """A strictly positive rational point in the relative interior of

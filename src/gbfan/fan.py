@@ -7,8 +7,10 @@ Two independent routes compute the fan:
   row is a facet-interior weight and whose second row points across the facet.
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible), builds each candidate
-  reduced basis by linear algebra, and keeps the ones realizable by a
-  strictly positive weight vector.
+  reduced basis by reducing the corner terms' normal forms against the
+  basic set with the exact echelon kernel of `linalg` (the same one that
+  Buchberger-Möller uses), and keeps the ones realizable by a strictly
+  positive weight vector.
 
 Cones are deduplicated by leading-term ideal, which is also what the fan
 size counts: a single reduced basis can span several cones when different
@@ -19,12 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import (
-    Cone,
-    fraction_point_to_weights,
-    marking_realizable,
-    strict_positive_solution,
-)
+from .cones import Cone, marking_realizable, strict_positive_solution
 from .errors import (
     BoundExceeded,
     InconsistentMarking,
@@ -35,6 +32,7 @@ from .errors import (
     ZeroIdeal,
 )
 from .groebner import Ideal, ReducedGB, normal_form
+from .linalg import echelon_reduce, primitive_vector
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, degrevlex
 from .ring import Polynomial
@@ -73,10 +71,6 @@ class MarkedBasis:
 
     basis: ReducedGB
     cone: Cone
-
-    @property
-    def markings(self) -> tuple:
-        return self.basis.lt_exps
 
     def lt_key(self) -> tuple:
         return self.basis.lt_key()
@@ -127,7 +121,7 @@ class GroebnerFan:
 def flip_order(weight, crossing, n: int) -> TermOrder:
     """Ordering for the neighbor across a facet: the facet-interior weight
     first, then the crossing direction, completed by degrevlex."""
-    w = fraction_point_to_weights(weight)
+    w = primitive_vector(weight)
     rows = [list(w), [-x for x in crossing]]
     rows += [list(r) for r in degrevlex(n).rows]
     return TermOrder(rows, "flip", validate=False)
@@ -256,20 +250,6 @@ def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _reduce_against(rows, vec, field):
-    """Reduce vec against echelon rows [(pivot, row)]; None when dependent."""
-    v = list(vec)
-    for pivot, row in rows:
-        c = v[pivot]
-        if c:
-            f = c / row[pivot]
-            v = [a - f * b for a, b in zip(v, row)]
-    for i, x in enumerate(v):
-        if x:
-            return i, tuple(v)
-    return None
-
-
 def _basic_sets_data(ideal: Ideal, bound: int):
     """Yield (order_ideal, corner_terms) for every basic set of the ideal.
 
@@ -282,7 +262,6 @@ def _basic_sets_data(ideal: Ideal, bound: int):
         raise BoundExceeded(f"multiplicity {s} exceeds the bound {bound}")
     if s == 0:
         return table, iter(())
-    field = ideal.ring.field
     candidates = _candidate_terms(ideal.ring.nvars, s)
     cand_index = {t: i for i, t in enumerate(candidates)}
     nvars = ideal.ring.nvars
@@ -316,11 +295,11 @@ def _basic_sets_data(ideal: Ideal, bound: int):
                 break
             if not divisors_present(t, chosen):
                 continue
-            reduced = _reduce_against(rows, table.coords(t), field)
-            if reduced is None:
+            pivot, vec, _ = echelon_reduce(rows, table.coords(t))
+            if pivot is None:
                 continue
             chosen.add(t)
-            yield from walk(idx + 1, chosen, rows + [reduced])
+            yield from walk(idx + 1, chosen, rows + [(pivot, vec, None)])
             chosen.remove(t)
 
     origin = (0,) * nvars
@@ -340,31 +319,15 @@ def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, 
     return [terms for terms, _ in gen]
 
 
-def _solve_square(columns, target, field):
-    """Solve M c = target for square M given by columns; M is invertible."""
-    s = len(target)
-    aug = [[columns[j][i] for j in range(s)] + [target[i]] for i in range(s)]
-    for col in range(s):
-        pivot = next((i for i in range(col, s) if aug[i][col]), None)
-        if pivot is None:
-            raise InvariantViolation("singular basic-set matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col] ** (-1)
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(s):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][s] for i in range(s)]
-
-
 def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
     """Fan computed independently of facet flips, from basic sets.
 
-    For each basic set, the candidate reduced basis couples every corner
-    term with its normal form expressed in the basic set; the candidate is
-    kept when some strictly positive weight makes every corner the leading
-    term.
+    For each basic set, the normal-form vectors of its terms are put in
+    echelon rows that remember which combination of terms each row stands
+    for; a corner term's vector reduces to zero through them, and its
+    combination is then the candidate basis element, the corner minus its
+    normal form in the basic set.  The candidate is kept when some strictly
+    positive weight makes every corner the leading term.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
@@ -372,38 +335,36 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
         raise NotZeroDimensional("the oracle requires a zero-dimensional ideal")
     ring = ideal.ring
     n = ring.nvars
-    field = ring.field
     table, gen = _basic_sets_data(ideal, bound)
     found: dict[tuple, MarkedBasis] = {}
     if table.size == 0:
-        one = ring.one()
         order = ring.default_order()
-        gb = ReducedGB(ring, order, [one])
+        gb = ReducedGB(ring, order, [ring.one()])
         return GroebnerFan(ring, [MarkedBasis(gb, Cone.from_vectors([], n))])
+    one = ring.field.one()
     for terms, corner_terms in gen:
-        columns = [table.coords(t) for t in terms]
+        rows = []
+        for t in terms:
+            pivot, vec, rep = echelon_reduce(rows, table.coords(t), {t: one})
+            if pivot is None:
+                raise InvariantViolation("singular basic-set matrix")
+            rows.append((pivot, vec, rep))
         elements = []
-        markings = []
         vectors = []
         for u in corner_terms:
-            coeffs = _solve_square(columns, table.coords(u), field)
-            poly = {u: field.one()}
-            for t, c in zip(terms, coeffs):
-                if c:
-                    poly[t] = -c
-                    vectors.append(tuple(a - b for a, b in zip(u, t)))
-            elements.append(Polynomial(ring, poly))
-            markings.append(u)
+            _, _, rep = echelon_reduce(rows, table.coords(u), {u: one})
+            vectors += [tuple(a - b for a, b in zip(u, t)) for t in terms if t in rep]
+            elements.append(Polynomial(ring, rep))
         w = strict_positive_solution(vectors, n)
         if w is None:
             continue
         order = TermOrder(
-            [list(fraction_point_to_weights(w))] + [list(r) for r in degrevlex(n).rows],
+            [list(primitive_vector(w))] + [list(r) for r in degrevlex(n).rows],
             "weight",
             validate=False,
         )
         okey = order.key
-        pairs = sorted(zip(markings, elements), key=lambda p: okey(p[0]))
+        pairs = sorted(zip(corner_terms, elements), key=lambda p: okey(p[0]))
         gb = ReducedGB(ring, order, [g for _, g in pairs])
         if gb.lt_exps != tuple(m for m, _ in pairs):
             raise InvariantViolation("oracle marking disagrees with its ordering")

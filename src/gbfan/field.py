@@ -13,18 +13,22 @@ from fractions import Fraction
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every p below 3.2e9."""
+    """Deterministic Miller-Rabin with the twelve prime bases 2..37; exact
+    for every p below 3.3e24, so for every p below 2^64."""
     if p < 2:
         return False
-    for q in (2, 3, 5, 7):
+    for q in _MR_BASES:
         if p % q == 0:
             return p == q
     d, r = p - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7):
+    for a in _MR_BASES:
         x = pow(a, d, p)
         if x in (1, p - 1):
             continue
@@ -154,6 +158,8 @@ class PrimeField:
     """GF(p) for a prime p; construct through the `GF` factory."""
 
     def __init__(self, p: int):
+        if p >= 2**64:
+            raise ParseError(f"{p} is too large: GF(p) needs p < 2^64")
         if not is_prime(p):
             raise ParseError(f"{p} is not prime")
         self.p = p

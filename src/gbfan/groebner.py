@@ -192,12 +192,6 @@ class ReducedGB:
         r = _reduce_dict(f.coeffs, self._reducers(), self.order.key, tail=True)
         return Polynomial(self.ring, r)
 
-    def to_lines(self) -> list[str]:
-        """Serialized form: a header line then one polynomial per line."""
-        lines = [f"order: {self.order!r}"]
-        lines += [g.to_str(self.order) for g in self.elements]
-        return lines
-
     def __iter__(self):
         return iter(self.elements)
 

@@ -8,45 +8,11 @@ that the first nonzero entry of every column (read top-down) is positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import DimensionMismatch, InvalidOrdering
+from .linalg import primitive_vector, rank
 
 LESS, EQUAL, GREATER = -1, 0, 1
-
-
-def _rank(rows: tuple[tuple[int, ...], ...]) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational to coprime integers."""
-    fracs = [Fraction(x) for x in vec]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
 
 
 class TermOrder:
@@ -68,7 +34,7 @@ class TermOrder:
                     raise InvalidOrdering(
                         f"column {col}: first nonzero weight must be positive"
                     )
-            if _rank(rows) != n:
+            if rank(rows) != n:
                 raise InvalidOrdering("weight matrix must have full column rank")
         self.rows = rows
         self.tag = tag
@@ -112,7 +78,7 @@ class TermOrder:
                     f = num / den
                     v = [a - f * c for a, c in zip(v, b)]
             if any(v):
-                out.append(_primitive(v))
+                out.append(primitive_vector(v))
                 kept.append(v)
                 if len(out) == self.nvars:
                     break

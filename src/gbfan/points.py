@@ -1,8 +1,9 @@
 """Ideals of points, grids, distractions, staircases, and complements.
 
 The vanishing ideal of a finite point set comes from the Buchberger-Möller
-evaluation-matrix elimination, which produces the reduced basis and the
-quotient basis in one pass.
+elimination: evaluation vectors of terms, taken in increasing order, are
+reduced by the exact echelon kernel of `linalg`, which produces the reduced
+basis and the quotient basis in one pass.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .field import PrimeField, nat_embed
 from .groebner import Ideal, ReducedGB
+from .linalg import echelon_reduce
 from .monomials import MonomialIdeal
 from .orderings import TermOrder
 from .ring import LinearShift, Polynomial, PolyRing
@@ -97,27 +99,13 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
         _, t = heappop(heap)
         if any(all(a <= b for a, b in zip(lt, t)) for lt in lead_terms):
             continue
-        vec = list(raw_vec[t])
-        rep = {t: field.one()}
-        for pivot, evec, erep in echelon:
-            c = vec[pivot]
-            if c:
-                f = c / evec[pivot]
-                vec = [a - f * b for a, b in zip(vec, evec)]
-                for e, coef in erep.items():
-                    cur = rep.get(e)
-                    val = -(f * coef) if cur is None else cur - f * coef
-                    if val:
-                        rep[e] = val
-                    elif cur is not None:
-                        del rep[e]
-        nz = next((i for i, x in enumerate(vec) if x), None)
-        if nz is None:
+        pivot, vec, rep = echelon_reduce(echelon, raw_vec[t], {t: field.one()})
+        if pivot is None:
             lead_terms.append(t)
             basis_elems.append(rep)
         else:
             quotient.append(t)
-            echelon.append((nz, tuple(vec), rep))
+            echelon.append((pivot, vec, rep))
             for i in range(n):
                 up = t[:i] + (t[i] + 1,) + t[i + 1 :]
                 if up not in seen:

@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 
-def tmul(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(s, t))
-
-
 def tdiv(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """s / t; caller guarantees divisibility."""
     return tuple(a - b for a, b in zip(s, t))
@@ -21,10 +17,6 @@ def tlcm(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(a, b) for a, b in zip(s, t))
 
 
-def tgcd(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(min(a, b) for a, b in zip(s, t))
-
-
 def tdeg(t: tuple[int, ...]) -> int:
     return sum(t)
 
@@ -35,13 +27,6 @@ def tcoprime(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
 
 def is_one(t: tuple[int, ...]) -> bool:
     return not any(t)
-
-
-def divisor_count(t: tuple[int, ...]) -> int:
-    n = 1
-    for e in t:
-        n *= e + 1
-    return n
 
 
 def term_str(t: tuple[int, ...], varnames) -> str:

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+import gbfan.cli
 from gbfan import parse_field, PolyRing
 from gbfan.cli import main
+from gbfan.fan import GroebnerFan
+from gbfan.files import load_ideal
 
 
 def run(capsys, *argv):
@@ -182,6 +185,27 @@ def test_selfcheck(capsys):
     code, out, _ = run(capsys, "selfcheck", "--seed", "3", "--trials", "2")
     assert code == 0
     assert out.startswith("selfcheck: ok")
+
+
+def test_selfcheck_failure_prints_reproducible_ideal(tmp_path, capsys, monkeypatch):
+    drawn = []
+
+    def wrong_oracle(ideal, bound):
+        drawn.append(ideal)
+        return GroebnerFan(ideal.ring, [])
+
+    monkeypatch.setattr(gbfan.cli, "fan_oracle_zerodim", wrong_oracle)
+    code, out, _ = run(capsys, "selfcheck", "--seed", "3", "--trials", "2")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0] == "selfcheck: FAIL (fan and oracle disagree)"
+    assert lines[1] == "# seed: 3, trial: 1"
+    repro = tmp_path / "repro.txt"
+    repro.write_text("\n".join(lines[1:]) + "\n")
+    ring, ideal = load_ideal(str(repro))
+    assert len(drawn) == 1
+    assert ring == drawn[0].ring
+    assert ideal.gens == drawn[0].gens
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -70,6 +70,16 @@ def test_primality():
     assert not any(is_prime(c) for c in (0, 1, 4, 9, 1001, 2**31 - 3))
 
 
+def test_strong_pseudoprime_and_word_size_bound():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin for bases 2, 3, 5, 7
+    with pytest.raises(ParseError):
+        GF(3215031751)
+    largest = 2**64 - 59  # the largest prime below 2^64
+    assert GF(largest).p == largest
+    with pytest.raises(ParseError):
+        GF(2**64 + 13)  # prime, but not machine-word sized
+
+
 def test_rational_parse_and_print():
     assert QQ.parse("5/6") == Fraction(5, 6)
     assert QQ.parse("-2") == Fraction(-2)

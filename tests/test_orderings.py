@@ -41,9 +41,15 @@ def test_elimination_order_blocks():
 
 def test_matrix_validity():
     with pytest.raises(InvalidOrdering):
-        matrix_order([[1, -1], [1, -1]])  # rank 1
+        matrix_order([[1, -1], [1, -1]])  # 1 not minimal: column 1 leads with -1
     with pytest.raises(InvalidOrdering):
         matrix_order([[-1, 0], [0, 1]])  # 1 not minimal
+    # sign-valid but rank deficient
+    for rows in ([[1, 1], [2, 2]], [[1, 1, 0], [0, 0, 1], [1, 1, 1]]):
+        with pytest.raises(InvalidOrdering, match="rank"):
+            matrix_order(rows)
+    with pytest.raises(ParseError):
+        parse_order("matrix:1,1;2,2", 2)
     o = matrix_order([[1, 1], [1, 0]])
     assert o.nvars == 2
 
