@@ -53,11 +53,6 @@ class ZeroIdealDivisor(DomainError):
     """Colon by the zero ideal is undefined."""
 
 
-class UnsupportedIdealClass(DomainError):
-    """Fan enumeration hit a boundary-touching facet on a
-    positive-dimensional ideal; completeness cannot be certified."""
-
-
 class InconsistentMarking(DomainError):
     """No strictly positive weight vector realizes the requested marking."""
 

@@ -6,11 +6,12 @@ Two independent routes compute the fan:
   from the degrevlex basis; neighbors come from a matrix ordering whose first
   row is a facet-interior weight and whose second row points across the facet.
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
-  ideals whose normal-form matrix is invertible), builds each candidate
-  reduced basis by reducing the corner terms' normal forms against the
-  basic set with the exact echelon kernel of `linalg` (the same one that
-  Buchberger-Möller uses), and keeps the ones realizable by a strictly
-  positive weight vector.
+  ideals whose normal-form matrix is invertible) with the exact echelon
+  kernel of `linalg` (the same one that Buchberger-Möller uses).  The
+  walk's echelon rows carry term representations, so each corner term's
+  normal form reduces through the rows of its basic set to the candidate
+  reduced basis element; the oracle keeps the candidates realizable by a
+  strictly positive weight vector.
 
 Cones are deduplicated by leading-term ideal, which is also what the fan
 size counts: a single reduced basis can span several cones when different
@@ -28,13 +29,12 @@ from .errors import (
     InvariantViolation,
     NotZeroDimensional,
     DimensionMismatch,
-    UnsupportedIdealClass,
     ZeroIdeal,
 )
 from .groebner import Ideal, ReducedGB, normal_form
 from .linalg import echelon_reduce, primitive_vector
 from .monomials import MonomialIdeal
-from .orderings import TermOrder, degrevlex
+from .orderings import TermOrder, degrevlex, weight_order
 from .ring import Polynomial
 
 
@@ -130,12 +130,13 @@ def flip_order(weight, crossing, n: int) -> TermOrder:
 def enumerate_fan(ideal: Ideal) -> GroebnerFan:
     """All distinct leading-term ideals with reduced bases and cones.
 
-    Requires a zero-dimensional ideal, or one whose facet flips all stay
-    inside the open orthant (principal and linear ideals qualify).
+    Runs on any nonzero ideal.  Every walked cone is full-dimensional, so
+    each of its irredundant facets meets the open orthant and has a flip
+    weight there.  Only zero-dimensional fans have `fan_oracle_zerodim` as
+    an independent check.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
-    zero_dim = ideal.is_zero_dimensional()
     n = ideal.ring.nvars
     start = ideal.groebner()
     visited: dict[tuple, MarkedBasis] = {}
@@ -150,11 +151,7 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
         for v in cone.ineqs:
             w = cone.facet_interior_point(v)
             if w is None:
-                if not zero_dim:
-                    raise UnsupportedIdealClass(
-                        "boundary-touching facet on a positive-dimensional ideal"
-                    )
-                continue
+                raise InvariantViolation(f"facet {v} misses the open orthant")
             neighbor = ideal.groebner(flip_order(w, v, n))
             if neighbor.lt_key() not in visited:
                 stack.append(neighbor)
@@ -250,21 +247,22 @@ def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _basic_sets_data(ideal: Ideal, bound: int):
-    """Yield (order_ideal, corner_terms) for every basic set of the ideal.
+def _basic_sets_data(table: _NFTable, bound: int):
+    """Yield (order_ideal, corner_terms, rows) for every basic set.
 
     A branch is extended only while the normal-form vectors stay linearly
     independent, so every completed order ideal of full size is basic.
+    Each candidate is reduced with its term as representation, so `rows`
+    are the basic set's echelon rows and each row knows the combination of
+    terms it stands for.
     """
-    table = _NFTable(ideal)
     s = table.size
     if s > bound:
         raise BoundExceeded(f"multiplicity {s} exceeds the bound {bound}")
-    if s == 0:
-        return table, iter(())
-    candidates = _candidate_terms(ideal.ring.nvars, s)
-    cand_index = {t: i for i, t in enumerate(candidates)}
-    nvars = ideal.ring.nvars
+    nvars = table.ring.nvars
+    one = table.ring.field.one()
+    origin = (0,) * nvars
+    candidates = _candidate_terms(nvars, s)
 
     def divisors_present(t, chosen):
         for i in range(nvars):
@@ -275,19 +273,15 @@ def _basic_sets_data(ideal: Ideal, bound: int):
         return True
 
     def corners(chosen):
-        found = set()
+        border = {origin}
         for t in chosen:
             for i in range(nvars):
-                up = t[:i] + (t[i] + 1,) + t[i + 1 :]
-                if up in chosen:
-                    continue
-                if divisors_present(up, chosen):
-                    found.add(up)
-        return sorted(found)
+                border.add(t[:i] + (t[i] + 1,) + t[i + 1 :])
+        return sorted(u for u in border - chosen if divisors_present(u, chosen))
 
     def walk(start, chosen, rows):
         if len(chosen) == s:
-            yield sorted(chosen), corners(chosen)
+            yield sorted(chosen), corners(chosen), rows
             return
         for idx in range(start, len(candidates)):
             t = candidates[idx]
@@ -295,17 +289,14 @@ def _basic_sets_data(ideal: Ideal, bound: int):
                 break
             if not divisors_present(t, chosen):
                 continue
-            pivot, vec, _ = echelon_reduce(rows, table.coords(t))
+            pivot, vec, rep = echelon_reduce(rows, table.coords(t), {t: one})
             if pivot is None:
                 continue
             chosen.add(t)
-            yield from walk(idx + 1, chosen, rows + [(pivot, vec, None)])
+            yield from walk(idx + 1, chosen, rows + [(pivot, vec, rep)])
             chosen.remove(t)
 
-    origin = (0,) * nvars
-    if origin not in cand_index:
-        return table, iter(())
-    return table, walk(0, set(), [])
+    yield from walk(0, set(), [])
 
 
 def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, ...]]]:
@@ -313,21 +304,17 @@ def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, 
     the quotient ring."""
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("basic sets require a zero-dimensional ideal")
-    table, gen = _basic_sets_data(ideal, bound)
-    if table.size == 0:
-        return []
-    return [terms for terms, _ in gen]
+    return [terms for terms, _, _ in _basic_sets_data(_NFTable(ideal), bound)]
 
 
 def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
     """Fan computed independently of facet flips, from basic sets.
 
-    For each basic set, the normal-form vectors of its terms are put in
-    echelon rows that remember which combination of terms each row stands
-    for; a corner term's vector reduces to zero through them, and its
-    combination is then the candidate basis element, the corner minus its
-    normal form in the basic set.  The candidate is kept when some strictly
-    positive weight makes every corner the leading term.
+    A corner term's normal-form vector reduces to zero through the echelon
+    rows of its basic set, and its representation is then the candidate
+    basis element, the corner minus its normal form in the basic set.  The
+    candidate is kept when some strictly positive weight makes every corner
+    the leading term.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
@@ -335,34 +322,19 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
         raise NotZeroDimensional("the oracle requires a zero-dimensional ideal")
     ring = ideal.ring
     n = ring.nvars
-    table, gen = _basic_sets_data(ideal, bound)
-    found: dict[tuple, MarkedBasis] = {}
-    if table.size == 0:
-        order = ring.default_order()
-        gb = ReducedGB(ring, order, [ring.one()])
-        return GroebnerFan(ring, [MarkedBasis(gb, Cone.from_vectors([], n))])
     one = ring.field.one()
-    for terms, corner_terms in gen:
-        rows = []
-        for t in terms:
-            pivot, vec, rep = echelon_reduce(rows, table.coords(t), {t: one})
-            if pivot is None:
-                raise InvariantViolation("singular basic-set matrix")
-            rows.append((pivot, vec, rep))
+    table = _NFTable(ideal)
+    found: dict[tuple, MarkedBasis] = {}
+    for _, corner_terms, rows in _basic_sets_data(table, bound):
         elements = []
-        vectors = []
         for u in corner_terms:
             _, _, rep = echelon_reduce(rows, table.coords(u), {u: one})
-            vectors += [tuple(a - b for a, b in zip(u, t)) for t in terms if t in rep]
             elements.append(Polynomial(ring, rep))
+        vectors = marking_vectors(elements, corner_terms)
         w = strict_positive_solution(vectors, n)
         if w is None:
             continue
-        order = TermOrder(
-            [list(primitive_vector(w))] + [list(r) for r in degrevlex(n).rows],
-            "weight",
-            validate=False,
-        )
+        order = weight_order(primitive_vector(w))
         okey = order.key
         pairs = sorted(zip(corner_terms, elements), key=lambda p: okey(p[0]))
         gb = ReducedGB(ring, order, [g for _, g in pairs])

@@ -153,9 +153,6 @@ class Polynomial:
         exp = max(self.coeffs, key=order.key)
         return exp, self.coeffs[exp]
 
-    def leading_coefficient(self, order: TermOrder):
-        return self.leading_term(order)[1]
-
     def monic(self, order: TermOrder) -> "Polynomial":
         _, c = self.leading_term(order)
         if self.ring.field.is_one(c):
@@ -303,10 +300,6 @@ class LinearShift:
     def identity(cls, ring: PolyRing) -> "LinearShift":
         one, zero = ring.field.one(), ring.field.zero()
         return cls((one,) * ring.nvars, (zero,) * ring.nvars)
-
-    @classmethod
-    def translation(cls, ring: PolyRing, offsets) -> "LinearShift":
-        return cls((ring.field.one(),) * ring.nvars, tuple(offsets))
 
     def inverse(self) -> "LinearShift":
         inv_scales = tuple(a ** (-1) for a in self.scales)

@@ -17,6 +17,7 @@ from gbfan import (
     unique_gb_fast_check,
     vanishing_ideal,
 )
+from gbfan.cli import main
 from gbfan.errors import (
     BoundExceeded,
     NotZeroDimensional,
@@ -26,7 +27,7 @@ from gbfan.errors import (
 from gbfan.random_ideals import random_zero_dim_ideal, random_zero_dim_monomial_ideal
 from gbfan.terms import term_str
 
-from conftest import fring, ideal, points, qring
+from conftest import fring, ideal, points, qring, weight_refinement
 
 
 def test_principal_binomial_two_cones(rxy):
@@ -120,6 +121,34 @@ def test_unit_ideal_single_cone(rxy):
     fan = enumerate_fan(I)
     assert fan.size == 1 and fan.cones[0].cone.ineqs == ()
     assert gfan_number(I) == 1
+
+
+def test_unit_ideal_basic_sets_and_oracle(rxy, tmp_path, capsys):
+    I = ideal(rxy, "1")
+    assert enumerate_basic_sets(I) == [[]]
+    assert gbasic_sets(enumerate_fan(I)) == [[]]
+    assert fan_oracle_zerodim(I) == enumerate_fan(I)
+    path = tmp_path / "unit.txt"
+    path.write_text("# field: QQ\n# vars: x, y\n1\n")
+    assert main(["basic-sets", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"schema": 1, "basic_sets": [""]}\n'
+    assert main(["basic-sets", str(path)]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
+@pytest.mark.parametrize(
+    "gens, size",
+    [(("x^2 - y", "y^2 - x*z"), 6), (("x^2 - y^3", "x*y - z"), 9)],
+)
+def test_positive_dimensional_walk_covers_sampled_weights(rxyz, gens, size):
+    I = ideal(rxyz, *gens)
+    fan = enumerate_fan(I)
+    assert fan.size == size
+    rng = Random(37)
+    for _ in range(40):
+        w = tuple(rng.randint(1, 40) for _ in range(3))
+        key = I.groebner(weight_refinement(w)).lt_key()
+        assert any(mb.lt_key() == key and mb.cone.contains(w) for mb in fan)
 
 
 def test_gbasic_sets(rxy):
