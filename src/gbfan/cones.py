@@ -1,9 +1,10 @@
 """Exact rational halfspace systems and polyhedral cones in the orthant.
 
-Everything here is Fourier-Motzkin over the rationals: feasibility, explicit
-solutions by back-substitution, and irredundancy pruning.  Strict systems
-over cones reduce to closed ones by scaling: {A·w > 0, w > 0} is nonempty
-exactly when {A·w >= 1, w >= 1} is.
+Everything here rests on one Fourier-Motzkin projection over the rationals,
+`_project`: feasibility is its success, explicit solutions back-substitute
+through its stages, and irredundancy pruning is a feasibility test per
+inequality.  Strict systems over cones reduce to closed ones by scaling:
+{A·w > 0, w > 0} is nonempty exactly when {A·w >= 1, w >= 1} is.
 """
 
 from __future__ import annotations
@@ -17,20 +18,16 @@ from .linalg import primitive_vector
 # One constraint is (coeffs, rhs) and means  sum(coeffs[i] * x_i) >= rhs.
 
 
-def _normalize(coeffs, rhs):
-    """Positively scale so the entries are coprime integers."""
-    ints = primitive_vector((*coeffs, rhs))
-    return ints[:-1], ints[-1]
-
-
 def _clean(cons):
-    """Normalize, drop dominated duplicates, and surface contradictions.
+    """Scale to coprime integers, drop dominated duplicates, and surface
+    contradictions.
 
     Returns None when a constraint with zero coefficients is violated.
     """
     best: dict[tuple, object] = {}
     for coeffs, rhs in cons:
-        coeffs, rhs = _normalize(coeffs, rhs)
+        ints = primitive_vector((*coeffs, rhs))
+        coeffs, rhs = ints[:-1], ints[-1]
         if not any(coeffs):
             if rhs > 0:
                 return None
@@ -56,22 +53,34 @@ def _eliminate(cons, j):
     return out
 
 
+def _project(cons, n):
+    """Eliminate x_{n-1}, ..., x_0 in turn.
+
+    Returns the stages, where stage n-1-j is the system over x_0..x_j left
+    before x_j goes, or None when the system is infeasible.  A complete
+    elimination without contradiction proves feasibility.
+    """
+    stages = []
+    cur = _clean(cons)
+    for j in range(n - 1, -1, -1):
+        if cur is None:
+            return None
+        stages.append(cur)
+        cur = _clean(_eliminate(cur, j))
+    return None if cur is None else stages
+
+
 def solve_system(cons, n):
     """A rational point satisfying every constraint, or None.
 
     Constraints are (coeffs, rhs) pairs over n variables, read as
-    coeffs·x >= rhs with exact rational arithmetic throughout.
+    coeffs·x >= rhs with exact rational arithmetic throughout.  The point is
+    found by back-substitution through the stages of `_project`: each
+    variable takes the midpoint of its bounds given the earlier ones.
     """
-    stages = []
-    cur = _clean(cons)
-    if cur is None:
+    stages = _project(cons, n)
+    if stages is None:
         return None
-    for j in range(n - 1, 0, -1):
-        stages.append(cur)
-        cur = _clean(_eliminate(cur, j))
-        if cur is None:
-            return None
-    stages.append(cur)
     values: list[Fraction] = []
     for j in range(n):
         stage = stages[n - 1 - j]
@@ -95,21 +104,12 @@ def solve_system(cons, n):
         elif lo is None:
             values.append(hi)
         else:
-            if lo > hi:
-                return None
             values.append((lo + hi) / 2)
     return tuple(values)
 
 
 def feasible(cons, n) -> bool:
-    cur = _clean(cons)
-    if cur is None:
-        return False
-    for j in range(n - 1, -1, -1):
-        cur = _clean(_eliminate(cur, j))
-        if cur is None:
-            return False
-    return True
+    return _project(cons, n) is not None
 
 
 def _unit(n, i):

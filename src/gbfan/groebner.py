@@ -241,7 +241,7 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def groebner(self, order: TermOrder | None = None, use_criteria: bool = True) -> ReducedGB:
+    def groebner(self, order: TermOrder | None = None) -> ReducedGB:
         """The reduced monic basis for the ordering, cached per ordering."""
         if order is None:
             order = self.ring.default_order()
@@ -250,7 +250,7 @@ class Ideal:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        dicts = buchberger_dicts([g.coeffs for g in self.gens], order, use_criteria)
+        dicts = buchberger_dicts([g.coeffs for g in self.gens], order)
         gb = ReducedGB(self.ring, order, [Polynomial(self.ring, d) for d in dicts])
         with self._lock:
             self._cache.setdefault(key, gb)
@@ -345,13 +345,11 @@ class Ideal:
         one = big.one()
         gens = [t * lift(f) for f in self.gens]
         gens += [(one - t) * lift(g) for g in other.gens]
-        order = elimination_order(big.nvars, [ti])
-        gb = buchberger_dicts([g.coeffs for g in gens], order)
-        out = []
-        for d in gb:
-            if all(e[ti] == 0 for e in d):
-                out.append(Polynomial(ring, {e[:-1]: c for e, c in d.items()}))
-        return Ideal(ring, out)
+        meet = Ideal(big, gens).eliminate([ti])
+        return Ideal(
+            ring,
+            [Polynomial(ring, {e[:-1]: c for e, c in g.coeffs.items()}) for g in meet.gens],
+        )
 
     def colon(self, other: "Ideal") -> "Ideal":
         """The ideal quotient {g : g * other ⊆ self}."""

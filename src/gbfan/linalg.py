@@ -1,11 +1,11 @@
 """Exact linear algebra over a field: one echelon reduction and what is
 built on it.
 
-Buchberger-Möller, the basic-set oracle and ordering validation all reduce
-a vector against rows kept in echelon form.  A row is a triple
-``(pivot, row, row_rep)``: the index of its first nonzero entry, the row
-itself, and the combination of terms (a dict from term to coefficient) that
-the row stands for, or None when no combination is tracked.
+Buchberger-Möller, the basic-set oracle and the canonical form of a term
+ordering all reduce a vector against rows kept in echelon form.  A row is a
+triple ``(pivot, row, row_rep)``: the index of its first nonzero entry, the
+row itself, and the combination of terms (a dict from term to coefficient)
+that the row stands for, or None when no combination is tracked.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ def echelon_reduce(rows, vec, rep=None):
                         del rep[e]
     pivot = next((i for i, x in enumerate(vec) if x), None)
     return pivot, vec, rep
-
-
-def rank(rows) -> int:
-    """Rank of an integer (or rational) matrix given by its rows."""
-    echelon = []
-    for r in rows:
-        pivot, vec, _ = echelon_reduce(echelon, [Fraction(x) for x in r])
-        if pivot is not None:
-            echelon.append((pivot, vec, None))
-    return len(echelon)
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InvalidOrdering
-from .linalg import primitive_vector, rank
+from .linalg import echelon_reduce, primitive_vector
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -27,6 +27,10 @@ class TermOrder:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise InvalidOrdering("ragged weight matrix")
+        self.rows = rows
+        self.tag = tag
+        self.nvars = n
+        self._canon = None
         if validate:
             for col in range(n):
                 lead = next((r[col] for r in rows if r[col]), 0)
@@ -34,12 +38,8 @@ class TermOrder:
                     raise InvalidOrdering(
                         f"column {col}: first nonzero weight must be positive"
                     )
-            if rank(rows) != n:
+            if len(self.canonical()) != n:
                 raise InvalidOrdering("weight matrix must have full column rank")
-        self.rows = rows
-        self.tag = tag
-        self.nvars = n
-        self._canon = None
 
     def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key: the weighted image of an exponent vector."""
@@ -61,28 +61,24 @@ class TermOrder:
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Canonical form identifying matrices that define the same ordering.
 
-        Each row is projected orthogonally to the span of the previous kept
-        rows (a subtraction of earlier rows, which never changes the induced
-        order) and positively scaled to a primitive integer vector.
+        Each row is reduced against the echelon rows of the rows kept before
+        it (a subtraction of earlier rows, which never changes the induced
+        order) and positively scaled to a primitive integer vector: the
+        unique representative of the row modulo the earlier span that is zero
+        in the earlier pivot columns.  Rows in the earlier span are dropped,
+        so a valid ordering has exactly nvars canonical rows.
         """
-        if self._canon is not None:
-            return self._canon
-        kept: list[list[Fraction]] = []
-        out: list[tuple[int, ...]] = []
-        for row in self.rows:
-            v = [Fraction(x) for x in row]
-            for b in kept:
-                num = sum(a * c for a, c in zip(v, b))
-                if num:
-                    den = sum(c * c for c in b)
-                    f = num / den
-                    v = [a - f * c for a, c in zip(v, b)]
-            if any(v):
-                out.append(primitive_vector(v))
-                kept.append(v)
-                if len(out) == self.nvars:
-                    break
-        self._canon = tuple(out)
+        if self._canon is None:
+            echelon: list = []
+            out: list[tuple[int, ...]] = []
+            for row in self.rows:
+                pivot, vec, _ = echelon_reduce(echelon, [Fraction(x) for x in row])
+                if pivot is not None:
+                    echelon.append((pivot, vec, None))
+                    out.append(primitive_vector(vec))
+                    if len(out) == self.nvars:
+                        break
+            self._canon = tuple(out)
         return self._canon
 
     def __eq__(self, other):
@@ -114,14 +110,10 @@ def degrevlex(n: int) -> TermOrder:
     return TermOrder(rows, "degrevlex", validate=False)
 
 
-def weight_order(weights, tiebreak: TermOrder | None = None) -> TermOrder:
-    """Weight rows first, completed by a tiebreak ordering (degrevlex)."""
-    weights = [list(map(int, w)) for w in (weights if isinstance(weights[0], (list, tuple)) else [weights])]
-    n = len(weights[0])
-    tb = tiebreak if tiebreak is not None else degrevlex(n)
-    if tb.nvars != n:
-        raise DimensionMismatch("tiebreak has wrong variable count")
-    return TermOrder(weights + [list(r) for r in tb.rows], "weight")
+def weight_order(weights) -> TermOrder:
+    """A weight vector first, completed by degrevlex."""
+    w = [int(x) for x in weights]
+    return TermOrder([w] + [list(r) for r in degrevlex(len(w)).rows], "weight")
 
 
 def elimination_order(n: int, block) -> TermOrder:

@@ -262,3 +262,107 @@ def test_fan_json_reparses(tmp_path, capsys):
         basis = [ring.parse(t) for t in cone["reduced_gb"]]
         lt = {ring.parse(t) for t in cone["lt_ideal"]}
         assert len(basis) == len(lt)
+
+
+# Pinned stdout.  The printed basis order of a multi-cone fan follows the
+# facet points of the Fourier-Motzkin back-substitution, and the printed
+# rows of an ordering are its input rows, not its canonical form.
+FAN_X2_Y3 = """\
+gfan_number: 9
+cone 1:
+  lt_ideal: z, y^3
+  cone: [-2 3 0] [-1 -1 1]
+  basis:
+    z - x*y
+    y^3 - x^2
+cone 2:
+  lt_ideal: z, x^2
+  cone: [-1 -1 1] [2 -3 0]
+  basis:
+    x^2 - y^3
+    z - x*y
+cone 3:
+  lt_ideal: z^2, x*z, x*y, x^2
+  cone: [0 -5 2] [1 1 -1]
+  basis:
+    x*y - z
+    x^2 - y^3
+    x*z - y^4
+    z^2 - y^5
+cone 4:
+  lt_ideal: z^3, y*z^2, y^2*z, y^3, x*y
+  cone: [-5 0 3] [1 1 -1]
+  basis:
+    x*y - z
+    y^3 - x^2
+    y^2*z - x^3
+    y*z^2 - x^4
+    z^3 - x^5
+cone 5:
+  lt_ideal: y*z^2, y^2*z, y^3, x*y, x^5
+  cone: [-4 1 2] [5 0 -3]
+  basis:
+    x*y - z
+    y*z^2 - x^4
+    y^2*z - x^3
+    x^5 - z^3
+    y^3 - x^2
+cone 6:
+  lt_ideal: y^2*z, y^3, x*y, x^4
+  cone: [-3 2 1] [4 -1 -2]
+  basis:
+    x*y - z
+    y^2*z - x^3
+    y^3 - x^2
+    x^4 - y*z^2
+cone 7:
+  lt_ideal: y^3, x*y, x^3
+  cone: [-2 3 0] [3 -2 -1]
+  basis:
+    x*y - z
+    y^3 - x^2
+    x^3 - y^2*z
+cone 8:
+  lt_ideal: y^4, x*y, x^2
+  cone: [-1 4 -1] [2 -3 0]
+  basis:
+    x*y - z
+    x^2 - y^3
+    y^4 - x*z
+cone 9:
+  lt_ideal: y^5, x*z, x*y, x^2
+  cone: [0 5 -2] [1 -4 1]
+  basis:
+    x*y - z
+    x*z - y^4
+    x^2 - y^3
+    y^5 - z^2
+"""
+
+GB_WEIGHT_2_1 = """\
+order: weight[[2, 1], [1, 1], [0, -1]]
+y^3 + x - 2*y
+x^2 + x*y + y^2 - 1
+"""
+
+GB_MATRIX_12_0M1 = """\
+order: matrix[[1, 2], [0, -1]]
+x^3 - y
+y^2 + x*y + x^2 - 1
+"""
+
+
+def test_pinned_fan_and_order_output(tmp_path, capsys):
+    twisted = tmp_path / "twisted.txt"
+    twisted.write_text("# field: QQ\n# vars: x, y, z\nx^2 - y^3\nx*y - z\n")
+    code, out, _ = run(capsys, "fan", str(twisted))
+    assert code == 0
+    assert out == FAN_X2_Y3
+    cubic = tmp_path / "cubic.txt"
+    cubic.write_text("# field: QQ\n# vars: x, y\nx^2 + x*y + y^2 - 1\nx^3 - y\n")
+    code, out, _ = run(capsys, "gb", str(cubic), "--order", "weight:2,1")
+    assert code == 0
+    assert out == GB_WEIGHT_2_1
+    code, out, _ = run(capsys, "gb", str(cubic), "--order", "matrix:1,2;0,-1")
+    assert code == 0
+    assert out == GB_MATRIX_12_0M1

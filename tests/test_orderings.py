@@ -1,8 +1,11 @@
 """Matrix term orderings: presets, comparisons, validity, canonical forms."""
 
-import pytest
+import itertools
 
-from gbfan import deglex, degrevlex, lex, matrix_order, parse_order, weight_order
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gbfan import QQ, Ideal, PolyRing, deglex, degrevlex, lex, matrix_order, parse_order, weight_order
 from gbfan.errors import DimensionMismatch, InvalidOrdering, ParseError
 from gbfan.orderings import EQUAL, GREATER, LESS, TermOrder, elimination_order
 
@@ -60,8 +63,6 @@ def test_compare_dimension_mismatch():
 
 
 def test_total_order_refines_divisibility():
-    import itertools
-
     for o in (lex(3), deglex(3), degrevlex(3), weight_order([2, 1, 1])):
         for s in itertools.product(range(3), repeat=3):
             for t in itertools.product(range(3), repeat=3):
@@ -109,3 +110,66 @@ def test_validate_rejects_ragged_and_empty():
         TermOrder([])
     with pytest.raises(InvalidOrdering):
         TermOrder([[1, 0], [1]])
+
+
+def _valid_order(rows):
+    try:
+        return matrix_order(rows)
+    except InvalidOrdering:
+        assume(False)
+
+
+@st.composite
+def _matrices(draw, n):
+    """Small integer matrices whose columns lead with a positive entry, so
+    that only a rank deficiency makes one invalid."""
+    rows, led = [], [False] * n
+    for _ in range(draw(st.integers(min_value=n, max_value=n + 1))):
+        row = [draw(st.integers(min_value=-2 if led[c] else 0, max_value=3)) for c in range(n)]
+        led = [done or x != 0 for done, x in zip(led, row)]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _order_and_equivalent(draw):
+    """A valid matrix and one rewritten by moves that keep its ordering:
+    positive row scalings, multiples of earlier rows added to later ones,
+    and appended rows from the span."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(_matrices(n))
+    small = st.integers(min_value=-3, max_value=3)
+    scales = [draw(st.integers(min_value=1, max_value=4)) for _ in rows]
+    out = [[c * x for x in r] for c, r in zip(scales, rows)]
+    for j in range(1, len(out)):
+        for i in range(j):
+            k = draw(small)
+            out[j] = [a + k * b for a, b in zip(out[j], out[i])]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        ks = [draw(small) for _ in out]
+        out.append([sum(k * r[c] for k, r in zip(ks, out)) for c in range(n)])
+    return n, rows, out
+
+
+@settings(deadline=None)
+@given(_order_and_equivalent())
+def test_canonical_invariant_under_order_preserving_moves(case):
+    n, rows, moved = case
+    a = _valid_order(rows)
+    b = matrix_order(moved)
+    assert a == b
+    assert hash(a) == hash(b)
+    ring = PolyRing(QQ, tuple(f"x{i}" for i in range(n)))
+    ideal = Ideal(ring, [ring.var(i) * ring.var(i) - ring.var(i) for i in range(n)])
+    assert ideal.groebner(a) is ideal.groebner(b)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(_matrices(n), _matrices(n))
+))
+def test_canonical_separates_orders_that_sort_a_box_differently(pair):
+    a, b = (_valid_order(rows) for rows in pair)
+    box = list(itertools.product(range(4), repeat=a.nvars))
+    if sorted(box, key=a.key) != sorted(box, key=b.key):
+        assert a != b
