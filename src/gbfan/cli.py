@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 parse/config error, 3 math-domain error,
 4 internal invariant breach.  Identical inputs and flags always produce
 byte-identical output; results go to stdout, diagnostics to stderr.
+
+Every command returns ``(payload, lines)``: the JSON object without its
+``schema`` key, and the text output built from the payload's strings.
+`main` alone writes stdout, once the command has returned, so a command
+that fails has written nothing there.
 """
 
 from __future__ import annotations
@@ -46,106 +51,98 @@ from .terms import term_str
 SCHEMA = 1
 
 
+class _SelfcheckFailed(Exception):
+    """A failed selfcheck trial.  `main` writes its report to stdout: the
+    FAIL line, then an ideal file that reproduces the trial."""
+
+    def __init__(self, reason, seed, trial, ideal):
+        ring = ideal.ring
+        self.lines = [
+            f"selfcheck: FAIL ({reason})",
+            f"# seed: {seed}, trial: {trial}",
+            f"# field: {ring.field.name}",
+            f"# vars: {', '.join(ring.vars)}",
+            *(g.to_str() for g in ideal.gens),
+        ]
+        super().__init__(self.lines[0])
+
+
 def _order_for(ring, spec: str | None):
     if spec is None:
         return ring.default_order()
     return parse_order(spec, ring.nvars)
 
 
-def _emit(text: str):
-    sys.stdout.write(text + "\n")
+def _listing(key: str, rows: list[str]):
+    """A payload holding one list of strings, printed one per line."""
+    return {key: rows}, rows
 
 
-def _emit_json(payload: dict):
-    _emit(json.dumps({"schema": SCHEMA, **payload}))
-
-
-def _basis_lines(gb) -> list[str]:
-    return [f"order: {gb.order!r}"] + [g.to_str(gb.order) for g in gb.elements]
-
-
-def _fan_payload(fan) -> dict:
-    cones = []
-    for mb in fan:
-        cones.append(
-            {
-                "lt_ideal": [
-                    term_str(t, fan.ring.vars) for t in sorted(mb.basis.lt_exps)
-                ],
-                "reduced_gb": [g.to_str(mb.basis.order) for g in mb.basis],
-                "cone": [list(v) for v in mb.cone.ineqs],
-            }
-        )
+def _basis(gb) -> dict:
     return {
-        "field": fan.ring.field.name,
-        "vars": list(fan.ring.vars),
-        "gfan_number": fan.size,
-        "cones": cones,
+        "order": repr(gb.order),
+        "basis": [g.to_str(gb.order) for g in gb.elements],
     }
+
+
+def _point_rows(ring, pts) -> list[str]:
+    return [",".join(ring.field.to_str(c) for c in p) for p in pts]
 
 
 def cmd_gb(args):
     ring, ideal = load_ideal(args.ideal, args.field, args.vars)
-    gb = ideal.groebner(_order_for(ring, args.order))
-    if args.format == "json":
-        _emit_json(
-            {
-                "order": repr(gb.order),
-                "basis": [g.to_str(gb.order) for g in gb.elements],
-            }
-        )
-    else:
-        for line in _basis_lines(gb):
-            _emit(line)
+    payload = _basis(ideal.groebner(_order_for(ring, args.order)))
+    return payload, ["order: " + payload["order"], *payload["basis"]]
 
 
 def cmd_fan(args):
     _, ideal = load_ideal(args.ideal, args.field, args.vars)
     fan = enumerate_fan(ideal)
-    if args.format == "json":
-        _emit_json(_fan_payload(fan))
-        return
-    _emit(f"gfan_number: {fan.size}")
-    for i, mb in enumerate(fan, start=1):
-        _emit(f"cone {i}:")
-        _emit(
-            "  lt_ideal: "
-            + ", ".join(term_str(t, fan.ring.vars) for t in sorted(mb.basis.lt_exps))
-        )
-        _emit(f"  cone: {mb.cone}")
-        _emit("  basis:")
-        for g in mb.basis:
-            _emit(f"    {g.to_str(mb.basis.order)}")
+    cones = [
+        {
+            "lt_ideal": [term_str(t, fan.ring.vars) for t in sorted(mb.basis.lt_exps)],
+            "reduced_gb": [g.to_str(mb.basis.order) for g in mb.basis],
+            "cone": [list(v) for v in mb.cone.ineqs],
+        }
+        for mb in fan
+    ]
+    payload = {
+        "field": fan.ring.field.name,
+        "vars": list(fan.ring.vars),
+        "gfan_number": fan.size,
+        "cones": cones,
+    }
+    lines = [f"gfan_number: {fan.size}"]
+    for i, (mb, cone) in enumerate(zip(fan, cones), start=1):
+        lines += [
+            f"cone {i}:",
+            "  lt_ideal: " + ", ".join(cone["lt_ideal"]),
+            f"  cone: {mb.cone}",
+            "  basis:",
+            *("    " + g for g in cone["reduced_gb"]),
+        ]
+    return payload, lines
 
 
 def cmd_points(args):
     pts = load_points(args.points, args.field, args.vars)
-    order = _order_for(pts.ring, args.order)
-    gb, quotient = ideal_of_points(pts, order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "order": repr(order),
-                "basis": [g.to_str(order) for g in gb.elements],
-                "quotient_basis": [term_str(t, pts.ring.vars) for t in quotient],
-            }
-        )
-        return
-    for line in _basis_lines(gb):
-        _emit(line)
-    _emit("quotient_basis: " + ", ".join(term_str(t, pts.ring.vars) for t in quotient))
+    gb, quotient = ideal_of_points(pts, _order_for(pts.ring, args.order))
+    payload = {
+        **_basis(gb),
+        "quotient_basis": [term_str(t, pts.ring.vars) for t in quotient],
+    }
+    return payload, [
+        "order: " + payload["order"],
+        *payload["basis"],
+        "quotient_basis: " + ", ".join(payload["quotient_basis"]),
+    ]
 
 
 def cmd_models(args):
     pts = load_points(args.points, args.field, args.vars)
     ideal = vanishing_ideal(pts)
     f = pts.ring.parse(args.function)
-    models = sorted(m.to_str() for m in minimal_models(f, ideal))
-    if args.format == "json":
-        _emit_json({"models": models})
-        return
-    for m in models:
-        _emit(m)
+    return _listing("models", sorted(m.to_str() for m in minimal_models(f, ideal)))
 
 
 def cmd_unique(args):
@@ -156,45 +153,29 @@ def cmd_unique(args):
     else:
         raise ParseError("unique needs an ideal file or --points")
     flag = unique_gb_fast_check(ideal)
-    if args.format == "json":
-        _emit_json({"unique": flag})
-    else:
-        _emit(f"unique: {'true' if flag else 'false'}")
+    return {"unique": flag}, [f"unique: {'true' if flag else 'false'}"]
+
+
+def _generators(polys):
+    return _listing("generators", [g.to_str() for g in polys])
 
 
 def cmd_distract(args):
     ring, mono = load_monomial_ideal(args.ideal, args.field, args.vars)
     tuples = load_tuples(args.tuples, ring)
-    ideal = distraction_ideal(ring, mono, tuples)
-    _print_generators(ideal, args)
+    return _generators(distraction_ideal(ring, mono, tuples).gens)
 
 
 def cmd_natural(args):
     ring, mono = load_monomial_ideal(args.ideal, args.field, args.vars)
-    ideal = natural_distraction(ring, mono)
-    _print_generators(ideal, args)
-
-
-def _print_generators(ideal, args):
-    if args.format == "json":
-        _emit_json({"generators": [g.to_str() for g in ideal.gens]})
-        return
-    for g in ideal.gens:
-        _emit(g.to_str())
+    return _generators(natural_distraction(ring, mono).gens)
 
 
 def cmd_staircase(args):
     ring, mono = load_monomial_ideal(args.ideal, args.field, args.vars)
-    pts = staircase(ring, mono)
-    rows = [",".join(ring.field.to_str(c) for c in p) for p in pts]
-    if args.format == "json":
-        _emit_json({"points": rows})
-        return
-    for row in rows:
-        _emit(row)
-    if args.diagram:
-        for line in _staircase_diagram(ring, mono):
-            _emit(line)
+    rows = _point_rows(ring, staircase(ring, mono))
+    diagram = _staircase_diagram(ring, mono) if args.diagram else []
+    return {"points": rows}, rows + diagram
 
 
 def _staircase_diagram(ring, mono: MonomialIdeal) -> list[str]:
@@ -222,92 +203,50 @@ def _staircase_diagram(ring, mono: MonomialIdeal) -> list[str]:
 def cmd_mgrid(args):
     ring, ideal = load_ideal(args.ideal, args.field, args.vars)
     spec = maximal_grid(ideal)
-    if args.format == "json":
-        _emit_json(
-            {
-                "grid": {
-                    ring.vars[i]: spec.generator(i).to_str()
-                    for i in range(ring.nvars)
-                }
-            }
-        )
-        return
-    for i in range(ring.nvars):
-        _emit(f"{ring.vars[i]}: poly {spec.generator(i).to_str()}")
+    grid = {ring.vars[i]: spec.generator(i).to_str() for i in range(ring.nvars)}
+    return {"grid": grid}, [f"{v}: poly {g}" for v, g in grid.items()]
 
 
 def cmd_grid(args):
     spec = load_grid(args.grid, args.field, args.vars)
-    ring = spec.ring
     if args.points:
-        pts = spec.points()
-        rows = [",".join(ring.field.to_str(c) for c in p) for p in pts]
-        if args.format == "json":
-            _emit_json({"points": rows})
-            return
-        for row in rows:
-            _emit(row)
-        return
-    if args.format == "json":
-        _emit_json({"generators": [g.to_str() for g in spec.generators()]})
-        return
-    for g in spec.generators():
-        _emit(g.to_str())
+        return _listing("points", _point_rows(spec.ring, spec.points()))
+    return _generators(spec.generators())
 
 
 def cmd_complement(args):
     spec = load_grid(args.grid, args.field, args.vars)
     _, first = load_ideal(args.ideal, args.field, args.vars)
     second, cert = complementary_pair(spec, first)
-    gb = second.groebner()
-    if args.format == "json":
-        _emit_json(
-            {
-                "multiplicity_grid": cert.grid_multiplicity,
-                "multiplicity_input": cert.multiplicity_1,
-                "multiplicity_complement": cert.multiplicity_2,
-                "certificate": cert.ok,
-                "basis": [g.to_str(gb.order) for g in gb.elements],
-            }
-        )
-        return
-    _emit(f"multiplicity_grid: {cert.grid_multiplicity}")
-    _emit(f"multiplicity_input: {cert.multiplicity_1}")
-    _emit(f"multiplicity_complement: {cert.multiplicity_2}")
-    _emit("certificate: ok")
-    for line in _basis_lines(gb):
-        _emit(line)
+    basis = _basis(second.groebner())
+    payload = {
+        "multiplicity_grid": cert.grid_multiplicity,
+        "multiplicity_input": cert.multiplicity_1,
+        "multiplicity_complement": cert.multiplicity_2,
+        "certificate": cert.ok,
+        "basis": basis["basis"],
+    }
+    counts = ("multiplicity_grid", "multiplicity_input", "multiplicity_complement")
+    return payload, [
+        *(f"{k}: {payload[k]}" for k in counts),
+        "certificate: ok",
+        "order: " + basis["order"],
+        *basis["basis"],
+    ]
 
 
 def cmd_shift(args):
     ring, ideal = load_ideal(args.ideal, args.field, args.vars)
     shift = load_shift(args.shift, ring)
-    shifted = shift_ideal(ideal, shift)
-    _print_generators(shifted, args)
+    return _generators(shift_ideal(ideal, shift).gens)
 
 
 def cmd_basic_sets(args):
     ring, ideal = load_ideal(args.ideal, args.field, args.vars)
     sets = enumerate_basic_sets(ideal, bound=args.bound)
-    rows = [", ".join(term_str(t, ring.vars) for t in s) for s in sets]
-    if args.format == "json":
-        _emit_json({"basic_sets": rows})
-        return
-    for row in rows:
-        _emit(row)
-
-
-def _selfcheck_fail(reason, args, trial, ideal):
-    """Report a failed trial; everything after the FAIL line is an ideal
-    file that reproduces it."""
-    ring = ideal.ring
-    _emit(f"selfcheck: FAIL ({reason})")
-    _emit(f"# seed: {args.seed}, trial: {trial}")
-    _emit(f"# field: {ring.field.name}")
-    _emit(f"# vars: {', '.join(ring.vars)}")
-    for g in ideal.gens:
-        _emit(g.to_str())
-    raise SystemExit(4)
+    return _listing(
+        "basic_sets", [", ".join(term_str(t, ring.vars) for t in s) for s in sets]
+    )
 
 
 def cmd_selfcheck(args):
@@ -320,13 +259,14 @@ def cmd_selfcheck(args):
         fan = enumerate_fan(ideal)
         oracle = fan_oracle_zerodim(ideal, bound=args.max_mult)
         if fan != oracle:
-            _selfcheck_fail("fan and oracle disagree", args, trial, ideal)
+            raise _SelfcheckFailed("fan and oracle disagree", args.seed, trial, ideal)
         if unique_gb_fast_check(ideal) != (fan.size == 1):
-            _selfcheck_fail(
-                "factor-closed test disagrees with fan size", args, trial, ideal
+            raise _SelfcheckFailed(
+                "factor-closed test disagrees with fan size", args.seed, trial, ideal
             )
         checked += 1
-    _emit(f"selfcheck: ok ({checked} random ideals, seed {args.seed})")
+    payload = {"checked": checked, "seed": args.seed}
+    return payload, [f"selfcheck: ok ({checked} random ideals, seed {args.seed})"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--max-mult", type=int, default=8, dest="max_mult")
-    p.set_defaults(func=cmd_selfcheck)
+    p.set_defaults(func=cmd_selfcheck, format="text")
 
     return parser
 
@@ -437,22 +377,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        payload, lines = args.func(args)
+    except _SelfcheckFailed as exc:
+        lines, code = exc.lines, 4
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except GbfanError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # bug trap
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
-    return 0
+    else:
+        code = 0
+        if args.format == "json":
+            lines = [json.dumps({"schema": SCHEMA, **payload})]
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ def flip_order(weight, crossing, n: int) -> TermOrder:
     w = primitive_vector(weight)
     rows = [list(w), [-x for x in crossing]]
     rows += [list(r) for r in degrevlex(n).rows]
-    return TermOrder(rows, "flip", validate=False)
+    return TermOrder(rows, "flip")
 
 
 def enumerate_fan(ideal: Ideal) -> GroebnerFan:

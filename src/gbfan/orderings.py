@@ -8,6 +8,7 @@ that the first nonzero entry of every column (read top-down) is positive.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import DimensionMismatch, InvalidOrdering
 from .linalg import echelon_reduce, primitive_vector
@@ -20,7 +21,7 @@ class TermOrder:
 
     __slots__ = ("rows", "tag", "nvars", "_canon")
 
-    def __init__(self, rows, tag: str = "matrix", validate: bool = True):
+    def __init__(self, rows, tag: str = "matrix"):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
         if not rows or not rows[0]:
             raise InvalidOrdering("empty weight matrix")
@@ -31,15 +32,14 @@ class TermOrder:
         self.tag = tag
         self.nvars = n
         self._canon = None
-        if validate:
-            for col in range(n):
-                lead = next((r[col] for r in rows if r[col]), 0)
-                if lead <= 0:
-                    raise InvalidOrdering(
-                        f"column {col}: first nonzero weight must be positive"
-                    )
-            if len(self.canonical()) != n:
-                raise InvalidOrdering("weight matrix must have full column rank")
+        for col in range(n):
+            lead = next((r[col] for r in rows if r[col]), 0)
+            if lead <= 0:
+                raise InvalidOrdering(
+                    f"column {col}: first nonzero weight must be positive"
+                )
+        if len(self.canonical()) != n:
+            raise InvalidOrdering("weight matrix must have full column rank")
 
     def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key: the weighted image of an exponent vector."""
@@ -93,21 +93,24 @@ class TermOrder:
         return f"{self.tag}{list(map(list, self.rows))}"
 
 
+@cache
 def lex(n: int) -> TermOrder:
     rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return TermOrder(rows, "lex", validate=False)
+    return TermOrder(rows, "lex")
 
 
+@cache
 def deglex(n: int) -> TermOrder:
     rows = [[1] * n]
     rows += [[1 if j == i else 0 for j in range(n)] for i in range(n - 1)]
-    return TermOrder(rows, "deglex", validate=False)
+    return TermOrder(rows, "deglex")
 
 
+@cache
 def degrevlex(n: int) -> TermOrder:
     rows = [[1] * n]
     rows += [[-1 if j == n - 1 - i else 0 for j in range(n)] for i in range(n - 1)]
-    return TermOrder(rows, "degrevlex", validate=False)
+    return TermOrder(rows, "degrevlex")
 
 
 def weight_order(weights) -> TermOrder:

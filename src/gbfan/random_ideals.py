@@ -116,10 +116,7 @@ def random_zero_dim_ideal(rng: Random, ring: PolyRing, max_mult: int = 10) -> Id
             p = ring.field.characteristic
             if p and p < max(degrees, default=0):
                 continue
-            try:
-                tuples = random_distraction_tuples(rng, ring, degrees)
-            except ValueError:
-                continue
+            tuples = random_distraction_tuples(rng, ring, degrees)
             ideal = distraction_ideal(ring, mono, tuples)
         else:
             count = rng.randint(2, max(2, max_mult))

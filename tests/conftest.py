@@ -16,9 +16,9 @@ from gbfan import (
     PointSet,
     PolyRing,
     TermOrder,
-    degrevlex,
     enumerate_fan,
     fan_equal,
+    weight_order,
 )
 
 
@@ -50,11 +50,7 @@ def points(ring, coords) -> PointSet:
 
 def weight_refinement(w) -> TermOrder:
     """Ordering realizing a strictly positive weight, degrevlex-refined."""
-    return TermOrder(
-        [list(w)] + [list(r) for r in degrevlex(len(w)).rows],
-        "weight",
-        validate=False,
-    )
+    return weight_order(w)
 
 
 def socle_bijection_holds(spec, first, second) -> bool:

@@ -366,3 +366,62 @@ def test_pinned_fan_and_order_output(tmp_path, capsys):
     code, out, _ = run(capsys, "gb", str(cubic), "--order", "matrix:1,2;0,-1")
     assert code == 0
     assert out == GB_MATRIX_12_0M1
+
+
+def test_failing_command_writes_no_stdout(tmp_path, capsys):
+    mono = tmp_path / "mono3.txt"
+    mono.write_text("# field: QQ\n# vars: x, y, z\nx^2\ny\nz^2\n")
+    code, out, err = run(capsys, "staircase", str(mono), "--diagram")
+    assert code == 3
+    assert out == ""
+    assert err == "error: DomainError: --diagram needs exactly two variables\n"
+
+
+# Pinned stdout of the commands whose text has lines the JSON lacks.
+POINTS_LEX = """\
+order: lex
+z^2 + z
+y*z
+y^2 + y
+x + y + 1
+quotient_basis: 1, z, y
+"""
+
+POINTS_JSON = (
+    '{"schema": 1, "order": "degrevlex", '
+    '"basis": ["x + y + 1", "z^2 + z", "y*z", "y^2 + y"], '
+    '"quotient_basis": ["1", "z", "y"]}\n'
+)
+
+COMPLEMENT_TEXT = """\
+multiplicity_grid: 12
+multiplicity_input: 2
+multiplicity_complement: 10
+certificate: ok
+order: degrevlex
+y^3 + 2*y^2 - 2*y - 4
+x^3*y + 2*x^3 - 2*x^2*y - 4*x^2 + x*y + 2*x - 2*y - 4
+x^4 - 3*x^3 + 3*x^2 - 3*x + 2
+"""
+
+COMPLEMENT_JSON = (
+    '{"schema": 1, "multiplicity_grid": 12, "multiplicity_input": 2, '
+    '"multiplicity_complement": 10, "certificate": true, '
+    '"basis": ["y^3 + 2*y^2 - 2*y - 4", '
+    '"x^3*y + 2*x^3 - 2*x^2*y - 4*x^2 + x*y + 2*x - 2*y - 4", '
+    '"x^4 - 3*x^3 + 3*x^2 - 3*x + 2"]}\n'
+)
+
+
+def test_pinned_points_and_complement_output(demo, capsys):
+    pinned = [
+        (("points", str(demo["points"]), "--order", "lex"), POINTS_LEX),
+        (("points", str(demo["points"]), "--format", "json"), POINTS_JSON),
+        (("complement", str(demo["grid"]), str(demo["ideal"])), COMPLEMENT_TEXT),
+        (
+            ("complement", str(demo["grid"]), str(demo["ideal"]), "--format", "json"),
+            COMPLEMENT_JSON,
+        ),
+    ]
+    for argv, expected in pinned:
+        assert run(capsys, *argv) == (0, expected, "")

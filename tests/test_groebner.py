@@ -1,5 +1,7 @@
 """Buchberger, normal forms, quotient bases, and ideal arithmetic."""
 
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -278,6 +280,35 @@ def test_concurrent_groebner_calls_share_cache(rxy):
         results = list(pool.map(I.groebner, orders))
     for order, gb in zip(orders, results):
         assert gb == I.groebner(order)
+
+
+def test_two_threads_agree_with_single_thread_bases(rxyz):
+    """Two threads race on one ideal's basis cache: each gets the basis a
+    single thread computes, and every distinct order is cached once."""
+    gens = ("x^3 - y*z + 1", "y^3 - x*z^2 + 2*x", "x*y*z - z^2 - 3")
+    orders = [lex(3), degrevlex(3), weight_order([1, 2, 3]), weight_order([3, 1, 2])]
+    expected = [ideal(rxyz, *gens).groebner(o) for o in orders]
+    shared = ideal(rxyz, *gens)
+    barrier = threading.Barrier(2, timeout=60)
+    results = [None, None]
+
+    def work(slot):
+        barrier.wait()
+        results[slot] = [shared.groebner(o) for o in orders]
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected, expected]
+    assert len(shared._cache) == len(orders)
 
 
 def test_gb_over_gf5_points():
