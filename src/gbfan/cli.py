@@ -265,8 +265,8 @@ def cmd_selfcheck(args):
                 "factor-closed test disagrees with fan size", args.seed, trial, ideal
             )
         checked += 1
-    payload = {"checked": checked, "seed": args.seed}
-    return payload, [f"selfcheck: ok ({checked} random ideals, seed {args.seed})"]
+    # selfcheck has no --format: its result is only ever text.
+    return None, [f"selfcheck: ok ({checked} random ideals, seed {args.seed})"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from .errors import (
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, elimination_order
 from .ring import Polynomial, PolyRing
-from .terms import tcoprime, tdiv, tdivides, tlcm
+from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
 
 def _dict_sub_scaled(acc: dict, other: dict, shift, factor) -> None:
@@ -100,14 +100,12 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
             lt = max(g, key=okey)
             lts.append(lt)
             lcs.append(g[lt])
-    # Normal strategy: the pair whose lcm is least in the order itself.
-    # Picking by total degree first lets lex coefficients grow unchecked.
     queue: list = []
     counter = 0
     for j in range(len(G)):
         for i in range(j):
             l = tlcm(lts[i], lts[j])
-            heappush(queue, (okey(l), counter, i, j, l))
+            heappush(queue, ((tdeg(l), okey(l)), counter, i, j, l))
             counter += 1
     done: set[frozenset] = set()
     while queue:
@@ -134,7 +132,7 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
             new = len(G) - 1
             for k in range(new):
                 l2 = tlcm(lts[k], lt)
-                heappush(queue, (okey(l2), counter, k, new, l2))
+                heappush(queue, ((tdeg(l2), okey(l2)), counter, k, new, l2))
                 counter += 1
     # minimalize: keep only elements whose leading term no other divides
     keep = []
