@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation
 from .linalg import primitive_vector
 
 # One constraint is (coeffs, rhs) and means  sum(coeffs[i] * x_i) >= rhs.
@@ -182,13 +181,6 @@ class Cone:
         if any(x < 0 for x in w):
             return False
         return all(sum(a * b for a, b in zip(v, w)) >= 0 for v in self.ineqs)
-
-    def interior_point(self) -> tuple[int, ...]:
-        """A strictly positive integer weight in the cone interior."""
-        sol = strict_positive_solution(self.ineqs, self.nvars)
-        if sol is None:
-            raise InvariantViolation("cone has empty interior")
-        return primitive_vector(sol)
 
     def facet_interior_point(self, v):
         """A strictly positive rational point in the relative interior of

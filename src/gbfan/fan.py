@@ -3,8 +3,12 @@
 Two independent routes compute the fan:
 
 * `enumerate_fan` walks marked reduced bases across shared facets, starting
-  from the degrevlex basis; neighbors come from a matrix ordering whose first
-  row is a facet-interior weight and whose second row points across the facet.
+  from the degrevlex basis.  A facet whose neighbor is already visited is
+  matched against it and not flipped.  Otherwise the neighbor is the basis
+  for a matrix ordering whose first row is a facet-interior weight and whose
+  second row points across the facet: for a zero-dimensional ideal it comes
+  by FGLM, `linalg.basis_from_functionals` on the normal-form coordinates of
+  the start basis, and for any other ideal by Buchberger.
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible) with the exact echelon
   kernel of `linalg` (the same one that Buchberger-Möller uses).  The
@@ -32,7 +36,7 @@ from .errors import (
     ZeroIdeal,
 )
 from .groebner import Ideal, ReducedGB, normal_form
-from .linalg import echelon_reduce, primitive_vector
+from .linalg import basis_from_functionals, echelon_reduce, primitive_vector
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, degrevlex, weight_order
 from .ring import Polynomial
@@ -132,14 +136,21 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
 
     Runs on any nonzero ideal.  Every walked cone is full-dimensional, so
     each of its irredundant facets meets the open orthant and has a flip
-    weight there.  Only zero-dimensional fans have `fan_oracle_zerodim` as
-    an independent check.
+    weight there.  A facet is matched, not flipped, when a visited cone
+    contains its flip weight and has the opposite inequality: the fan is
+    polyhedral, so that cone is the neighbor.  For a zero-dimensional ideal
+    a neighbor comes by FGLM from the normal forms of the start basis; for
+    any other ideal, by Buchberger in the flip ordering.  Only
+    zero-dimensional fans have `fan_oracle_zerodim` as an independent
+    check.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
     n = ideal.ring.nvars
     start = ideal.groebner()
+    table = _NFTable(ideal) if start.lt_ideal().is_zero_dimensional() else None
     visited: dict[tuple, MarkedBasis] = {}
+    by_ineq: dict[tuple, list[Cone]] = {}
     stack: list[ReducedGB] = [start]
     while stack:
         gb = stack.pop()
@@ -149,10 +160,18 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
         cone = cone_of(gb)
         visited[key] = MarkedBasis(gb, cone)
         for v in cone.ineqs:
+            by_ineq.setdefault(v, []).append(cone)
             w = cone.facet_interior_point(v)
             if w is None:
                 raise InvariantViolation(f"facet {v} misses the open orthant")
-            neighbor = ideal.groebner(flip_order(w, v, n))
+            across = tuple(-x for x in v)
+            if any(c.contains(w) for c in by_ineq.get(across, ())):
+                continue
+            order = flip_order(w, v, n)
+            if table is None:
+                neighbor = ideal.groebner(order)
+            else:
+                neighbor = table.basis(order)
             if neighbor.lt_key() not in visited:
                 stack.append(neighbor)
     return GroebnerFan(ideal.ring, visited.values())
@@ -226,6 +245,15 @@ class _NFTable:
         vec = tuple(row)
         self._cache[exp] = vec
         return vec
+
+    def basis(self, order: TermOrder) -> ReducedGB:
+        """The reduced basis for another ordering, by FGLM over these
+        coordinates."""
+        ring = self.ring
+        elements, _ = basis_from_functionals(
+            order, ring.field.one(), lambda t, below, i: self.coords(t)
+        )
+        return ReducedGB(ring, order, [Polynomial(ring, d) for d in elements])
 
 
 def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:

@@ -1,16 +1,22 @@
 """Exact linear algebra over a field: one echelon reduction and what is
 built on it.
 
-Buchberger-Möller, the basic-set oracle and the canonical form of a term
-ordering all reduce a vector against rows kept in echelon form.  A row is a
-triple ``(pivot, row, row_rep)``: the index of its first nonzero entry, the
-row itself, and the combination of terms (a dict from term to coefficient)
+The basic-set oracle and the canonical form of a term ordering reduce a
+vector against rows kept in echelon form.  A row is a triple
+``(pivot, row, row_rep)``: the index of its first nonzero entry, the row
+itself, and the combination of terms (a dict from term to coefficient)
 that the row stands for, or None when no combination is tracked.
+
+`basis_from_functionals` runs that reduction over terms in increasing
+order.  It is Buchberger-Möller when a term's vector holds its values at
+points, and FGLM (Faugère-Gianni-Lazard-Mora) when the vector holds its
+normal-form coordinates modulo a known zero-dimensional basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 
@@ -38,6 +44,56 @@ def echelon_reduce(rows, vec, rep=None):
                         del rep[e]
     pivot = next((i for i, x in enumerate(vec) if x), None)
     return pivot, vec, rep
+
+
+def basis_from_functionals(order, one, vec_of):
+    """Reduced basis of the kernel of a linear map on terms, for `order`.
+
+    Terms are taken in increasing order, starting at 1 and then through the
+    variable multiples of each quotient term.  A term that is a multiple of
+    a leading term found so far is skipped.  Otherwise its vector is reduced
+    against the echelon rows of the quotient terms before it: a term whose
+    vector reduces to zero leads a basis element, its representation, and
+    any other term joins the quotient basis.
+
+    ``vec_of(t, below, i)`` gives the vector of term t when t is pushed:
+    ``below`` is the vector of t / x_i (None, with i None, at the origin),
+    so a multiplicative source can extend it by one variable.  A vector is
+    dropped once its term is popped.
+
+    Returns ``(elements, quotient)``: the monic basis elements as dicts from
+    term to coefficient, in increasing leading-term order, and the quotient
+    basis in increasing order.
+    """
+    okey = order.key
+    n = order.nvars
+    origin = (0,) * n
+    heap = [(okey(origin), origin)]
+    pending = {origin: vec_of(origin, None, None)}
+
+    lead_terms: list[tuple] = []
+    quotient: list[tuple] = []
+    echelon: list[tuple] = []
+    elements: list[dict] = []
+
+    while heap:
+        _, t = heappop(heap)
+        vec = pending.pop(t)
+        if any(all(a <= b for a, b in zip(lt, t)) for lt in lead_terms):
+            continue
+        pivot, reduced, rep = echelon_reduce(echelon, vec, {t: one})
+        if pivot is None:
+            lead_terms.append(t)
+            elements.append(rep)
+            continue
+        quotient.append(t)
+        echelon.append((pivot, reduced, rep))
+        for i in range(n):
+            up = t[:i] + (t[i] + 1,) + t[i + 1 :]
+            if up not in pending:
+                pending[up] = vec_of(up, vec, i)
+                heappush(heap, (okey(up), up))
+    return elements, quotient
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

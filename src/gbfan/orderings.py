@@ -13,8 +13,6 @@ from functools import cache
 from .errors import DimensionMismatch, InvalidOrdering
 from .linalg import echelon_reduce, primitive_vector
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 class TermOrder:
     """A term ordering given by integer weight rows, compared row by row."""
@@ -48,15 +46,6 @@ class TermOrder:
                 f"exponent length {len(exp)} != {self.nvars} variables"
             )
         return tuple(sum(w * e for w, e in zip(row, exp)) for row in self.rows)
-
-    def compare(self, s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        """Return LESS, EQUAL, or GREATER for s versus t."""
-        ks, kt = self.key(s), self.key(t)
-        if ks < kt:
-            return LESS
-        if ks > kt:
-            return GREATER
-        return EQUAL
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Canonical form identifying matrices that define the same ordering.

@@ -1,15 +1,14 @@
 """Ideals of points, grids, distractions, staircases, and complements.
 
 The vanishing ideal of a finite point set comes from the Buchberger-Möller
-elimination: evaluation vectors of terms, taken in increasing order, are
-reduced by the exact echelon kernel of `linalg`, which produces the reduced
-basis and the quotient basis in one pass.
+elimination: `linalg.basis_from_functionals` reduces the evaluation vectors
+of terms, taken in increasing order, and produces the reduced basis and the
+quotient basis in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .errors import (
     CharacteristicTooSmall,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .field import PrimeField, nat_embed
 from .groebner import Ideal, ReducedGB
-from .linalg import echelon_reduce
+from .linalg import basis_from_functionals
 from .monomials import MonomialIdeal
 from .orderings import TermOrder
 from .ring import LinearShift, Polynomial, PolyRing
@@ -70,9 +69,10 @@ class PointSet:
 def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     """Reduced basis and quotient basis of the vanishing ideal.
 
-    Terms are consumed in increasing order; a term whose evaluation vector
-    is dependent on the earlier ones closes off a basis element, otherwise
-    it joins the quotient basis and spawns its variable multiples.
+    This is `linalg.basis_from_functionals` on evaluation vectors: the
+    vector of x_i*t is the vector of t times the i-th coordinate column, so
+    each term costs one product per point and only the vectors of terms
+    not yet taken are held.
     """
     if not pts.points:
         raise EmptyPointSet("ideal of points needs at least one point")
@@ -80,46 +80,16 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     if order is None:
         order = ring.default_order()
     field = ring.field
-    n = ring.nvars
     points = pts.points
-    coord_vecs = [tuple(p[i] for p in points) for i in range(n)]
+    coord_vecs = [tuple(p[i] for p in points) for i in range(ring.nvars)]
 
-    okey = order.key
-    origin = (0,) * n
-    heap = [(okey(origin), origin)]
-    seen = {origin}
-    raw_vec: dict[tuple, tuple] = {origin: tuple(field.one() for _ in points)}
+    def evaluations(t, below, i):
+        if below is None:
+            return tuple(field.one() for _ in points)
+        return tuple(a * b for a, b in zip(below, coord_vecs[i]))
 
-    lead_terms: list[tuple] = []
-    quotient: list[tuple] = []
-    echelon: list[tuple] = []  # (pivot, vector, representation dict)
-    basis_elems: list[dict] = []
-
-    while heap:
-        _, t = heappop(heap)
-        if any(all(a <= b for a, b in zip(lt, t)) for lt in lead_terms):
-            continue
-        pivot, vec, rep = echelon_reduce(echelon, raw_vec[t], {t: field.one()})
-        if pivot is None:
-            lead_terms.append(t)
-            basis_elems.append(rep)
-        else:
-            quotient.append(t)
-            echelon.append((pivot, vec, rep))
-            for i in range(n):
-                up = t[:i] + (t[i] + 1,) + t[i + 1 :]
-                if up not in seen:
-                    seen.add(up)
-                    raw_vec[up] = tuple(
-                        a * b for a, b in zip(raw_vec[t], coord_vecs[i])
-                    )
-                    heappush(heap, (okey(up), up))
-        del raw_vec[t]
-
-    elements = [Polynomial(ring, d) for d in basis_elems]
-    elements.sort(key=lambda g: okey(g.leading_term(order)[0]))
-    gb = ReducedGB(ring, order, elements)
-    quotient.sort(key=okey)
+    elements, quotient = basis_from_functionals(order, field.one(), evaluations)
+    gb = ReducedGB(ring, order, [Polynomial(ring, d) for d in elements])
     return gb, quotient
 
 

@@ -20,6 +20,8 @@ from gbfan import (
     fan_equal,
     weight_order,
 )
+from gbfan.cones import strict_positive_solution
+from gbfan.linalg import primitive_vector
 
 
 def qring(*names) -> PolyRing:
@@ -63,7 +65,8 @@ def socle_bijection_holds(spec, first, second) -> bool:
     if not fan_equal(fan1, fan2):
         return False
     for mb in fan1:
-        order = weight_refinement(mb.cone.interior_point())
+        w = primitive_vector(strict_positive_solution(mb.cone.ineqs, spec.ring.nvars))
+        order = weight_refinement(w)
         o1 = set(first.quotient_basis(order))
         o2 = set(second.quotient_basis(order))
         image = {tuple(s - t for s, t in zip(soc, u)) for u in grid_terms - o1}

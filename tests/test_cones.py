@@ -13,6 +13,7 @@ from gbfan.cones import (
     strict_positive_solution,
 )
 from gbfan.errors import InconsistentMarking
+from gbfan.linalg import primitive_vector
 
 from conftest import qring
 
@@ -56,7 +57,7 @@ def test_cone_contains_and_interior():
     cone = Cone.from_vectors([(1, -1)], 2)
     assert cone.contains((2, 1))
     assert not cone.contains((1, 2))
-    w = cone.interior_point()
+    w = primitive_vector(strict_positive_solution(cone.ineqs, 2))
     assert all(x > 0 for x in w) and w[0] > w[1]
 
 

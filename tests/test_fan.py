@@ -151,6 +151,48 @@ def test_positive_dimensional_walk_covers_sampled_weights(rxyz, gens, size):
         assert any(mb.lt_key() == key and mb.cone.contains(w) for mb in fan)
 
 
+def test_zero_dimensional_walk_runs_buchberger_once(monkeypatch):
+    # every neighbor basis comes by FGLM from the start basis
+    import gbfan.groebner
+
+    runs = []
+    real = gbfan.groebner.buchberger_dicts
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gbfan.groebner, "buchberger_dicts", counting)
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    fan = enumerate_fan(I)
+    assert fan.size > 2
+    assert runs == [I.ring.default_order()]
+    assert fan == fan_oracle_zerodim(I)
+
+
+def test_walk_matches_facets_before_flipping(monkeypatch, rxy):
+    import gbfan.fan
+    from gbfan.cones import Cone
+
+    facets, flips = [], []
+    real_point = Cone.facet_interior_point
+    real_flip = gbfan.fan.flip_order
+
+    def point(self, v):
+        facets.append(v)
+        return real_point(self, v)
+
+    def flip(w, v, n):
+        flips.append(v)
+        return real_flip(w, v, n)
+
+    monkeypatch.setattr(Cone, "facet_interior_point", point)
+    monkeypatch.setattr(gbfan.fan, "flip_order", flip)
+    I = ideal(rxy, "x^2 + x*y + y^2", "x^3", "x^2*y", "x*y^2", "y^3")
+    assert enumerate_fan(I).size == 2
+    assert len(flips) < len(facets)
+
+
 def test_gbasic_sets(rxy):
     I = ideal(rxy, "(x^2+1)*(x-1)*(x-2)", "(y^2-2)*(y+2)", "x - 1 + y^2 - 2")
     sets = gbasic_sets(enumerate_fan(I))

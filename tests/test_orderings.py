@@ -7,39 +7,39 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gbfan import QQ, Ideal, PolyRing, deglex, degrevlex, lex, matrix_order, parse_order, weight_order
 from gbfan.errors import DimensionMismatch, InvalidOrdering, ParseError
-from gbfan.orderings import EQUAL, GREATER, LESS, TermOrder, elimination_order
+from gbfan.orderings import TermOrder, elimination_order
 
 
 def test_lex_compare():
     o = lex(2)
-    assert o.compare((2, 0), (1, 1)) == GREATER  # x^2 vs x*y
-    assert o.compare((1, 1), (2, 0)) == LESS
-    assert o.compare((1, 2), (1, 2)) == EQUAL
+    assert o.key((2, 0)) > o.key((1, 1))  # x^2 vs x*y
+    assert o.key((1, 1)) < o.key((2, 0))
+    assert o.key((1, 2)) == o.key((1, 2))
 
 
 def test_degrevlex_tiebreak():
     # same degree: the term with the smaller last exponent wins
     o = degrevlex(3)
-    assert o.compare((0, 1, 1), (2, 0, 0)) == LESS  # yz < x^2
-    assert o.compare((1, 1, 0), (1, 0, 1)) == GREATER  # xy > xz
+    assert o.key((0, 1, 1)) < o.key((2, 0, 0))  # yz < x^2
+    assert o.key((1, 1, 0)) > o.key((1, 0, 1))  # xy > xz
 
 
 def test_deglex_degree_first():
     o = deglex(2)
-    assert o.compare((0, 3), (2, 0)) == GREATER
-    assert o.compare((2, 1), (1, 2)) == GREATER
+    assert o.key((0, 3)) > o.key((2, 0))
+    assert o.key((2, 1)) > o.key((1, 2))
 
 
 def test_weight_order_with_tiebreak():
     o = weight_order([1, 3])
-    assert o.compare((2, 0), (0, 1)) == LESS  # weight 2 < 3
+    assert o.key((2, 0)) < o.key((0, 1))  # weight 2 < 3
     # equal weight 3: the degrevlex tiebreak ranks x^3 above y
-    assert o.compare((3, 0), (0, 1)) == GREATER
+    assert o.key((3, 0)) > o.key((0, 1))
 
 
 def test_elimination_order_blocks():
     o = elimination_order(3, [2])  # eliminate z first
-    assert o.compare((0, 0, 1), (5, 5, 0)) == GREATER
+    assert o.key((0, 0, 1)) > o.key((5, 5, 0))
 
 
 def test_matrix_validity():
@@ -59,7 +59,7 @@ def test_matrix_validity():
 
 def test_compare_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        lex(2).compare((1, 0, 0), (0, 1, 0))
+        lex(2).key((1, 0, 0))
 
 
 def test_total_order_refines_divisibility():
@@ -67,7 +67,7 @@ def test_total_order_refines_divisibility():
         for s in itertools.product(range(3), repeat=3):
             for t in itertools.product(range(3), repeat=3):
                 if s != t and all(a <= b for a, b in zip(s, t)):
-                    assert o.compare(s, t) == LESS
+                    assert o.key(s) < o.key(t)
 
 
 def test_canonical_identifies_equivalent_matrices():
@@ -101,8 +101,9 @@ def test_key_is_consistent_with_compare():
     o = degrevlex(2)
     terms = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     ranked = sorted(terms, key=o.key)
+    assert ranked == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     for a, b in zip(ranked, ranked[1:]):
-        assert o.compare(a, b) == LESS
+        assert o.key(a) < o.key(b)
 
 
 def test_validate_rejects_ragged_and_empty():
