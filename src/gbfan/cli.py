@@ -250,6 +250,8 @@ def cmd_basic_sets(args):
 
 
 def cmd_selfcheck(args):
+    if args.max_mult < 1 or args.trials < 0:
+        raise ParseError("selfcheck needs --max-mult >= 1 and --trials >= 0")
     rng = Random(args.seed)
     rings = corpus_rings(2) + corpus_rings(3)
     checked = 0

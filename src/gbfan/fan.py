@@ -2,13 +2,13 @@
 
 Two independent routes compute the fan:
 
-* `enumerate_fan` walks marked reduced bases across shared facets, starting
-  from the degrevlex basis.  A facet whose neighbor is already visited is
-  matched against it and not flipped.  Otherwise the neighbor is the basis
-  for a matrix ordering whose first row is a facet-interior weight and whose
-  second row points across the facet: for a zero-dimensional ideal it comes
-  by FGLM, `linalg.basis_from_functionals` on the normal-form coordinates of
-  the start basis, and for any other ideal by Buchberger.
+* `enumerate_fan` walks marked reduced bases across shared facets from the
+  degrevlex basis.  A facet already flipped from its other side is matched
+  by that flip's interior point, with no LP; any other facet is flipped to
+  the basis for an ordering whose first row is a facet-interior weight and
+  whose second row points across the facet, by FGLM on the normal-form
+  coordinates of the start basis (`linalg.basis_from_functionals`) for a
+  zero-dimensional ideal, and by Buchberger for any other ideal.
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible) with the exact echelon
   kernel of `linalg` (the same one that Buchberger-Möller uses).  The
@@ -17,14 +17,17 @@ Two independent routes compute the fan:
   reduced basis element; the oracle keeps the candidates realizable by a
   strictly positive weight vector.
 
-Cones are deduplicated by leading-term ideal, which is also what the fan
-size counts: a single reduced basis can span several cones when different
-markings of the same polynomials are realizable.
+A marked basis fixes its cone, which `cone_of` builds on first use of
+`MarkedBasis.cone`; the oracle builds none.  Cones are deduplicated by
+leading-term ideal, which is also what the fan size counts: a single
+reduced basis can span several cones when different markings of the same
+polynomials are realizable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cones import Cone, marking_realizable, strict_positive_solution
 from .errors import (
@@ -71,17 +74,20 @@ def cone_of(gb: ReducedGB) -> Cone:
 
 @dataclass(frozen=True)
 class MarkedBasis:
-    """A reduced basis together with its marking and fan cone."""
+    """A reduced basis marked by its own ordering, and the cone it fixes."""
 
     basis: ReducedGB
-    cone: Cone
+
+    @cached_property
+    def cone(self) -> Cone:
+        return cone_of(self.basis)
 
     def lt_key(self) -> tuple:
         return self.basis.lt_key()
 
     def identity(self):
-        """Equality key independent of how the basis was discovered."""
-        return (self.lt_key(), frozenset(self.basis.elements), self.cone)
+        """Equality key; the leading terms fix the marking, so also the cone."""
+        return (self.lt_key(), frozenset(self.basis.elements))
 
 
 class GroebnerFan:
@@ -97,12 +103,6 @@ class GroebnerFan:
 
     def lt_ideals(self) -> list[MonomialIdeal]:
         return [mb.basis.lt_ideal() for mb in self.cones]
-
-    def cone_set(self) -> frozenset:
-        return frozenset(mb.cone for mb in self.cones)
-
-    def bases_as_sets(self) -> set[frozenset]:
-        return {frozenset(mb.basis.elements) for mb in self.cones}
 
     def __iter__(self):
         return iter(self.cones)
@@ -136,13 +136,13 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
 
     Runs on any nonzero ideal.  Every walked cone is full-dimensional, so
     each of its irredundant facets meets the open orthant and has a flip
-    weight there.  A facet is matched, not flipped, when a visited cone
-    contains its flip weight and has the opposite inequality: the fan is
-    polyhedral, so that cone is the neighbor.  For a zero-dimensional ideal
-    a neighbor comes by FGLM from the normal forms of the start basis; for
-    any other ideal, by Buchberger in the flip ordering.  Only
-    zero-dimensional fans have `fan_oracle_zerodim` as an independent
-    check.
+    weight there, which a flipped facet keeps.  Facet v of a new cone is
+    matched, with no LP and no flip, when the cone contains a weight kept
+    for -v: the fan is polyhedral, so the cone that flipped -v is the
+    neighbor.  For a zero-dimensional ideal a neighbor comes by FGLM from
+    the normal forms of the start basis; for any other ideal, by
+    Buchberger in the flip ordering.  Only zero-dimensional fans have
+    `fan_oracle_zerodim` as an independent check.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
@@ -150,28 +150,25 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
     start = ideal.groebner()
     table = _NFTable(ideal) if start.lt_ideal().is_zero_dimensional() else None
     visited: dict[tuple, MarkedBasis] = {}
-    by_ineq: dict[tuple, list[Cone]] = {}
+    flipped: dict[tuple, list[tuple]] = {}
     stack: list[ReducedGB] = [start]
     while stack:
         gb = stack.pop()
         key = gb.lt_key()
         if key in visited:
             continue
-        cone = cone_of(gb)
-        visited[key] = MarkedBasis(gb, cone)
+        visited[key] = MarkedBasis(gb)
+        cone = visited[key].cone
         for v in cone.ineqs:
-            by_ineq.setdefault(v, []).append(cone)
+            across = tuple(-x for x in v)
+            if any(cone.contains(w) for w in flipped.get(across, ())):
+                continue
             w = cone.facet_interior_point(v)
             if w is None:
                 raise InvariantViolation(f"facet {v} misses the open orthant")
-            across = tuple(-x for x in v)
-            if any(c.contains(w) for c in by_ineq.get(across, ())):
-                continue
+            flipped.setdefault(v, []).append(w)
             order = flip_order(w, v, n)
-            if table is None:
-                neighbor = ideal.groebner(order)
-            else:
-                neighbor = table.basis(order)
+            neighbor = ideal.groebner(order) if table is None else table.basis(order)
             if neighbor.lt_key() not in visited:
                 stack.append(neighbor)
     return GroebnerFan(ideal.ring, visited.values())
@@ -197,7 +194,7 @@ def fan_equal(f1: GroebnerFan, f2: GroebnerFan) -> bool:
     """Equality of the two cone subdivisions (bases are ignored)."""
     if f1.ring.nvars != f2.ring.nvars:
         raise DimensionMismatch("fans live in different dimensions")
-    return f1.cone_set() == f2.cone_set()
+    return {mb.cone for mb in f1} == {mb.cone for mb in f2}
 
 
 def gbasic_sets(fan: GroebnerFan) -> list[list[tuple[int, ...]]]:
@@ -349,7 +346,6 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("the oracle requires a zero-dimensional ideal")
     ring = ideal.ring
-    n = ring.nvars
     one = ring.field.one()
     table = _NFTable(ideal)
     found: dict[tuple, MarkedBasis] = {}
@@ -359,17 +355,16 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
             _, _, rep = echelon_reduce(rows, table.coords(u), {u: one})
             elements.append(Polynomial(ring, rep))
         vectors = marking_vectors(elements, corner_terms)
-        w = strict_positive_solution(vectors, n)
+        w = strict_positive_solution(vectors, ring.nvars)
         if w is None:
             continue
         order = weight_order(primitive_vector(w))
-        okey = order.key
-        pairs = sorted(zip(corner_terms, elements), key=lambda p: okey(p[0]))
+        pairs = sorted(zip(corner_terms, elements), key=lambda p: order.key(p[0]))
         gb = ReducedGB(ring, order, [g for _, g in pairs])
         if gb.lt_exps != tuple(m for m, _ in pairs):
             raise InvariantViolation("oracle marking disagrees with its ordering")
         key = gb.lt_key()
         if key in found:
             raise InvariantViolation("duplicate leading-term ideal in oracle")
-        found[key] = MarkedBasis(gb, Cone.from_vectors(vectors, n))
+        found[key] = MarkedBasis(gb)
     return GroebnerFan(ring, found.values())

@@ -151,6 +151,8 @@ def parse_order(spec: str, n: int) -> TermOrder:
             ]
         except ValueError as exc:
             raise ParseError(f"bad matrix spec {spec!r}") from exc
+        if len(rows[0]) != n:
+            raise ParseError(f"matrix row length {len(rows[0])} != {n} variables")
         try:
             return matrix_order(rows)
         except InvalidOrdering as exc:

@@ -474,3 +474,19 @@ def test_criterion_8vi_one_cone_means_one_basic_set(corpus):
             assert gfan_number(D) == 1
             assert len(enumerate_basic_sets(D)) == 1
             checked += 1
+
+
+def test_criterion_8vii_walked_facets_have_one_neighbor(corpus):
+    with criterion(8, "(vii) every walked facet is shared with exactly one other cone"):
+        facets = 0
+        for _, _, fan, _ in corpus:
+            for mb in fan:
+                for v in mb.cone.ineqs:
+                    w = mb.cone.facet_interior_point(v)
+                    assert w is not None
+                    homes = [other for other in fan if other.cone.contains(w)]
+                    assert len(homes) == 2 and any(h is mb for h in homes)
+                    (neighbor,) = [h for h in homes if h is not mb]
+                    assert tuple(-x for x in v) in neighbor.cone.ineqs
+                    facets += 1
+        assert facets > 0

@@ -187,6 +187,13 @@ def test_selfcheck(capsys):
     assert out.startswith("selfcheck: ok")
 
 
+@pytest.mark.parametrize("flag, value", [("--max-mult", "0"), ("--trials", "-1")])
+def test_selfcheck_rejects_bad_counts(capsys, flag, value):
+    code, out, err = run(capsys, "selfcheck", "--seed", "3", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: selfcheck needs")
+
+
 def test_selfcheck_failure_prints_reproducible_ideal(tmp_path, capsys, monkeypatch):
     drawn = []
 

@@ -35,7 +35,7 @@ def test_principal_binomial_two_cones(rxy):
     assert fan.size == 2
     assert {mb.basis.lt_key() for mb in fan} == {((1, 0),), ((0, 1),)}
     # one reduced basis spans both cones
-    assert len(fan.bases_as_sets()) == 1
+    assert len({frozenset(mb.basis.elements) for mb in fan}) == 1
     assert gfan_number(ideal(rxy, "x + y")) == 2
 
 
@@ -171,15 +171,17 @@ def test_zero_dimensional_walk_runs_buchberger_once(monkeypatch):
 
 
 def test_walk_matches_facets_before_flipping(monkeypatch, rxy):
+    # the second cone matches the shared facet by the first cone's flip
+    # weight, so it solves no facet LP of its own
     import gbfan.fan
     from gbfan.cones import Cone
 
-    facets, flips = [], []
+    lps, flips = [], []
     real_point = Cone.facet_interior_point
     real_flip = gbfan.fan.flip_order
 
     def point(self, v):
-        facets.append(v)
+        lps.append(v)
         return real_point(self, v)
 
     def flip(w, v, n):
@@ -189,8 +191,34 @@ def test_walk_matches_facets_before_flipping(monkeypatch, rxy):
     monkeypatch.setattr(Cone, "facet_interior_point", point)
     monkeypatch.setattr(gbfan.fan, "flip_order", flip)
     I = ideal(rxy, "x^2 + x*y + y^2", "x^3", "x^2*y", "x*y^2", "y^3")
-    assert enumerate_fan(I).size == 2
-    assert len(flips) < len(facets)
+    fan = enumerate_fan(I)
+    assert fan.size == 2
+    assert sum(len(mb.cone.ineqs) for mb in fan) == 2
+    assert len(flips) == 1
+    assert len(lps) == 1
+
+
+def test_oracle_builds_no_cones(monkeypatch):
+    # a marked basis determines its cone, so the oracle leaves cones to
+    # whoever asks for them
+    from gbfan.cones import Cone
+
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    fan = enumerate_fan(I)
+    built = []
+    real = Cone.from_vectors.__func__
+
+    def counting(cls, vectors, n):
+        built.append(n)
+        return real(cls, vectors, n)
+
+    monkeypatch.setattr(Cone, "from_vectors", classmethod(counting))
+    oracle = fan_oracle_zerodim(I)
+    assert built == []
+    assert fan == oracle
+    assert built == []
+    assert fan_equal(fan, oracle)
+    assert len(built) == oracle.size
 
 
 def test_gbasic_sets(rxy):

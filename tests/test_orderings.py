@@ -95,6 +95,10 @@ def test_parse_order():
         parse_order("weight:1", 2)
     with pytest.raises(ParseError):
         parse_order("nope", 2)
+    # a matrix must have one column per variable
+    for spec in ("matrix:1;2", "matrix:1,1,1;0,1,0;0,0,1"):
+        with pytest.raises(ParseError, match="2 variables"):
+            parse_order(spec, 2)
 
 
 def test_key_is_consistent_with_compare():
