@@ -146,6 +146,8 @@ def cmd_models(args):
 
 
 def cmd_unique(args):
+    if args.points and args.ideal:
+        raise ParseError("unique takes an ideal file or --points, not both")
     if args.points:
         ideal = vanishing_ideal(load_points(args.points, args.field, args.vars))
     elif args.ideal:
@@ -242,6 +244,8 @@ def cmd_shift(args):
 
 
 def cmd_basic_sets(args):
+    if args.bound < 0:
+        raise ParseError("basic-sets needs --bound >= 0")
     ring, ideal = load_ideal(args.ideal, args.field, args.vars)
     sets = enumerate_basic_sets(ideal, bound=args.bound)
     return _listing(

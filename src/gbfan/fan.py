@@ -6,9 +6,9 @@ Two independent routes compute the fan:
   degrevlex basis.  A facet already flipped from its other side is matched
   by that flip's interior point, with no LP; any other facet is flipped to
   the basis for an ordering whose first row is a facet-interior weight and
-  whose second row points across the facet, by FGLM on the normal-form
-  coordinates of the start basis (`linalg.basis_from_functionals`) for a
-  zero-dimensional ideal, and by Buchberger for any other ideal.
+  whose second row points across the facet, by FGLM from the start basis
+  (`ReducedGB.change_order`) for a zero-dimensional ideal, and by
+  Buchberger for any other ideal.
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible) with the exact echelon
   kernel of `linalg` (the same one that Buchberger-Möller uses).  The
@@ -16,6 +16,9 @@ Two independent routes compute the fan:
   normal form reduces through the rows of its basic set to the candidate
   reduced basis element; the oracle keeps the candidates realizable by a
   strictly positive weight vector.
+
+Both routes read the normal forms of the ideal's one cached degrevlex basis
+(`ReducedGB.nf_coords`), so each monomial is reduced once for both.
 
 A marked basis fixes its cone, which `cone_of` builds on first use of
 `MarkedBasis.cone`; the oracle builds none.  Cones are deduplicated by
@@ -39,7 +42,7 @@ from .errors import (
     ZeroIdeal,
 )
 from .groebner import Ideal, ReducedGB, normal_form
-from .linalg import basis_from_functionals, echelon_reduce, primitive_vector
+from .linalg import echelon_reduce, primitive_vector
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, degrevlex, weight_order
 from .ring import Polynomial
@@ -140,15 +143,15 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
     matched, with no LP and no flip, when the cone contains a weight kept
     for -v: the fan is polyhedral, so the cone that flipped -v is the
     neighbor.  For a zero-dimensional ideal a neighbor comes by FGLM from
-    the normal forms of the start basis; for any other ideal, by
-    Buchberger in the flip ordering.  Only zero-dimensional fans have
-    `fan_oracle_zerodim` as an independent check.
+    the start basis; for any other ideal, by Buchberger in the flip
+    ordering.  Only zero-dimensional fans have `fan_oracle_zerodim` as an
+    independent check.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
     n = ideal.ring.nvars
     start = ideal.groebner()
-    table = _NFTable(ideal) if start.lt_ideal().is_zero_dimensional() else None
+    zero_dim = start.lt_ideal().is_zero_dimensional()
     visited: dict[tuple, MarkedBasis] = {}
     flipped: dict[tuple, list[tuple]] = {}
     stack: list[ReducedGB] = [start]
@@ -168,7 +171,7 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
                 raise InvariantViolation(f"facet {v} misses the open orthant")
             flipped.setdefault(v, []).append(w)
             order = flip_order(w, v, n)
-            neighbor = ideal.groebner(order) if table is None else table.basis(order)
+            neighbor = start.change_order(order) if zero_dim else ideal.groebner(order)
             if neighbor.lt_key() not in visited:
                 stack.append(neighbor)
     return GroebnerFan(ideal.ring, visited.values())
@@ -215,44 +218,6 @@ def minimal_models(f: Polynomial, ideal: Ideal) -> set[Polynomial]:
     return {normal_form(f, mb.basis) for mb in enumerate_fan(ideal)}
 
 
-class _NFTable:
-    """Normal-form coordinates of power products, in the quotient basis of
-    a fixed reduced basis."""
-
-    def __init__(self, ideal: Ideal):
-        self.gb = ideal.groebner()
-        self.quotient = ideal.quotient_basis(self.gb.order)
-        self.index = {t: i for i, t in enumerate(self.quotient)}
-        self.ring = ideal.ring
-        self._cache: dict[tuple, tuple] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.quotient)
-
-    def coords(self, exp: tuple) -> tuple:
-        vec = self._cache.get(exp)
-        if vec is not None:
-            return vec
-        field = self.ring.field
-        nf = self.gb.reduce(self.ring.monomial(exp))
-        row = [field.zero()] * self.size
-        for e, c in nf.coeffs.items():
-            row[self.index[e]] = c
-        vec = tuple(row)
-        self._cache[exp] = vec
-        return vec
-
-    def basis(self, order: TermOrder) -> ReducedGB:
-        """The reduced basis for another ordering, by FGLM over these
-        coordinates."""
-        ring = self.ring
-        elements, _ = basis_from_functionals(
-            order, ring.field.one(), lambda t, below, i: self.coords(t)
-        )
-        return ReducedGB(ring, order, [Polynomial(ring, d) for d in elements])
-
-
 def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:
     """Exponents whose divisor closure fits inside an order ideal of size
     s: divisor count <= s (which also caps each exponent at s - 1)."""
@@ -272,7 +237,7 @@ def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _basic_sets_data(table: _NFTable, bound: int):
+def _basic_sets_data(gb: ReducedGB, bound: int):
     """Yield (order_ideal, corner_terms, rows) for every basic set.
 
     A branch is extended only while the normal-form vectors stay linearly
@@ -281,11 +246,11 @@ def _basic_sets_data(table: _NFTable, bound: int):
     are the basic set's echelon rows and each row knows the combination of
     terms it stands for.
     """
-    s = table.size
+    s = len(gb.quotient_basis())
     if s > bound:
         raise BoundExceeded(f"multiplicity {s} exceeds the bound {bound}")
-    nvars = table.ring.nvars
-    one = table.ring.field.one()
+    nvars = gb.ring.nvars
+    one = gb.ring.field.one()
     origin = (0,) * nvars
     candidates = _candidate_terms(nvars, s)
 
@@ -314,7 +279,7 @@ def _basic_sets_data(table: _NFTable, bound: int):
                 break
             if not divisors_present(t, chosen):
                 continue
-            pivot, vec, rep = echelon_reduce(rows, table.coords(t), {t: one})
+            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), {t: one})
             if pivot is None:
                 continue
             chosen.add(t)
@@ -329,7 +294,7 @@ def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, 
     the quotient ring."""
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("basic sets require a zero-dimensional ideal")
-    return [terms for terms, _, _ in _basic_sets_data(_NFTable(ideal), bound)]
+    return [terms for terms, _, _ in _basic_sets_data(ideal.groebner(), bound)]
 
 
 def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
@@ -347,12 +312,12 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
         raise NotZeroDimensional("the oracle requires a zero-dimensional ideal")
     ring = ideal.ring
     one = ring.field.one()
-    table = _NFTable(ideal)
+    start = ideal.groebner()
     found: dict[tuple, MarkedBasis] = {}
-    for _, corner_terms, rows in _basic_sets_data(table, bound):
+    for _, corner_terms, rows in _basic_sets_data(start, bound):
         elements = []
         for u in corner_terms:
-            _, _, rep = echelon_reduce(rows, table.coords(u), {u: one})
+            _, _, rep = echelon_reduce(rows, start.nf_coords(u), {u: one})
             elements.append(Polynomial(ring, rep))
         vectors = marking_vectors(elements, corner_terms)
         w = strict_positive_solution(vectors, ring.nvars)

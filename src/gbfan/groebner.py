@@ -17,6 +17,7 @@ from .errors import (
     RingMismatch,
     ZeroIdealDivisor,
 )
+from .linalg import basis_from_functionals
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, elimination_order
 from .ring import Polynomial, PolyRing
@@ -162,15 +163,18 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
 
 class ReducedGB:
     """The unique reduced monic basis of an ideal for one ordering,
-    elements sorted by increasing leading term."""
+    elements sorted by increasing leading term.  A zero-dimensional basis
+    fills its quotient basis and normal forms on first use, deterministically."""
 
-    __slots__ = ("ring", "order", "elements", "lt_exps")
+    __slots__ = ("ring", "order", "elements", "lt_exps", "_index", "_nf")
 
     def __init__(self, ring: PolyRing, order: TermOrder, elements):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
         self.lt_exps = tuple(g.leading_term(order)[0] for g in self.elements)
+        self._index: dict[tuple, int] | None = None
+        self._nf: dict[tuple, tuple] = {}
 
     def lt_key(self) -> tuple:
         """Canonical identity of the leading-term ideal."""
@@ -191,6 +195,39 @@ class ReducedGB:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
         r = _reduce_dict(f.coeffs, self._reducers(), self.order.key, tail=True)
         return Polynomial(self.ring, r)
+
+    def quotient_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The power products outside the leading-term ideal, ascending in
+        the ordering; their classes form a K-basis of the quotient."""
+        if self._index is None:
+            lt = self.lt_ideal()
+            if not lt.is_zero_dimensional():
+                raise NotZeroDimensional("quotient basis requires a zero-dimensional ideal")
+            terms = sorted(lt.order_ideal(), key=self.order.key)
+            self._index = {t: i for i, t in enumerate(terms)}
+        return tuple(self._index)
+
+    def nf_coords(self, exp: tuple) -> tuple:
+        """Coordinates of the normal form of x^exp in `quotient_basis`,
+        cached; racing fills store equal tuples."""
+        vec = self._nf.get(exp)
+        if vec is None:
+            field = self.ring.field
+            row = [field.zero()] * len(self.quotient_basis())
+            nf = _reduce_dict({exp: field.one()}, self._reducers(), self.order.key)
+            for e, c in nf.items():
+                row[self._index[e]] = c
+            vec = self._nf.setdefault(exp, tuple(row))
+        return vec
+
+    def change_order(self, order: TermOrder) -> "ReducedGB":
+        """The reduced basis of the same zero-dimensional ideal for another
+        ordering, by FGLM over the normal-form coordinates of this one."""
+        ring = self.ring
+        elements, _ = basis_from_functionals(
+            order, ring.field.one(), lambda t, below, i: self.nf_coords(t)
+        )
+        return ReducedGB(ring, order, [Polynomial(ring, d) for d in elements])
 
     def __iter__(self):
         return iter(self.elements)
@@ -286,16 +323,8 @@ class Ideal:
         return self.lt_ideal().is_zero_dimensional()
 
     def quotient_basis(self, order: TermOrder | None = None) -> list[tuple[int, ...]]:
-        """The power products outside the leading-term ideal, ascending in
-        the ordering; their classes form a K-basis of the quotient."""
-        if order is None:
-            order = self.ring.default_order()
-        lt = self.lt_ideal(order)
-        if not lt.is_zero_dimensional():
-            raise NotZeroDimensional("quotient basis requires a zero-dimensional ideal")
-        terms = lt.order_ideal()
-        terms.sort(key=order.key)
-        return terms
+        """`ReducedGB.quotient_basis` of the ordering's basis, as a new list."""
+        return list(self.groebner(order).quotient_basis())
 
     def multiplicity(self) -> int:
         """Vector-space dimension of the quotient ring."""

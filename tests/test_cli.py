@@ -99,6 +99,18 @@ def test_unique_points_flag(demo, capsys):
     assert out.strip() == "unique: false"
 
 
+def test_unique_rejects_ideal_with_points(tmp_path, capsys):
+    # the ideal has two cones; a one-point file must not replace it
+    two = tmp_path / "two.txt"
+    two.write_text("# field: QQ\n# vars: x, y\nx^2 - y\ny^2 - 1\n")
+    point = tmp_path / "one.csv"
+    point.write_text("# field: GF(5)\n# vars: x, y\n1,2\n")
+    assert run(capsys, "unique", str(two))[:2] == (0, "unique: false\n")
+    code, out, err = run(capsys, "unique", str(two), "--points", str(point))
+    assert code == 2 and out == ""
+    assert err.startswith("error: unique takes an ideal file or --points")
+
+
 def test_distract_and_natural(demo, capsys):
     code, out, _ = run(capsys, "distract", str(demo["mono"]), str(demo["tuples"]))
     assert code == 0
@@ -187,11 +199,19 @@ def test_selfcheck(capsys):
     assert out.startswith("selfcheck: ok")
 
 
-@pytest.mark.parametrize("flag, value", [("--max-mult", "0"), ("--trials", "-1")])
-def test_selfcheck_rejects_bad_counts(capsys, flag, value):
-    code, out, err = run(capsys, "selfcheck", "--seed", "3", flag, value)
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param("selfcheck", "--max-mult", "0", id="--max-mult-0"),
+        pytest.param("selfcheck", "--trials", "-1", id="--trials--1"),
+        pytest.param("basic-sets", "--bound", "-1", id="basic-sets---bound--1"),
+    ],
+)
+def test_selfcheck_rejects_bad_counts(demo, capsys, command, flag, value):
+    inputs = {"selfcheck": ["--seed", "3"], "basic-sets": [str(demo["ideal"])]}
+    code, out, err = run(capsys, command, *inputs[command], flag, value)
     assert code == 2 and out == ""
-    assert err.startswith("error: selfcheck needs")
+    assert err.startswith(f"error: {command} needs")
 
 
 def test_selfcheck_failure_prints_reproducible_ideal(tmp_path, capsys, monkeypatch):

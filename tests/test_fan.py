@@ -1,11 +1,13 @@
 """Fan enumeration, the basic-set oracle, and model selection."""
 
+import sys
 from random import Random
 
 import pytest
 
 from gbfan import (
     Ideal,
+    Polynomial,
     enumerate_basic_sets,
     enumerate_fan,
     fan_equal,
@@ -16,6 +18,7 @@ from gbfan import (
     natural_distraction,
     unique_gb_fast_check,
     vanishing_ideal,
+    weight_order,
 )
 from gbfan.cli import main
 from gbfan.errors import (
@@ -132,7 +135,8 @@ def test_unit_ideal_basic_sets_and_oracle(rxy, tmp_path, capsys):
     path.write_text("# field: QQ\n# vars: x, y\n1\n")
     assert main(["basic-sets", str(path), "--format", "json"]) == 0
     assert capsys.readouterr().out == '{"schema": 1, "basic_sets": [""]}\n'
-    assert main(["basic-sets", str(path)]) == 0
+    # multiplicity 0, so the smallest bound the CLI accepts lets it through
+    assert main(["basic-sets", str(path), "--bound", "0"]) == 0
     assert capsys.readouterr().out == "\n"
 
 
@@ -168,6 +172,59 @@ def test_zero_dimensional_walk_runs_buchberger_once(monkeypatch):
     assert fan.size > 2
     assert runs == [I.ring.default_order()]
     assert fan == fan_oracle_zerodim(I)
+
+
+def test_walk_and_oracle_share_normal_forms(monkeypatch):
+    # both routes read the normal forms of the ideal's one cached basis, so
+    # no monomial is reduced twice
+    import gbfan.groebner
+    from gbfan.groebner import ReducedGB
+
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    I.groebner()
+    requested, reduced = [], []
+    real_coords = ReducedGB.nf_coords
+    real_reduce = gbfan.groebner._reduce_dict
+
+    def coords(self, exp):
+        requested.append(exp)
+        return real_coords(self, exp)
+
+    def reduce(f, *args, **kwargs):
+        reduced.append(tuple(f))
+        return real_reduce(f, *args, **kwargs)
+
+    monkeypatch.setattr(ReducedGB, "nf_coords", coords)
+    monkeypatch.setattr(gbfan.groebner, "_reduce_dict", reduce)
+    fan = enumerate_fan(I)
+    assert fan.size > 2
+    assert fan == fan_oracle_zerodim(I)
+    assert all(len(f) == 1 for f in reduced)
+    assert len(reduced) == len(set(requested)) < len(requested)
+
+
+def test_concurrent_change_order_on_one_basis():
+    # eight threads flip from one cached basis while filling its
+    # normal-form cache; each gets the basis that Buchberger computes
+    from concurrent.futures import ThreadPoolExecutor
+
+    from gbfan.groebner import buchberger_dicts
+
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    start = I.groebner()
+    weights = [(1, 2, 3), (3, 2, 1), (5, 1, 1), (1, 4, 1), (2, 7, 3)]
+    orders = [weight_order(w) for w in weights] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(start.change_order, orders, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    gens = [g.coeffs for g in I.gens]
+    for order, gb in zip(orders, results):
+        dicts = buchberger_dicts(gens, order)
+        assert gb.elements == tuple(Polynomial(I.ring, d) for d in dicts)
 
 
 def test_walk_matches_facets_before_flipping(monkeypatch, rxy):
