@@ -20,11 +20,11 @@ Two independent routes compute the fan:
 Both routes read the normal forms of the ideal's one cached degrevlex basis
 (`ReducedGB.nf_coords`), so each monomial is reduced once for both.
 
-A marked basis fixes its cone, which `cone_of` builds on first use of
-`MarkedBasis.cone`; the oracle builds none.  Cones are deduplicated by
-leading-term ideal, which is also what the fan size counts: a single
-reduced basis can span several cones when different markings of the same
-polynomials are realizable.
+A marked basis fixes its cone, which `MarkedBasis.cone` builds with
+`cone_of_marked` on first use; the oracle builds none.  Cones are
+deduplicated by leading-term ideal, which is also what the fan size
+counts: a single reduced basis can span several cones when different
+markings of the same polynomials are realizable.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     ZeroIdeal,
 )
-from .groebner import Ideal, ReducedGB, normal_form
+from .groebner import Ideal, ReducedGB
 from .linalg import echelon_reduce, primitive_vector
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, degrevlex, weight_order
@@ -70,11 +70,6 @@ def cone_of_marked(elements, markings, nvars: int) -> Cone:
     return Cone.from_vectors(vecs, nvars)
 
 
-def cone_of(gb: ReducedGB) -> Cone:
-    """Cone of a reduced basis marked by its own ordering."""
-    return cone_of_marked(gb.elements, gb.lt_exps, gb.ring.nvars)
-
-
 @dataclass(frozen=True)
 class MarkedBasis:
     """A reduced basis marked by its own ordering, and the cone it fixes."""
@@ -83,14 +78,12 @@ class MarkedBasis:
 
     @cached_property
     def cone(self) -> Cone:
-        return cone_of(self.basis)
-
-    def lt_key(self) -> tuple:
-        return self.basis.lt_key()
+        gb = self.basis
+        return cone_of_marked(gb.elements, gb.lt_exps, gb.ring.nvars)
 
     def identity(self):
         """Equality key; the leading terms fix the marking, so also the cone."""
-        return (self.lt_key(), frozenset(self.basis.elements))
+        return (self.basis.lt_key(), frozenset(self.basis.elements))
 
 
 class GroebnerFan:
@@ -98,7 +91,7 @@ class GroebnerFan:
 
     def __init__(self, ring, cones):
         self.ring = ring
-        self.cones = tuple(sorted(cones, key=lambda mb: mb.lt_key()))
+        self.cones = tuple(sorted(cones, key=lambda mb: mb.basis.lt_key()))
 
     @property
     def size(self) -> int:
@@ -202,20 +195,14 @@ def fan_equal(f1: GroebnerFan, f2: GroebnerFan) -> bool:
 
 def gbasic_sets(fan: GroebnerFan) -> list[list[tuple[int, ...]]]:
     """Per cone, the order ideal complementary to its leading-term ideal."""
-    out = []
-    for mb in fan.cones:
-        lt = mb.basis.lt_ideal()
-        if not lt.is_zero_dimensional():
-            raise NotZeroDimensional("basic sets require a zero-dimensional ideal")
-        out.append(lt.order_ideal())
-    return out
+    return [sorted(mb.basis.quotient_basis()) for mb in fan.cones]
 
 
 def minimal_models(f: Polynomial, ideal: Ideal) -> set[Polynomial]:
     """Normal forms of f across every cone of the fan, deduplicated."""
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("model selection requires a zero-dimensional ideal")
-    return {normal_form(f, mb.basis) for mb in enumerate_fan(ideal)}
+    return {mb.basis.reduce(f) for mb in enumerate_fan(ideal)}
 
 
 def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:

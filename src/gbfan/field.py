@@ -232,23 +232,6 @@ def parse_field(text: str):
     raise ParseError(f"bad field spec {text!r} (expected QQ or GF(p))")
 
 
-def arith(a, b, op: str):
-    """Dispatch one exact field operation; operands must share a field."""
-    if isinstance(a, GFElement) != isinstance(b, GFElement):
-        raise FieldMismatch(f"mixed operands {a!r} and {b!r}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def nat_embed(n: int, field):
     """Image of a natural number under the canonical map into the field."""
     if n < 0:

@@ -134,14 +134,20 @@ def load_grid(path: str, field_flag=None, vars_flag=None):
     return GridSpec(ring, tuple(entries))
 
 
-def load_tuples(path: str, ring: PolyRing):
-    """Per-variable constant tuples (distraction spec) for a known ring."""
-    _, varnames, body = _split_headers(_read(path))
+def _aux_lines(path: str, ring: PolyRing):
+    """Per-variable payloads of a file whose headers must match the ring."""
+    field, varnames, body = _split_headers(_read(path))
+    if field is not None and field != ring.field:
+        raise ParseError(f"{path}: field header disagrees with the ring")
     if varnames and list(varnames) != list(ring.vars):
         raise ParseError(f"{path}: vars header disagrees with the ring")
-    payloads = _per_variable_lines(ring, body, path)
+    return _per_variable_lines(ring, body, path)
+
+
+def load_tuples(path: str, ring: PolyRing):
+    """Per-variable constant tuples (distraction spec) for a known ring."""
     tuples = []
-    for payload in payloads:
+    for payload in _aux_lines(path, ring):
         tuples.append(
             tuple(ring.field.parse(c) for c in payload.split(",") if c.strip())
         )
@@ -150,12 +156,8 @@ def load_tuples(path: str, ring: PolyRing):
 
 def load_shift(path: str, ring: PolyRing) -> LinearShift:
     """Per-variable 'x: scale, offset' lines."""
-    _, varnames, body = _split_headers(_read(path))
-    if varnames and list(varnames) != list(ring.vars):
-        raise ParseError(f"{path}: vars header disagrees with the ring")
-    payloads = _per_variable_lines(ring, body, path)
     scales, offsets = [], []
-    for name, payload in zip(ring.vars, payloads):
+    for name, payload in zip(ring.vars, _aux_lines(path, ring)):
         parts = [c.strip() for c in payload.split(",")]
         if len(parts) != 2:
             raise ParseError(f"{path}: {name} needs 'scale, offset'")

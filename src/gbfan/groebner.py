@@ -190,7 +190,8 @@ class ReducedGB:
         return out
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        """Full normal form of f against this basis."""
+        """Full normal form of f against this basis, the unique remainder:
+        no remainder term is divisible by any basis leading term."""
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
         r = _reduce_dict(f.coeffs, self._reducers(), self.order.key, tail=True)
@@ -250,12 +251,6 @@ class ReducedGB:
         return f"ReducedGB[{inner}]"
 
 
-def normal_form(f: Polynomial, gb: ReducedGB) -> Polynomial:
-    """The unique remainder of f modulo the basis: no remainder term is
-    divisible by any basis leading term."""
-    return gb.reduce(f)
-
-
 class Ideal:
     """A finitely generated ideal with a per-ordering basis cache."""
 
@@ -309,17 +304,14 @@ class Ideal:
         return self.contains(self.ring.one())
 
     def equals(self, other: "Ideal") -> bool:
+        """Ideal equality: the reduced monic basis of an ideal is unique."""
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
-        return all(self.contains(g) for g in other.gens) and all(
-            other.contains(g) for g in self.gens
-        )
+        return self.groebner() == other.groebner()
 
     def is_zero_dimensional(self) -> bool:
         """Finiteness criterion: every variable has a pure power among the
         leading terms."""
-        if self.is_zero():
-            return self.ring.nvars == 0
         return self.lt_ideal().is_zero_dimensional()
 
     def quotient_basis(self, order: TermOrder | None = None) -> list[tuple[int, ...]]:

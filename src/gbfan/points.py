@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import (
     CharacteristicTooSmall,
     ComplementarityCertificateFailed,
+    DomainError,
     DuplicatePoint,
     EmptyPointSet,
     FactorProductMismatch,
@@ -93,9 +94,9 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     return gb, quotient
 
 
-def vanishing_ideal(pts: PointSet, order: TermOrder | None = None) -> Ideal:
-    """The vanishing ideal as an `Ideal`, with its basis cached."""
-    gb, _ = ideal_of_points(pts, order)
+def vanishing_ideal(pts: PointSet) -> Ideal:
+    """The vanishing ideal as an `Ideal`, with its degrevlex basis cached."""
+    gb, _ = ideal_of_points(pts)
     return Ideal(pts.ring, gb.elements).seed_cache(gb)
 
 
@@ -164,7 +165,7 @@ class GridSpec:
     def points(self) -> PointSet:
         """The Cartesian product of the roots (full design)."""
         if not self.is_factored():
-            raise RepeatedRoot("grid points need the factored form")
+            raise DomainError("grid points need the factored form")
         axes = []
         for kind, roots in self.entries:
             if len(set(roots)) != len(roots):

@@ -78,9 +78,6 @@ class PolyRing:
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exp: self.field.one()})
 
-    def monomial(self, exp, c=None) -> "Polynomial":
-        return self.poly({tuple(exp): c if c is not None else self.field.one()})
-
     def parse(self, text: str) -> "Polynomial":
         from .parse import parse_polynomial
 

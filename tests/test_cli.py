@@ -254,6 +254,54 @@ def test_exit_code_domain_error(tmp_path, capsys):
     assert code == 3 and "error" in err
 
 
+QQ_XY = "# field: QQ\n# vars: x, y\n"
+QQ_X = "# field: QQ\n# vars: x\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, aux_text, message",
+    [
+        pytest.param(
+            "points", QQ_XY + "1,2\n1,2\n", None, "duplicate points",
+            id="duplicate-point",
+        ),
+        pytest.param(
+            "points", QQ_XY + "1,2,3\n", None, "has 3 coordinates",
+            id="row-length",
+        ),
+        pytest.param(
+            "shift", QQ_XY + "x*y\n", "x: 0, 1\ny: 1, 0\n", "scales must be nonzero",
+            id="zero-shift-scale",
+        ),
+        pytest.param(
+            "grid", QQ_XY + "x: poly x*y\ny: 1\n", None, "must be univariate",
+            id="grid-poly-xy",
+        ),
+        pytest.param(
+            "distract", QQ_XY + "x^2\ny\n", "# vars: y, x\nx: 1, 2\ny: 3\n",
+            "vars header disagrees", id="tuples-vars-header",
+        ),
+        pytest.param(
+            "distract", QQ_X + "x^2\n", "# field: GF(5)\nx: 0, 7\n",
+            "field header disagrees", id="tuples-field-header",
+        ),
+        pytest.param(
+            "shift", QQ_X + "x^2\n", "# field: GF(3)\nx: 1, 1\n",
+            "field header disagrees", id="shift-field-header",
+        ),
+    ],
+)
+def test_loader_errors_exit_2(tmp_path, capsys, command, text, aux_text, message):
+    (tmp_path / "input.txt").write_text(text)
+    argv = [command, str(tmp_path / "input.txt")]
+    if aux_text is not None:
+        (tmp_path / "second.txt").write_text(aux_text)
+        argv.append(str(tmp_path / "second.txt"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_zero_ideal_gb(tmp_path, capsys):
     empty = tmp_path / "zero.txt"
     empty.write_text("# field: QQ\n# vars: x, y\n")

@@ -152,7 +152,7 @@ def test_positive_dimensional_walk_covers_sampled_weights(rxyz, gens, size):
     for _ in range(40):
         w = tuple(rng.randint(1, 40) for _ in range(3))
         key = I.groebner(weight_refinement(w)).lt_key()
-        assert any(mb.lt_key() == key and mb.cone.contains(w) for mb in fan)
+        assert any(mb.basis.lt_key() == key and mb.cone.contains(w) for mb in fan)
 
 
 def test_zero_dimensional_walk_runs_buchberger_once(monkeypatch):

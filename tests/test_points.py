@@ -27,6 +27,7 @@ from gbfan import (
 )
 from gbfan.errors import (
     CharacteristicTooSmall,
+    DomainError,
     DuplicatePoint,
     EmptyPointSet,
     FactorProductMismatch,
@@ -114,6 +115,13 @@ def test_grid_repeated_root_rejected(rxy):
     spec = GridSpec.from_roots(rxy, [[QQ.one(), QQ.one()], [QQ.zero()]])
     with pytest.raises(RepeatedRoot):
         spec.points()
+
+
+def test_unfactored_grid_points_rejected_without_repeated_root(rxy):
+    spec = GridSpec.from_polys(rxy, [rxy.parse("x^2 - 2"), rxy.parse("y - 1")])
+    with pytest.raises(DomainError, match="factored form") as info:
+        spec.points()
+    assert not isinstance(info.value, RepeatedRoot)
 
 
 def test_grid_is_its_own_reduced_basis(rxy):
