@@ -23,7 +23,7 @@ from .ring import LinearShift, PolyRing
 
 def _read(path: str) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -115,23 +115,16 @@ def load_grid(path: str, field_flag=None, vars_flag=None):
     ring, body = resolve_ring(path, field_flag, vars_flag)
     payloads = _per_variable_lines(ring, body, path)
     entries = []
-    for i, payload in enumerate(payloads):
+    for payload in payloads:
         if payload.startswith("poly "):
-            poly = ring.parse(payload[len("poly "):])
-            if poly.is_zero() or poly.variables_used() - {i} or poly.degree_in(i) < 1:
-                raise ParseError(
-                    f"{path}: {ring.vars[i]} entry must be univariate of "
-                    f"positive degree"
-                )
-            entries.append(("poly", poly.monic(ring.default_order())))
+            entries.append(("poly", ring.parse(payload[len("poly "):])))
         else:
-            roots = tuple(
-                ring.field.parse(c) for c in payload.split(",") if c.strip()
-            )
-            if not roots:
-                raise ParseError(f"{path}: no roots for {ring.vars[i]}")
+            roots = [ring.field.parse(c) for c in payload.split(",") if c.strip()]
             entries.append(("roots", roots))
-    return GridSpec(ring, tuple(entries))
+    try:
+        return GridSpec(ring, tuple(entries))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _aux_lines(path: str, ring: PolyRing):

@@ -383,19 +383,16 @@ class Ideal:
             meet = self.intersect(Ideal(self.ring, [f]))
             part = Ideal(self.ring, [divide_exact(h, f) for h in meet.gens])
             result = part if result is None else result.intersect(part)
-        return result if result is not None else Ideal(self.ring, [])
+        return result
 
     def univariate_in(self, i: int) -> Polynomial:
-        """Monic generator of the intersection with K[x_i]."""
+        """Monic generator of the intersection with K[x_i], for a
+        zero-dimensional ideal, read by FGLM from the cached degrevlex basis:
+        under an ordering eliminating the other variables, the least element
+        of the reduced basis is the only one in x_i alone."""
         others = [j for j in range(self.ring.nvars) if j != i]
-        elim = self.eliminate(others)
-        if not elim.gens:
-            raise NotZeroDimensional(
-                f"no univariate element in {self.ring.vars[i]}"
-            )
-        best = min(elim.gens, key=lambda g: g.degree_in(i))
-        order = self.ring.default_order()
-        return best.monic(order)
+        order = elimination_order(self.ring.nvars, others)
+        return self.groebner().change_order(order).elements[0]
 
     def __eq__(self, other):
         return (

@@ -9,6 +9,8 @@ quotient basis in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from .errors import (
     CharacteristicTooSmall,
@@ -106,52 +108,51 @@ def vanishing_ideal(pts: PointSet) -> Ideal:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One univariate generator per variable, factored (roots) or opaque."""
+    """One univariate generator per variable, factored (roots) or opaque.
+    Every constructor checks the entries here, and stores poly entries monic."""
 
     ring: PolyRing
     entries: tuple  # per variable: ("roots", tuple) | ("poly", Polynomial)
 
+    def __post_init__(self):
+        ring = self.ring
+        if len(self.entries) != ring.nvars:
+            raise ParseError("need one grid entry per variable")
+        entries = []
+        for i, (kind, data) in enumerate(self.entries):
+            if kind == "roots":
+                data = tuple(data)
+                if not data:
+                    raise ParseError(f"no roots for {ring.vars[i]}")
+            elif data.variables_used() != {i}:
+                raise ParseError(
+                    f"{ring.vars[i]} entry must be univariate of positive degree"
+                )
+            else:
+                data = data.monic(ring.default_order())
+            entries.append((kind, data))
+        object.__setattr__(self, "entries", tuple(entries))
+
     @classmethod
     def from_roots(cls, ring: PolyRing, roots_per_var) -> "GridSpec":
-        roots_per_var = [tuple(r) for r in roots_per_var]
-        if len(roots_per_var) != ring.nvars:
-            raise ParseError("need one root tuple per variable")
-        if any(not r for r in roots_per_var):
-            raise ParseError("every variable needs at least one root")
         return cls(ring, tuple(("roots", r) for r in roots_per_var))
 
     @classmethod
     def from_polys(cls, ring: PolyRing, polys) -> "GridSpec":
-        polys = list(polys)
-        if len(polys) != ring.nvars:
-            raise ParseError("need one univariate polynomial per variable")
-        entries = []
-        for i, g in enumerate(polys):
-            if g.is_zero() or g.variables_used() - {i}:
-                raise ParseError(
-                    f"generator {i} must be univariate in {ring.vars[i]}"
-                )
-            if g.degree_in(i) < 1:
-                raise ParseError(f"generator {i} must have positive degree")
-            entries.append(("poly", g.monic(ring.default_order())))
-        return cls(ring, tuple(entries))
+        return cls(ring, tuple(("poly", g) for g in polys))
 
     def degrees(self) -> tuple[int, ...]:
-        out = []
-        for i, (kind, data) in enumerate(self.entries):
-            out.append(len(data) if kind == "roots" else data.degree_in(i))
-        return tuple(out)
+        return tuple(
+            len(data) if kind == "roots" else data.degree_in(i)
+            for i, (kind, data) in enumerate(self.entries)
+        )
 
     def generator(self, i: int) -> Polynomial:
         kind, data = self.entries[i]
         if kind == "poly":
             return data
-        ring = self.ring
-        x = ring.var(i)
-        g = ring.one()
-        for c in data:
-            g = g * (x - ring.const(c))
-        return g
+        ring, x = self.ring, self.ring.var(i)
+        return prod((x - ring.const(c) for c in data), start=ring.one())
 
     def generators(self) -> list[Polynomial]:
         return [self.generator(i) for i in range(self.ring.nvars)]
@@ -166,43 +167,35 @@ class GridSpec:
         """The Cartesian product of the roots (full design)."""
         if not self.is_factored():
             raise DomainError("grid points need the factored form")
-        axes = []
-        for kind, roots in self.entries:
-            if len(set(roots)) != len(roots):
-                raise RepeatedRoot("repeated root in a grid axis")
-            axes.append(roots)
-        pts = [()]
-        for axis in axes:
-            pts = [p + (c,) for p in pts for c in axis]
-        return PointSet(self.ring, pts)
+        axes = [roots for _, roots in self.entries]
+        if any(len(set(roots)) != len(roots) for roots in axes):
+            raise RepeatedRoot("repeated root in a grid axis")
+        return PointSet(self.ring, product(*axes))
 
     def socle_term(self) -> tuple[int, ...]:
         """The product of x_i^(d_i - 1)."""
         return tuple(d - 1 for d in self.degrees())
 
     def multiplicity(self) -> int:
-        m = 1
-        for d in self.degrees():
-            m *= d
-        return m
+        return prod(self.degrees())
 
     def quotient_terms(self) -> list[tuple[int, ...]]:
-        """Divisors of the socle term: the unique quotient basis."""
-        lt = MonomialIdeal(
-            self.ring.nvars,
-            [
-                tuple(d if j == i else 0 for j in range(self.ring.nvars))
-                for i, d in enumerate(self.degrees())
-            ],
-        )
-        return lt.order_ideal()
+        """Divisors of the socle term, ascending: the unique quotient basis."""
+        return list(product(*map(range, self.degrees())))
 
 
 def maximal_grid(ideal: Ideal) -> GridSpec:
     """The grid of monic univariate generators of the ideal's intersections
-    with each K[x_i]; the largest grid ideal inside the ideal."""
+    with each K[x_i]; the largest grid ideal inside the ideal.
+
+    Zero-dimensional proper ideals only: each generator is read by FGLM
+    from the cached degrevlex basis (`Ideal.univariate_in`), so Buchberger
+    runs once.
+    """
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("maximal grid requires a zero-dimensional ideal")
+    if ideal.contains_one():
+        raise DomainError("the unit ideal contains no grid ideal")
     ring = ideal.ring
     return GridSpec.from_polys(
         ring, [ideal.univariate_in(i) for i in range(ring.nvars)]
@@ -230,17 +223,11 @@ def grid_primary_components(spec: GridSpec, factors_per_var) -> list[Ideal]:
         raise ParseError("need one factor list per variable")
     order = ring.default_order()
     for i, fs in enumerate(factors_per_var):
-        prod = ring.one()
-        for f in fs:
-            prod = prod * f
-        if prod.monic(order) != spec.generator(i).monic(order):
+        if prod(fs, start=ring.one()).monic(order) != spec.generator(i):
             raise FactorProductMismatch(
                 f"factors for {ring.vars[i]} do not multiply to the generator"
             )
-    components = [[]]
-    for fs in factors_per_var:
-        components = [c + [f] for c in components for f in fs]
-    return [Ideal(ring, c) for c in components]
+    return [Ideal(ring, c) for c in product(*factors_per_var)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +367,7 @@ def subset_complement_ideals(grid_points: PointSet, subset: PointSet):
     """Vanishing ideals of a subset of a full grid and of its complement."""
     if grid_points.ring != subset.ring:
         raise RingMismatch(f"{subset.ring} vs {grid_points.ring}")
-    coords = list(zip(*grid_points.points))
-    axis_values = [set(c) for c in coords]
-    size = 1
-    for vals in axis_values:
-        size *= len(vals)
-    if size != len(grid_points):
+    if prod(len(set(c)) for c in zip(*grid_points.points)) != len(grid_points):
         raise NotGrid("points do not form a full Cartesian grid")
     if not subset.points:
         raise NotSubset("the subset must be nonempty")

@@ -157,6 +157,35 @@ def test_mgrid(demo, capsys):
     assert out.splitlines() == ["x: poly x - 1", "y: poly y^2 - 2"]
 
 
+def test_mgrid_unit_ideal_exits_3(tmp_path, capsys):
+    unit = tmp_path / "unit.txt"
+    unit.write_text("# field: QQ\n# vars: x, y\n1\n")
+    code, out, err = run(capsys, "mgrid", str(unit))
+    assert (code, out) == (3, "")
+    assert err == "error: DomainError: the unit ideal contains no grid ideal\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, expected",
+    [
+        pytest.param(
+            "gb", "# field: QQ\n# vars: x, y\nx^2 - y\n", [],
+            ["order: degrevlex", "x^2 - y"], id="ideal",
+        ),
+        pytest.param(
+            "grid", "x: 0, 1\ny: 2\n", ["--field", "QQ", "--vars", "x,y"],
+            ["x^2 - x", "y - 2"], id="grid",
+        ),
+    ],
+)
+def test_byte_order_mark_is_skipped(tmp_path, capsys, command, text, flags, expected):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    code, out, _ = run(capsys, command, str(path), *flags)
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 def test_grid_expansion(demo, capsys, tmp_path):
     code, out, _ = run(capsys, "grid", str(demo["grid"]))
     assert code == 0

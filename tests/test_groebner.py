@@ -249,6 +249,11 @@ def test_univariate_in(rxy):
     assert I.univariate_in(1) == rxy.parse("y^2 - 2")
 
 
+def test_univariate_in_needs_zero_dimensional(rxy):
+    with pytest.raises(NotZeroDimensional, match="zero-dimensional"):
+        ideal(rxy, "x + y").univariate_in(0)
+
+
 def test_groebner_cache_shared_between_equivalent_orders(rxy):
     I = ideal(rxy, "x^2 + x*y + y^2", "x^3")
     a = I.groebner(matrix_order([[1, 1], [1, 0]]))

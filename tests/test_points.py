@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import gbfan.groebner
 from gbfan import (
     QQ,
     GridSpec,
@@ -32,12 +33,19 @@ from gbfan.errors import (
     EmptyPointSet,
     FactorProductMismatch,
     NotZeroDimensional,
+    ParseError,
     RationalsNotFinite,
     RepeatedConstant,
     RepeatedRoot,
     SpecTooShort,
 )
-from gbfan.random_ideals import random_point_set, random_zero_dim_monomial_ideal
+from gbfan.files import load_grid
+from gbfan.random_ideals import (
+    corpus_rings,
+    random_point_set,
+    random_zero_dim_ideal,
+    random_zero_dim_monomial_ideal,
+)
 
 from conftest import fring, ideal, points, qring
 
@@ -187,6 +195,149 @@ def test_maximal_grid_divides_any_contained_grid(rxy):
     for i, g in enumerate(big):
         assert spec.ideal().contains(g)
         divide_exact(g, spec.generator(i))
+
+
+def test_maximal_grid_of_unit_ideal_is_domain_error(rxy):
+    with pytest.raises(DomainError, match="unit ideal") as info:
+        maximal_grid(Ideal(rxy, [rxy.one()]))
+    assert type(info.value) is DomainError
+
+
+@pytest.mark.parametrize(
+    "R, gens, expected",
+    [
+        pytest.param(
+            qring("x", "y"),
+            ["(x^2+1)*(x-1)*(x-2)", "(y^2-2)*(y+2)", "x - 1 + y^2 - 2"],
+            ["x - 1", "y^2 - 2"],
+            id="j1",
+        ),
+        pytest.param(
+            fring(7, "x", "y", "z"),
+            ["x^2 - 1", "y^3 - y", "z^2 - x*z", "x*y - y"],
+            ["x^2 - 1", "y^3 - y", "z^3 - z"],
+            id="gf7",
+        ),
+    ],
+)
+def test_maximal_grid_runs_buchberger_once(monkeypatch, R, gens, expected):
+    runs = []
+    real = gbfan.groebner.buchberger_dicts
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gbfan.groebner, "buchberger_dicts", counted)
+    spec = maximal_grid(ideal(R, *gens))
+    assert spec.generators() == [R.parse(t) for t in expected]
+    assert len(runs) == 1
+
+
+def test_eliminants_match_the_elimination_route():
+    # 44 draws: the FGLM read from the degrevlex basis against one
+    # elimination Buchberger run per variable, on fresh ideals
+    rng = Random(1010)
+    for n in (2, 3):
+        for R in corpus_rings(n):
+            for _ in range(11):
+                drawn = random_zero_dim_ideal(rng, R, max_mult=8)
+                order = R.default_order()
+                spec = maximal_grid(Ideal(R, drawn.gens))
+                for i in range(n):
+                    others = [j for j in range(n) if j != i]
+                    elim = Ideal(R, drawn.gens).eliminate(others)
+                    ref = min(elim.gens, key=lambda g: g.degree_in(i)).monic(order)
+                    assert Ideal(R, drawn.gens).univariate_in(i) == ref
+                    assert spec.generator(i) == ref
+
+
+QQ_XY = "# field: QQ\n# vars: x, y\n"
+
+
+@pytest.mark.parametrize(
+    "roots, polys, text, message",
+    [
+        pytest.param(
+            [[], [1]], None, "x:\ny: 1\n", "no roots for x", id="empty-roots"
+        ),
+        pytest.param(
+            None,
+            ["x*y", "y - 1"],
+            "x: poly x*y\ny: poly y - 1\n",
+            "x entry must be univariate of positive degree",
+            id="bivariate-poly",
+        ),
+        pytest.param(
+            None,
+            ["x - 1", "3"],
+            "x: poly x - 1\ny: poly 3\n",
+            "y entry must be univariate of positive degree",
+            id="constant-poly",
+        ),
+        # a grid file names every variable once, so the loader reports a
+        # wrong count as missing or duplicate lines before it builds a grid
+        pytest.param(
+            [[1]], ["x - 1"], None, "need one grid entry per variable",
+            id="entry-count",
+        ),
+    ],
+)
+def test_grid_routes_share_one_validation(rxy, tmp_path, roots, polys, text, message):
+    routes = []
+    if roots is not None:
+        roots = [[QQ.from_int(c) for c in r] for r in roots]
+        routes.append(lambda: GridSpec.from_roots(rxy, roots))
+        routes.append(lambda: GridSpec(rxy, tuple(("roots", r) for r in roots)))
+    if polys is not None:
+        polys = [rxy.parse(t) for t in polys]
+        routes.append(lambda: GridSpec.from_polys(rxy, polys))
+        routes.append(lambda: GridSpec(rxy, tuple(("poly", g) for g in polys)))
+    for build in routes:
+        with pytest.raises(ParseError) as info:
+            build()
+        assert str(info.value) == message
+    if text is not None:
+        path = tmp_path / "grid.txt"
+        path.write_text(QQ_XY + text)
+        with pytest.raises(ParseError) as info:
+            load_grid(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+
+def test_grid_orders_and_monic_entries(rxy):
+    R = fring(7, "x", "y", "z")
+    F = R.field
+    spec = GridSpec.from_roots(
+        R, [[F.from_int(c) for c in axis] for axis in ([0, 1, 6], [2, 3], [5, 4])]
+    )
+    assert all(type(roots) is tuple for _, roots in spec.entries)
+    assert list(spec.points()) == [
+        tuple(F.from_int(c) for c in p)
+        for p in [
+            (0, 2, 5), (0, 2, 4), (0, 3, 5), (0, 3, 4),
+            (1, 2, 5), (1, 2, 4), (1, 3, 5), (1, 3, 4),
+            (6, 2, 5), (6, 2, 4), (6, 3, 5), (6, 3, 4),
+        ]
+    ]
+    assert spec.quotient_terms() == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+        (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
+    ]
+    assert spec.multiplicity() == 12
+    polys = GridSpec.from_polys(rxy, [rxy.parse("2*x^2 - 4"), rxy.parse("3*y - 1")])
+    assert polys.entries == (
+        ("poly", rxy.parse("x^2 - 2")),
+        ("poly", rxy.parse("y - 1/3")),
+    )
+    comps = grid_primary_components(
+        GridSpec.from_roots(rxy, [[QQ.zero(), QQ.one()], [QQ.from_int(2), QQ.from_int(3)]]),
+        [[rxy.parse("x"), rxy.parse("x - 1")], [rxy.parse("y - 2"), rxy.parse("y - 3")]],
+    )
+    assert [[g.to_str() for g in c.gens] for c in comps] == [
+        ["x", "y - 2"], ["x", "y - 3"], ["x - 1", "y - 2"], ["x - 1", "y - 3"],
+    ]
 
 
 def test_distraction_term_examples(rxy):
