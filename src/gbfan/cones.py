@@ -82,28 +82,20 @@ def solve_system(cons, n):
         return None
     values: list[Fraction] = []
     for j in range(n):
-        stage = stages[n - 1 - j]
         lo = hi = None
-        for coeffs, rhs in stage:
+        for coeffs, rhs in stages[n - 1 - j]:
             a = coeffs[j]
             if a == 0:
                 continue
-            rest = Fraction(rhs) - sum(
-                Fraction(coeffs[i]) * values[i] for i in range(j)
-            )
-            bound = rest / a
+            bound = Fraction(rhs - sum(c * x for c, x in zip(coeffs, values) if c), a)
             if a > 0:
-                lo = bound if lo is None or bound > lo else lo
+                lo = bound if lo is None else max(lo, bound)
             else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is None and hi is None:
-            values.append(Fraction(0))
-        elif hi is None:
-            values.append(lo)
-        elif lo is None:
-            values.append(hi)
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None:
+            values.append(Fraction(0) if hi is None else hi)
         else:
-            values.append((lo + hi) / 2)
+            values.append(lo if hi is None else (lo + hi) / 2)
     return tuple(values)
 
 

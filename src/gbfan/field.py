@@ -8,12 +8,15 @@ share them freely across threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# an integer, or a ratio of integers in the shape `Fraction` accepts for one
+_INT_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
 
 
 def is_prime(p: int) -> bool:
@@ -176,10 +179,14 @@ class PrimeField:
         return GFElement(n, self.p)
 
     def parse(self, text: str) -> GFElement:
-        try:
-            return GFElement(int(text.strip()), self.p)
-        except ValueError as exc:
-            raise ParseError(f"bad GF({self.p}) literal {text!r}") from exc
+        """An integer, or a ratio a/b in QQ's syntax, read as a·b⁻¹ mod p."""
+        m = _INT_RATIO.fullmatch(text)
+        if m is None:
+            raise ParseError(f"bad GF({self.p}) literal {text!r}")
+        den = int(m.group(2) or 1) % self.p
+        if den == 0:
+            raise ParseError(f"zero denominator in GF({self.p}) literal {text!r}")
+        return GFElement(int(m.group(1)) * pow(den, -1, self.p), self.p)
 
     def to_str(self, c: GFElement) -> str:
         return str(c.val)

@@ -18,7 +18,7 @@ from .errors import (
     ZeroIdealDivisor,
 )
 from .linalg import basis_from_functionals
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, minimalize
 from .orderings import TermOrder, elimination_order
 from .ring import Polynomial, PolyRing
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
@@ -79,86 +79,74 @@ def _reduce_dict(f: dict, reducers, okey, tail: bool = True) -> dict:
     return out
 
 
-def _spoly_dict(f_lt, f_lc, f, g_lt, g_lc, g) -> dict:
-    """S-polynomial of two nonzero polynomials given as dicts."""
+def _spoly_dict(f, g) -> dict:
+    """S-polynomial of two nonzero polynomials given as (lt, lc, coeffs)."""
+    (f_lt, f_lc, f_coeffs), (g_lt, g_lc, g_coeffs) = f, g
     l = tlcm(f_lt, g_lt)
     out: dict = {}
     one = f_lc / f_lc
-    _dict_sub_scaled(out, f, tdiv(l, f_lt), -(one / f_lc))
-    _dict_sub_scaled(out, g, tdiv(l, g_lt), one / g_lc)
+    _dict_sub_scaled(out, f_coeffs, tdiv(l, f_lt), -(one / f_lc))
+    _dict_sub_scaled(out, g_coeffs, tdiv(l, g_lt), one / g_lc)
     return out
 
 
 def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
-    """Reduced monic basis (as dicts) of the ideal the dicts generate."""
+    """Reduced monic basis (as dicts) of the ideal the dicts generate.
+
+    Each element, input or nonzero remainder, pairs with every earlier one.
+    Pairs go by the total degree of their lcm, then by the ordering on it,
+    ties in the order formed.  `use_criteria` skips a pair whose leading
+    terms are coprime, or whose lcm a third leading term divides when both
+    its pairs with the two are done (the chain criterion).  The first
+    element found for each divisibility-minimal leading term is kept, with
+    its tail fully reduced.
+    """
     okey = order.key
-    G: list[dict] = []
-    lts: list[tuple] = []
-    lcs: list = []
+    basis: list[tuple] = []  # (lt, lc, coeffs), the one reducer list
+    queue: list = []
+
+    def add(f: dict) -> None:
+        lt = max(f, key=okey)
+        for old, (old_lt, _, _) in enumerate(basis):
+            l = tlcm(old_lt, lt)
+            heappush(queue, ((tdeg(l), okey(l)), len(basis), old, l))
+        basis.append((lt, f[lt], f))
+
     for g in gens:
         if g:
-            G.append(dict(g))
-            lt = max(g, key=okey)
-            lts.append(lt)
-            lcs.append(g[lt])
-    queue: list = []
-    counter = 0
-    for j in range(len(G)):
-        for i in range(j):
-            l = tlcm(lts[i], lts[j])
-            heappush(queue, ((tdeg(l), okey(l)), counter, i, j, l))
-            counter += 1
-    done: set[frozenset] = set()
+            add(dict(g))
+    done: set[tuple[int, int]] = set()
     while queue:
-        _, _, i, j, l = heappop(queue)
-        done.add(frozenset((i, j)))
-        if use_criteria:
-            if tcoprime(lts[i], lts[j]):
-                continue
-            if any(
+        _, j, i, l = heappop(queue)
+        done.add((i, j))
+        if use_criteria and (
+            tcoprime(basis[i][0], basis[j][0])
+            or any(
                 k not in (i, j)
-                and tdivides(lts[k], l)
-                and frozenset((i, k)) in done
-                and frozenset((j, k)) in done
-                for k in range(len(G))
-            ):
-                continue
-        s = _spoly_dict(lts[i], lcs[i], G[i], lts[j], lcs[j], G[j])
-        r = _reduce_dict(s, list(zip(lts, lcs, G)), okey, tail=False)
-        if r:
-            lt = max(r, key=okey)
-            G.append(r)
-            lts.append(lt)
-            lcs.append(r[lt])
-            new = len(G) - 1
-            for k in range(new):
-                l2 = tlcm(lts[k], lt)
-                heappush(queue, ((tdeg(l2), okey(l2)), counter, k, new, l2))
-                counter += 1
-    # minimalize: keep only elements whose leading term no other divides
-    keep = []
-    for i in range(len(G)):
-        if not any(
-            j != i
-            and tdivides(lts[j], lts[i])
-            and (lts[j] != lts[i] or j < i)
-            for j in range(len(G))
+                and tdivides(lt, l)
+                and (min(i, k), max(i, k)) in done
+                and (min(j, k), max(j, k)) in done
+                for k, (lt, _, _) in enumerate(basis)
+            )
         ):
-            keep.append(i)
-    kept = [(lts[i], lcs[i], G[i]) for i in keep]
-    # full tail interreduction against the fixed set of leading terms
-    reduced = []
-    for idx, (lt, lc, g) in enumerate(kept):
-        others = [kept[k] for k in range(len(kept)) if k != idx]
-        tailpart = dict(g)
-        del tailpart[lt]
-        r = _reduce_dict(tailpart, others, okey, tail=True)
-        one = lc / lc
-        out = {e: c / lc for e, c in r.items()}
-        out[lt] = one
-        reduced.append((lt, out))
-    reduced.sort(key=lambda pair: okey(pair[0]))
-    return [poly for _, poly in reduced]
+            continue
+        r = _reduce_dict(_spoly_dict(basis[i], basis[j]), basis, okey, tail=False)
+        if r:
+            add(r)
+    # the first element found for each divisibility-minimal leading term
+    first: dict = {}
+    for element in basis:
+        first.setdefault(element[0], element)
+    minimal = minimalize(first)
+    kept = [element for lt, element in first.items() if lt in minimal]
+    # no element reduces its own tail: every term met lies below its lt
+    out = []
+    for lt, lc, f in sorted(kept, key=lambda element: okey(element[0])):
+        r = _reduce_dict({e: c for e, c in f.items() if e != lt}, kept, okey)
+        monic = {e: c / lc for e, c in r.items()}
+        monic[lt] = lc / lc
+        out.append(monic)
+    return out
 
 
 class ReducedGB:
@@ -166,13 +154,14 @@ class ReducedGB:
     elements sorted by increasing leading term.  A zero-dimensional basis
     fills its quotient basis and normal forms on first use, deterministically."""
 
-    __slots__ = ("ring", "order", "elements", "lt_exps", "_index", "_nf")
+    __slots__ = ("ring", "order", "elements", "lt_exps", "_reducers", "_index", "_nf")
 
     def __init__(self, ring: PolyRing, order: TermOrder, elements):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        self.lt_exps = tuple(g.leading_term(order)[0] for g in self.elements)
+        self._reducers = [(*g.leading_term(order), g.coeffs) for g in self.elements]
+        self.lt_exps = tuple(lt for lt, _, _ in self._reducers)
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
 
@@ -183,18 +172,12 @@ class ReducedGB:
     def lt_ideal(self) -> MonomialIdeal:
         return MonomialIdeal(self.ring.nvars, self.lt_exps)
 
-    def _reducers(self):
-        out = []
-        for g, lt in zip(self.elements, self.lt_exps):
-            out.append((lt, g.coeffs[lt], g.coeffs))
-        return out
-
     def reduce(self, f: Polynomial) -> Polynomial:
         """Full normal form of f against this basis, the unique remainder:
         no remainder term is divisible by any basis leading term."""
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
-        r = _reduce_dict(f.coeffs, self._reducers(), self.order.key, tail=True)
+        r = _reduce_dict(f.coeffs, self._reducers, self.order.key, tail=True)
         return Polynomial(self.ring, r)
 
     def quotient_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -215,7 +198,7 @@ class ReducedGB:
         if vec is None:
             field = self.ring.field
             row = [field.zero()] * len(self.quotient_basis())
-            nf = _reduce_dict({exp: field.one()}, self._reducers(), self.order.key)
+            nf = _reduce_dict({exp: field.one()}, self._reducers, self.order.key)
             for e, c in nf.items():
                 row[self._index[e]] = c
             vec = self._nf.setdefault(exp, tuple(row))

@@ -1,5 +1,8 @@
-"""Shared helpers: rings, parsing shortcuts, and point construction."""
+"""Shared helpers: rings, parsing shortcuts, point construction, and a
+call-recording fixture."""
 
+import functools
+import inspect
 import sys
 from pathlib import Path
 
@@ -83,3 +86,34 @@ def rxy():
 @pytest.fixture
 def rxyz():
     return qring("x", "y", "z")
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """`record_calls(owner, name)` replaces `owner.name` for the test with a
+    pass-through that records every call, and returns the live list of
+    records.  A record maps each parameter name to its argument, defaults
+    included; once the call returns, it also maps "return" to the result.
+    A classmethod stays a classmethod, and its records include `cls`."""
+
+    def record(owner, name):
+        calls = []
+        raw = inspect.getattr_static(owner, name)
+        real = raw.__func__ if isinstance(raw, classmethod) else getattr(owner, name)
+        signature = inspect.signature(real)
+
+        @functools.wraps(real)
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            call = dict(bound.arguments)
+            calls.append(call)
+            call["return"] = real(*args, **kwargs)
+            return call["return"]
+
+        if isinstance(raw, classmethod):
+            wrapper = classmethod(wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    return record

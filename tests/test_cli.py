@@ -472,6 +472,119 @@ def test_pinned_fan_and_order_output(tmp_path, capsys):
     assert out == GB_MATRIX_12_0M1
 
 
+# Pinned stdout of two zero-dimensional fans, whose neighbours come by FGLM
+# flips from the start basis; the printed basis order follows the flips.
+FAN_SYMMETRIC = """\
+gfan_number: 6
+cone 1:
+  lt_ideal: z^2, y*z, y^2, x^3
+  cone: [-1 -1 2] [-1 2 -1]
+  basis:
+    z^2 - x*y
+    x^3
+    y*z - x^2
+    y^2 - x*z
+cone 2:
+  lt_ideal: z^2, y*z, y^3, x*z, x^2*y^2, x^3
+  cone: [-2 1 1] [1 -2 1]
+  basis:
+    x*z - y^2
+    y*z - x^2
+    x^3
+    z^2 - x*y
+    y^3
+    x^2*y^2
+cone 3:
+  lt_ideal: z^2, y^3, x*z, x^2
+  cone: [-1 -1 2] [2 -1 -1]
+  basis:
+    x^2 - y*z
+    y^3
+    x*z - y^2
+    z^2 - x*y
+cone 4:
+  lt_ideal: z^3, y*z, y^2, x*y, x^2*z^2, x^3
+  cone: [-2 1 1] [1 1 -2]
+  basis:
+    y*z - x^2
+    x*y - z^2
+    z^3
+    y^2 - x*z
+    x^3
+    x^2*z^2
+cone 5:
+  lt_ideal: z^3, y^2, x*y, x^2
+  cone: [-1 2 -1] [2 -1 -1]
+  basis:
+    y^2 - x*z
+    x*y - z^2
+    x^2 - y*z
+    z^3
+cone 6:
+  lt_ideal: z^3, y^2*z^2, y^3, x*z, x*y, x^2
+  cone: [1 -2 1] [1 1 -2]
+  basis:
+    x*y - z^2
+    x*z - y^2
+    y^3
+    x^2 - y*z
+    z^3
+    y^2*z^2
+"""
+
+FAN_GF7 = """\
+gfan_number: 2
+cone 1:
+  lt_ideal: z^2, y^3, x*y, x^2
+  cone: [-1 0 1]
+  basis:
+    x^2 + 6
+    x*y + 6*y
+    z^2 + 6*x*z
+    y^3 + 6*y
+cone 2:
+  lt_ideal: z^3, y*z^2, y^3, x*z, x*y, x^2
+  cone: [1 0 -1]
+  basis:
+    x*z + 6*z^2
+    x*y + 6*y
+    x^2 + 6
+    z^3 + 6*z
+    y*z^2 + 6*y*z
+    y^3 + 6*y
+"""
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("# field: QQ\n# vars: x, y, z\nx^2 - y*z\ny^2 - x*z\nz^2 - x*y\nx*y*z\n",
+         FAN_SYMMETRIC),
+        ("# field: GF(7)\n# vars: x, y, z\nx^2 - 1\ny^3 - y\nz^2 - x*z\nx*y - y\n",
+         FAN_GF7),
+    ],
+    ids=["symmetric", "gf7"],
+)
+def test_pinned_zero_dimensional_fan_output(tmp_path, capsys, text, expected):
+    path = tmp_path / "ideal.txt"
+    path.write_text(text)
+    assert run(capsys, "fan", str(path)) == (0, expected, "")
+
+
+def test_prime_field_point_files_read_ratios(tmp_path, capsys):
+    # 1/2 is 4 in GF(7); a denominator divisible by 7 is a parse error
+    half, four, bad = (tmp_path / name for name in ("half.csv", "four.csv", "bad.csv"))
+    half.write_text("# field: GF(7)\n# vars: x, y\n1/2, 3\n2, 5\n0, 0\n")
+    four.write_text("# field: GF(7)\n# vars: x, y\n4, 3\n2, 5\n0, 0\n")
+    bad.write_text("# field: GF(7)\n# vars: x, y\n1/7, 3\n2, 5\n")
+    expected = run(capsys, "points", str(four))
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, "points", str(half)) == expected
+    code, out, err = run(capsys, "points", str(bad))
+    assert (code, out) == (2, "")
+    assert "zero denominator in GF(7) literal '1/7'" in err
+
+
 def test_failing_command_writes_no_stdout(tmp_path, capsys):
     mono = tmp_path / "mono3.txt"
     mono.write_text("# field: QQ\n# vars: x, y, z\nx^2\ny\nz^2\n")

@@ -155,26 +155,20 @@ def test_positive_dimensional_walk_covers_sampled_weights(rxyz, gens, size):
         assert any(mb.basis.lt_key() == key and mb.cone.contains(w) for mb in fan)
 
 
-def test_zero_dimensional_walk_runs_buchberger_once(monkeypatch):
+def test_zero_dimensional_walk_runs_buchberger_once(record_calls):
     # every neighbor basis comes by FGLM from the start basis
     import gbfan.groebner
 
-    runs = []
-    real = gbfan.groebner.buchberger_dicts
-
-    def counting(*args, **kwargs):
-        runs.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gbfan.groebner, "buchberger_dicts", counting)
+    calls = record_calls(gbfan.groebner, "buchberger_dicts")
     I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
     fan = enumerate_fan(I)
+    runs = [call["order"] for call in calls]
     assert fan.size > 2
     assert runs == [I.ring.default_order()]
     assert fan == fan_oracle_zerodim(I)
 
 
-def test_walk_and_oracle_share_normal_forms(monkeypatch):
+def test_walk_and_oracle_share_normal_forms(record_calls):
     # both routes read the normal forms of the ideal's one cached basis, so
     # no monomial is reduced twice
     import gbfan.groebner
@@ -182,23 +176,13 @@ def test_walk_and_oracle_share_normal_forms(monkeypatch):
 
     I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
     I.groebner()
-    requested, reduced = [], []
-    real_coords = ReducedGB.nf_coords
-    real_reduce = gbfan.groebner._reduce_dict
-
-    def coords(self, exp):
-        requested.append(exp)
-        return real_coords(self, exp)
-
-    def reduce(f, *args, **kwargs):
-        reduced.append(tuple(f))
-        return real_reduce(f, *args, **kwargs)
-
-    monkeypatch.setattr(ReducedGB, "nf_coords", coords)
-    monkeypatch.setattr(gbfan.groebner, "_reduce_dict", reduce)
+    coords = record_calls(ReducedGB, "nf_coords")
+    reductions = record_calls(gbfan.groebner, "_reduce_dict")
     fan = enumerate_fan(I)
     assert fan.size > 2
     assert fan == fan_oracle_zerodim(I)
+    requested = [call["exp"] for call in coords]
+    reduced = [tuple(call["f"]) for call in reductions]
     assert all(len(f) == 1 for f in reduced)
     assert len(reduced) == len(set(requested)) < len(requested)
 
@@ -227,26 +211,14 @@ def test_concurrent_change_order_on_one_basis():
         assert gb.elements == tuple(Polynomial(I.ring, d) for d in dicts)
 
 
-def test_walk_matches_facets_before_flipping(monkeypatch, rxy):
+def test_walk_matches_facets_before_flipping(record_calls, rxy):
     # the second cone matches the shared facet by the first cone's flip
     # weight, so it solves no facet LP of its own
     import gbfan.fan
     from gbfan.cones import Cone
 
-    lps, flips = [], []
-    real_point = Cone.facet_interior_point
-    real_flip = gbfan.fan.flip_order
-
-    def point(self, v):
-        lps.append(v)
-        return real_point(self, v)
-
-    def flip(w, v, n):
-        flips.append(v)
-        return real_flip(w, v, n)
-
-    monkeypatch.setattr(Cone, "facet_interior_point", point)
-    monkeypatch.setattr(gbfan.fan, "flip_order", flip)
+    lps = record_calls(Cone, "facet_interior_point")
+    flips = record_calls(gbfan.fan, "flip_order")
     I = ideal(rxy, "x^2 + x*y + y^2", "x^3", "x^2*y", "x*y^2", "y^3")
     fan = enumerate_fan(I)
     assert fan.size == 2
@@ -255,21 +227,14 @@ def test_walk_matches_facets_before_flipping(monkeypatch, rxy):
     assert len(lps) == 1
 
 
-def test_oracle_builds_no_cones(monkeypatch):
+def test_oracle_builds_no_cones(record_calls):
     # a marked basis determines its cone, so the oracle leaves cones to
     # whoever asks for them
     from gbfan.cones import Cone
 
     I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
     fan = enumerate_fan(I)
-    built = []
-    real = Cone.from_vectors.__func__
-
-    def counting(cls, vectors, n):
-        built.append(n)
-        return real(cls, vectors, n)
-
-    monkeypatch.setattr(Cone, "from_vectors", classmethod(counting))
+    built = record_calls(Cone, "from_vectors")
     oracle = fan_oracle_zerodim(I)
     assert built == []
     assert fan == oracle

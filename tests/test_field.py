@@ -86,6 +86,19 @@ def test_rational_parse_and_print():
         QQ.parse("1/0")
 
 
+def test_prime_field_parses_ratios():
+    # a/b in QQ's shapes reads as a * b^-1 mod p
+    F = GF(7)
+    assert F.parse("1/2") == F.from_int(4)
+    assert F.parse(" -3/4 ") == F.parse("+1") == F.from_int(1)
+    assert F.parse("1_0/3") == F.from_int(1)
+    with pytest.raises(ParseError, match="zero denominator"):
+        F.parse("1/14")
+    for text in ("1/-2", "1 /2", "1.5", "1/", "/2", "x", ""):
+        with pytest.raises(ParseError, match=r"bad GF\(7\) literal"):
+            F.parse(text)
+
+
 _small = st.integers(min_value=-30, max_value=30)
 
 

@@ -6,7 +6,10 @@ from random import Random
 import pytest
 
 from gbfan import (
+    GF,
+    QQ,
     Ideal,
+    PolyRing,
     deglex,
     degrevlex,
     divide_exact,
@@ -111,6 +114,51 @@ def test_criteria_do_not_change_output(rxy):
         with_criteria = I.groebner(o)
         plain = buchberger_dicts([g.coeffs for g in I.gens], o, use_criteria=False)
         assert [g.coeffs for g in with_criteria.elements] == plain
+
+
+@pytest.mark.parametrize(
+    "field, names, texts, counts",
+    [
+        pytest.param(
+            GF(32003),
+            "xyzw",
+            ["x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y",
+             "x*y*z*w - 1"],
+            {"degrevlex": (11, 5, 7), "lex": (14, 7, 6)},
+            id="cyclic4",
+        ),
+        pytest.param(
+            QQ,
+            "xyzw",
+            ["x + 2*y + 2*z + 2*w - 1", "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
+             "2*x*y + 2*y*z + 2*z*w - y", "2*x*z + y^2 + 2*y*w - z"],
+            {"degrevlex": (10, 5, 7), "lex": (22, 8, 4)},
+            id="katsura3",
+        ),
+        pytest.param(
+            QQ,
+            "xy",
+            ["x^2 + y", "x^2 - 1", "x*y - 1", "x^2 + y", None],
+            {"degrevlex": (5, 3, 2), "lex": (5, 3, 2)},
+            id="repeats-and-zero",
+        ),
+    ],
+)
+def test_buchberger_work_is_pinned(record_calls, field, names, texts, counts):
+    # S-pairs that reach reduction, how many reduce to zero, and the basis
+    # size: a change to pair order or the criteria moves these counts
+    import gbfan.groebner
+
+    R = PolyRing(field, list(names))
+    gens = [R.parse(t).coeffs if t else {} for t in texts]
+    calls = record_calls(gbfan.groebner, "_reduce_dict")
+    for order in (degrevlex(len(names)), lex(len(names))):
+        calls.clear()
+        basis = buchberger_dicts(gens, order)
+        pairs = [call for call in calls if not call["tail"]]
+        zeros = sum(1 for call in pairs if call["return"] == {})
+        assert (len(pairs), zeros, len(basis)) == counts[order.tag]
+        assert basis == buchberger_dicts(gens, order, use_criteria=False)
 
 
 def test_normal_form_is_idempotent_and_linear(rxy):

@@ -220,15 +220,8 @@ def test_maximal_grid_of_unit_ideal_is_domain_error(rxy):
         ),
     ],
 )
-def test_maximal_grid_runs_buchberger_once(monkeypatch, R, gens, expected):
-    runs = []
-    real = gbfan.groebner.buchberger_dicts
-
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gbfan.groebner, "buchberger_dicts", counted)
+def test_maximal_grid_runs_buchberger_once(record_calls, R, gens, expected):
+    runs = record_calls(gbfan.groebner, "buchberger_dicts")
     spec = maximal_grid(ideal(R, *gens))
     assert spec.generators() == [R.parse(t) for t in expected]
     assert len(runs) == 1
