@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     ZeroIdeal,
 )
-from .groebner import Ideal, ReducedGB
+from .groebner import Ideal, ReducedGB, kernel_poly
 from .linalg import echelon_reduce, primitive_vector
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, degrevlex, weight_order
@@ -220,6 +220,7 @@ def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:
             e += 1
 
     rec([], 1)
+    del rec  # a recursive closure is a reference cycle; break it
     out.sort(key=lambda t: (sum(t), t))
     return out
 
@@ -237,7 +238,7 @@ def _basic_sets_data(gb: ReducedGB, bound: int):
     if s > bound:
         raise BoundExceeded(f"multiplicity {s} exceeds the bound {bound}")
     nvars = gb.ring.nvars
-    one = gb.ring.field.one()
+    p = gb.ring.field.characteristic
     origin = (0,) * nvars
     candidates = _candidate_terms(nvars, s)
 
@@ -266,7 +267,7 @@ def _basic_sets_data(gb: ReducedGB, bound: int):
                 break
             if not divisors_present(t, chosen):
                 continue
-            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), {t: one})
+            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), p, t)
             if pivot is None:
                 continue
             chosen.add(t)
@@ -274,6 +275,9 @@ def _basic_sets_data(gb: ReducedGB, bound: int):
             chosen.remove(t)
 
     yield from walk(0, set(), [])
+    # break walk's cycle through its own closure cell, so the basis and its
+    # normal forms are freed at once rather than by the cycle collector
+    del walk
 
 
 def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, ...]]]:
@@ -298,20 +302,22 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("the oracle requires a zero-dimensional ideal")
     ring = ideal.ring
-    one = ring.field.one()
+    p = ring.field.characteristic
     start = ideal.groebner()
     found: dict[tuple, MarkedBasis] = {}
     for _, corner_terms, rows in _basic_sets_data(start, bound):
         elements = []
         for u in corner_terms:
-            _, _, rep = echelon_reduce(rows, start.nf_coords(u), {u: one})
-            elements.append(Polynomial(ring, rep))
+            _, _, rep = echelon_reduce(rows, start.nf_coords(u), p, u)
+            elements.append(kernel_poly(ring, rep))
         vectors = marking_vectors(elements, corner_terms)
         w = strict_positive_solution(vectors, ring.nvars)
         if w is None:
             continue
         order = weight_order(primitive_vector(w))
-        pairs = sorted(zip(corner_terms, elements), key=lambda p: order.key(p[0]))
+        pairs = sorted(
+            zip(corner_terms, elements), key=lambda pair: order.key(pair[0])
+        )
         gb = ReducedGB(ring, order, [g for _, g in pairs])
         if gb.lt_exps != tuple(m for m, _ in pairs):
             raise InvariantViolation("oracle marking disagrees with its ordering")

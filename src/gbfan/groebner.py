@@ -17,7 +17,7 @@ from .errors import (
     RingMismatch,
     ZeroIdealDivisor,
 )
-from .linalg import basis_from_functionals
+from .linalg import basis_from_functionals, echelon_reduce
 from .monomials import MonomialIdeal, minimalize
 from .orderings import TermOrder, elimination_order
 from .ring import Polynomial, PolyRing
@@ -149,6 +149,15 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     return out
 
 
+def kernel_poly(ring: PolyRing, coeffs: dict) -> Polynomial:
+    """A polynomial from a combination computed by `linalg`, whose values
+    are residues over GF(p) and field elements over QQ."""
+    field = ring.field
+    if field.characteristic:
+        coeffs = {e: field.from_int(c) for e, c in coeffs.items()}
+    return Polynomial(ring, coeffs)
+
+
 class ReducedGB:
     """The unique reduced monic basis of an ideal for one ordering,
     elements sorted by increasing leading term.  A zero-dimensional basis
@@ -192,15 +201,17 @@ class ReducedGB:
         return tuple(self._index)
 
     def nf_coords(self, exp: tuple) -> tuple:
-        """Coordinates of the normal form of x^exp in `quotient_basis`,
-        cached; racing fills store equal tuples."""
+        """Coordinates of the normal form of x^exp in `quotient_basis`, in
+        the form `linalg` reduces: residues, ints in [0, p), over GF(p), and
+        `Fraction`s over QQ.  Cached; racing fills store equal tuples."""
         vec = self._nf.get(exp)
         if vec is None:
             field = self.ring.field
-            row = [field.zero()] * len(self.quotient_basis())
+            p = field.characteristic
+            row = [0 if p else field.zero()] * len(self.quotient_basis())
             nf = _reduce_dict({exp: field.one()}, self._reducers, self.order.key)
             for e, c in nf.items():
-                row[self._index[e]] = c
+                row[self._index[e]] = c.val if p else c
             vec = self._nf.setdefault(exp, tuple(row))
         return vec
 
@@ -209,9 +220,9 @@ class ReducedGB:
         ordering, by FGLM over the normal-form coordinates of this one."""
         ring = self.ring
         elements, _ = basis_from_functionals(
-            order, ring.field.one(), lambda t, below, i: self.nf_coords(t)
+            order, ring.field.characteristic, lambda t, below, i: self.nf_coords(t)
         )
-        return ReducedGB(ring, order, [Polynomial(ring, d) for d in elements])
+        return ReducedGB(ring, order, [kernel_poly(ring, d) for d in elements])
 
     def __iter__(self):
         return iter(self.elements)
@@ -370,12 +381,20 @@ class Ideal:
 
     def univariate_in(self, i: int) -> Polynomial:
         """Monic generator of the intersection with K[x_i], for a
-        zero-dimensional ideal, read by FGLM from the cached degrevlex basis:
-        under an ordering eliminating the other variables, the least element
-        of the reduced basis is the only one in x_i alone."""
-        others = [j for j in range(self.ring.nvars) if j != i]
-        order = elimination_order(self.ring.nvars, others)
-        return self.groebner().change_order(order).elements[0]
+        zero-dimensional ideal, read from the normal forms of the cached
+        degrevlex basis: the powers 1, x_i, x_i^2, ... are reduced in turn,
+        and the first one whose normal form depends on the lower ones leads
+        the eliminant, which is that dependence."""
+        gb = self.groebner()
+        p = self.ring.field.characteristic
+        rows: list[tuple] = []
+        t = (0,) * self.ring.nvars
+        while True:
+            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), p, t)
+            if pivot is None:
+                return kernel_poly(self.ring, rep)
+            rows.append((pivot, vec, rep))
+            t = t[:i] + (t[i] + 1,) + t[i + 1 :]
 
     def __eq__(self, other):
         return (

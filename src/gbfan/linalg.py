@@ -1,11 +1,20 @@
 """Exact linear algebra over a field: one echelon reduction and what is
 built on it.
 
-The basic-set oracle and the canonical form of a term ordering reduce a
-vector against rows kept in echelon form.  A row is a triple
-``(pivot, row, row_rep)``: the index of its first nonzero entry, the row
-itself, and the combination of terms (a dict from term to coefficient)
-that the row stands for, or None when no combination is tracked.
+The basic-set oracle, FGLM, Buchberger-Möller and the canonical form of a
+term ordering reduce a vector against rows kept in echelon form.  A row is
+a triple ``(pivot, row, row_rep)``: the index of its first nonzero entry,
+the row itself, and the combination of terms (a dict from term to
+coefficient) that the row stands for, or None when no combination is
+tracked.
+
+Every routine takes the field's characteristic ``p``.  Over GF(p) (p > 0)
+vectors, rows and combinations hold plain ints in [0, p), and each new
+echelon row is scaled so that its pivot is 1, so a reduction step needs
+no division.  Over QQ (p = 0) they hold `Fraction`s and rows keep the
+scale they were reduced to: the canonical form of an ordering turns each
+row into a primitive integer vector, which keeps the row's sign.  Callers
+wrap residues back into field elements only where a polynomial is built.
 
 `basis_from_functionals` runs that reduction over terms in increasing
 order.  It is Buchberger-Möller when a term's vector holds its values at
@@ -20,34 +29,55 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 
 
-def echelon_reduce(rows, vec, rep=None):
-    """Reduce vec against echelon rows ``(pivot, row, row_rep)``.
+def echelon_reduce(rows, vec, p, term=None):
+    """Reduce vec against echelon rows ``(pivot, row, row_rep)`` over the
+    field of characteristic p: residues mod p when p > 0, `Fraction`s when
+    p = 0.
 
     Returns ``(pivot, reduced, rep)``: the first nonzero index of the
     reduced vector (None when vec lies in the span of the rows), the
-    reduced vector, and rep, the combination vec stands for, updated in
-    place alongside the vector when it is given.  When the vector reduces
+    reduced vector, and rep, the combination vec stands for.  When a term
+    is given, rep starts as that term with coefficient 1 and is updated
+    alongside the vector; otherwise rep is None.  When the vector reduces
     to zero, rep is the relation that the rows' combinations satisfy.
+    Over GF(p) every row must have pivot 1, so a step subtracts vec[pivot]
+    times the row with no division; a nonzero result is scaled, rep with
+    it, to pivot 1, the form in which it joins the rows.  Over QQ rows keep
+    their scale.
     """
+    rep = None if term is None else {term: 1 if p else Fraction(1)}
     for pivot, row, row_rep in rows:
         c = vec[pivot]
-        if c:
+        if not c:
+            continue
+        if p:
+            f = c
+            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+        else:
             f = c / row[pivot]
             vec = [a - f * b for a, b in zip(vec, row)]
-            if rep is not None:
-                for e, coef in row_rep.items():
-                    cur = rep.get(e)
-                    val = -(f * coef) if cur is None else cur - f * coef
-                    if val:
-                        rep[e] = val
-                    elif cur is not None:
-                        del rep[e]
+        if rep is not None:
+            for e, coef in row_rep.items():
+                cur = rep.get(e)
+                val = -(f * coef) if cur is None else cur - f * coef
+                if p:
+                    val %= p
+                if val:
+                    rep[e] = val
+                elif cur is not None:
+                    del rep[e]
     pivot = next((i for i, x in enumerate(vec) if x), None)
+    if p and pivot is not None and vec[pivot] != 1:
+        inv = pow(vec[pivot], -1, p)
+        vec = [a * inv % p for a in vec]
+        if rep is not None:
+            rep = {e: c * inv % p for e, c in rep.items()}
     return pivot, vec, rep
 
 
-def basis_from_functionals(order, one, vec_of):
-    """Reduced basis of the kernel of a linear map on terms, for `order`.
+def basis_from_functionals(order, p, vec_of):
+    """Reduced basis of the kernel of a linear map on terms, for `order`,
+    over the field of characteristic p (see `echelon_reduce`).
 
     Terms are taken in increasing order, starting at 1 and then through the
     variable multiples of each quotient term.  A term that is a multiple of
@@ -62,8 +92,8 @@ def basis_from_functionals(order, one, vec_of):
     dropped once its term is popped.
 
     Returns ``(elements, quotient)``: the monic basis elements as dicts from
-    term to coefficient, in increasing leading-term order, and the quotient
-    basis in increasing order.
+    term to coefficient (residues over GF(p)), in increasing leading-term
+    order, and the quotient basis in increasing order.
     """
     okey = order.key
     n = order.nvars
@@ -81,7 +111,7 @@ def basis_from_functionals(order, one, vec_of):
         vec = pending.pop(t)
         if any(all(a <= b for a, b in zip(lt, t)) for lt in lead_terms):
             continue
-        pivot, reduced, rep = echelon_reduce(echelon, vec, {t: one})
+        pivot, reduced, rep = echelon_reduce(echelon, vec, p, t)
         if pivot is None:
             lead_terms.append(t)
             elements.append(rep)

@@ -61,7 +61,7 @@ class TermOrder:
             echelon: list = []
             out: list[tuple[int, ...]] = []
             for row in self.rows:
-                pivot, vec, _ = echelon_reduce(echelon, [Fraction(x) for x in row])
+                pivot, vec, _ = echelon_reduce(echelon, [Fraction(x) for x in row], 0)
                 if pivot is not None:
                     echelon.append((pivot, vec, None))
                     out.append(primitive_vector(vec))

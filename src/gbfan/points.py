@@ -31,7 +31,7 @@ from .errors import (
     SpecTooShort,
 )
 from .field import PrimeField, nat_embed
-from .groebner import Ideal, ReducedGB
+from .groebner import Ideal, ReducedGB, kernel_poly
 from .linalg import basis_from_functionals
 from .monomials import MonomialIdeal
 from .orderings import TermOrder
@@ -75,24 +75,30 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     This is `linalg.basis_from_functionals` on evaluation vectors: the
     vector of x_i*t is the vector of t times the i-th coordinate column, so
     each term costs one product per point and only the vectors of terms
-    not yet taken are held.
+    not yet taken are held.  Over GF(p) the vectors hold the coordinates'
+    residues.
     """
     if not pts.points:
         raise EmptyPointSet("ideal of points needs at least one point")
     ring = pts.ring
     if order is None:
         order = ring.default_order()
-    field = ring.field
+    p = ring.field.characteristic
     points = pts.points
-    coord_vecs = [tuple(p[i] for p in points) for i in range(ring.nvars)]
+    if p:
+        points = [tuple(c.val for c in pt) for pt in points]
+    coord_vecs = [tuple(pt[i] for pt in points) for i in range(ring.nvars)]
+    ones = (1 if p else ring.field.one(),) * len(points)
 
     def evaluations(t, below, i):
         if below is None:
-            return tuple(field.one() for _ in points)
+            return ones
+        if p:
+            return tuple(a * b % p for a, b in zip(below, coord_vecs[i]))
         return tuple(a * b for a, b in zip(below, coord_vecs[i]))
 
-    elements, quotient = basis_from_functionals(order, field.one(), evaluations)
-    gb = ReducedGB(ring, order, [Polynomial(ring, d) for d in elements])
+    elements, quotient = basis_from_functionals(order, p, evaluations)
+    gb = ReducedGB(ring, order, [kernel_poly(ring, d) for d in elements])
     return gb, quotient
 
 
@@ -188,9 +194,9 @@ def maximal_grid(ideal: Ideal) -> GridSpec:
     """The grid of monic univariate generators of the ideal's intersections
     with each K[x_i]; the largest grid ideal inside the ideal.
 
-    Zero-dimensional proper ideals only: each generator is read by FGLM
-    from the cached degrevlex basis (`Ideal.univariate_in`), so Buchberger
-    runs once.
+    Zero-dimensional proper ideals only: each generator is read from the
+    normal forms of the cached degrevlex basis (`Ideal.univariate_in`), so
+    Buchberger runs once.
     """
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("maximal grid requires a zero-dimensional ideal")

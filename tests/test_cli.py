@@ -642,3 +642,61 @@ def test_pinned_points_and_complement_output(demo, capsys):
     ]
     for argv, expected in pinned:
         assert run(capsys, *argv) == (0, expected, "")
+
+
+# Pinned `points` text over a large prime field (the residue kernel) and
+# over QQ (Fractions), degrevlex and lex.
+GF_POINTS = "# field: GF(32003)\n1,2,3\n5,7,11\n-1,4,9\n13,0,2\n8,8,1\n3,1,4\n"
+QQ_POINTS = "# field: QQ\n# vars: x, y, z\n1,2,3\n1/2,7,-1\n0,0,0\n2,-3,5\n4,1,1\n"
+
+GF_POINTS_DEGREVLEX = """\
+order: degrevlex
+x*z + 1734*y*z + 5427*z^2 + 6704*x + 30290*y + 14355*z + 22419
+y^2 + 11831*y*z + 22121*z^2 + 17286*x + 21193*y + 15454*z + 7923
+x*y + 20114*y*z + 7602*z^2 + 8163*x + 192*y + 2882*z + 17724
+x^2 + 26032*y*z + 5121*z^2 + 259*x + 20604*y + 4292*z + 31402
+z^3 + 13967*y*z + 4451*z^2 + 16527*x + 10851*y + 6540*z + 10281
+y*z^2 + 20818*y*z + 10263*z^2 + 28186*x + 29517*y + 6948*z + 26676
+quotient_basis: 1, z, y, x, z^2, y*z
+"""
+
+GF_POINTS_LEX = """\
+order: lex
+z^6 + 31973*z^5 + 334*z^4 + 30263*z^3 + 4489*z^2 + 26573*z + 2376
+y + 5064*z^5 + 15718*z^4 + 31044*z^3 + 21120*z^2 + 30652*z + 24406
+x + 5883*z^5 + 4368*z^4 + 16628*z^3 + 13641*z^2 + 10822*z + 12656
+quotient_basis: 1, z, z^2, z^3, z^4, z^5
+"""
+
+QQ_POINTS_DEGREVLEX = """\
+order: degrevlex
+y*z + 1207/581*z^2 + 848/581*x - 49/83*y - 691/83*z
+x*z - 191/581*z^2 - 591/581*x + 18/83*y + 15/83*z
+y^2 - 1863/581*z^2 - 712/581*x - 395/83*y + 985/83*z
+x*y + 283/581*z^2 - 335/581*x - 61/83*y - 120/83*z
+x^2 + 265/2324*z^2 - 4927/1162*x + 27/83*y + 173/332*z
+z^3 - 3714/581*z^2 - 888/581*x + 204/83*y + 751/83*z
+quotient_basis: 1, z, y, x, z^2
+"""
+
+QQ_POINTS_LEX = """\
+order: lex
+z^5 - 8*z^4 + 14*z^3 + 8*z^2 - 15*z
+y - 37/240*z^4 + 361/240*z^3 - 923/240*z^2 + 359/240*z
+x - 119/480*z^4 + 847/480*z^3 - 961/480*z^2 - 1687/480*z
+quotient_basis: 1, z, z^2, z^3, z^4
+"""
+
+
+def test_pinned_points_output(tmp_path, capsys):
+    gf, qq = tmp_path / "gf.csv", tmp_path / "qq.csv"
+    gf.write_text(GF_POINTS)
+    qq.write_text(QQ_POINTS)
+    pinned = [
+        (("points", str(gf), "--vars", "x,y,z"), GF_POINTS_DEGREVLEX),
+        (("points", str(gf), "--vars", "x,y,z", "--order", "lex"), GF_POINTS_LEX),
+        (("points", str(qq)), QQ_POINTS_DEGREVLEX),
+        (("points", str(qq), "--order", "lex"), QQ_POINTS_LEX),
+    ]
+    for argv, expected in pinned:
+        assert run(capsys, *argv) == (0, expected, "")

@@ -187,6 +187,22 @@ def test_walk_and_oracle_share_normal_forms(record_calls):
     assert len(reduced) == len(set(requested)) < len(requested)
 
 
+def test_oracle_leaves_no_reference_cycles():
+    # the oracle's recursive helpers drop their self-references, so its
+    # data is freed by reference counting and peak memory does not wait on
+    # the cycle collector
+    import gc
+
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    gc.collect()
+    gc.disable()
+    try:
+        assert fan_oracle_zerodim(I).size > 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_concurrent_change_order_on_one_basis():
     # eight threads flip from one cached basis while filling its
     # normal-form cache; each gets the basis that Buchberger computes

@@ -1,16 +1,21 @@
 """Ideals of points, grids, distractions, staircases, and shifts."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gbfan.groebner
+import gbfan.linalg
 from gbfan import (
+    GF,
     QQ,
     GridSpec,
     Ideal,
     MonomialIdeal,
     PointSet,
+    PolyRing,
     degrevlex,
     distraction_ideal,
     distraction_term,
@@ -80,6 +85,68 @@ def test_vanishing_and_multiplicity_random():
         assert I.multiplicity() == len(pts)
         for g in I.gens:
             assert all(not g.evaluate(p) for p in pts)
+
+
+@st.composite
+def _point_sets(draw):
+    field = draw(st.sampled_from([GF(2), GF(32003), GF(2**61 - 1), QQ]))
+    names = ("x", "y", "z")[: draw(st.integers(min_value=1, max_value=3))]
+    R = PolyRing(field, names)
+    # a denominator of 3 is a unit in every field drawn
+    coord = st.builds(
+        lambda num, den: field.parse(f"{num}/{den}"),
+        st.integers(min_value=-4, max_value=4),
+        st.sampled_from([1, 3]),
+    )
+    drawn = draw(st.lists(st.tuples(*[coord] * len(names)), min_size=1, max_size=6))
+    return PointSet(R, dict.fromkeys(drawn))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets())
+def test_three_routes_agree_on_point_ideals(pts):
+    # Buchberger-Möller straight to lex, FGLM from the degrevlex basis, and
+    # Buchberger from its generators give one reduced lex basis
+    R = pts.ring
+    order = lex(R.nvars)
+    direct, quotient = ideal_of_points(pts, order)
+    start, _ = ideal_of_points(pts)
+    assert direct == start.change_order(order) == Ideal(R, start.elements).groebner(order)
+    assert len(quotient) == len(pts)
+    for g in direct:
+        assert all(not g.evaluate(pt) for pt in pts)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
+def test_kernel_holds_residues_over_gf_p_and_fractions_over_qq(record_calls, field):
+    # over GF(p) every vector, echelon row and representation that the
+    # kernel sees holds ints in [0, p), and a new row has pivot 1; over QQ
+    # the entries stay Fractions
+    R = PolyRing(field, ("x", "y", "z"))
+    p = field.characteristic
+    calls = record_calls(gbfan.linalg, "echelon_reduce")
+    gb, _ = ideal_of_points(random_point_set(Random(3), R, 12))
+    built = len(calls)
+    gb.change_order(lex(3))
+    assert 0 < built < len(calls)
+
+    def entries(call):
+        pivot, reduced, rep = call["return"]
+        if p and pivot is not None:
+            assert reduced[pivot] == 1
+        yield from call["vec"]
+        yield from reduced
+        yield from rep.values()
+        for _, row, row_rep in call["rows"]:
+            yield from row
+            yield from row_rep.values()
+
+    values = [a for call in calls for a in entries(call)]
+    values += [a for t in gb.quotient_basis() for a in gb.nf_coords(t)]
+    if p:
+        assert all(type(a) is int and 0 <= a < p for a in values)
+    else:
+        assert all(type(a) is Fraction for a in values)
 
 
 def test_iterated_intersection_oracle(rxy):
@@ -228,7 +295,7 @@ def test_maximal_grid_runs_buchberger_once(record_calls, R, gens, expected):
 
 
 def test_eliminants_match_the_elimination_route():
-    # 44 draws: the FGLM read from the degrevlex basis against one
+    # 44 draws: the powers read from the degrevlex normal forms against one
     # elimination Buchberger run per variable, on fresh ideals
     rng = Random(1010)
     for n in (2, 3):
