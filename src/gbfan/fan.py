@@ -225,14 +225,14 @@ def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _basic_sets_data(gb: ReducedGB, bound: int):
+def _basic_sets_data(gb: ReducedGB, bound: int, represent: bool):
     """Yield (order_ideal, corner_terms, rows) for every basic set.
 
     A branch is extended only while the normal-form vectors stay linearly
     independent, so every completed order ideal of full size is basic.
-    Each candidate is reduced with its term as representation, so `rows`
-    are the basic set's echelon rows and each row knows the combination of
-    terms it stands for.
+    `rows` are the basic set's echelon rows.  With `represent`, each
+    candidate is reduced with its term as representation, so each row knows
+    the combination of terms it stands for; without it, rows carry None.
     """
     s = len(gb.quotient_basis())
     if s > bound:
@@ -267,7 +267,8 @@ def _basic_sets_data(gb: ReducedGB, bound: int):
                 break
             if not divisors_present(t, chosen):
                 continue
-            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), p, t)
+            term = t if represent else None
+            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), p, term)
             if pivot is None:
                 continue
             chosen.add(t)
@@ -285,7 +286,8 @@ def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, 
     the quotient ring."""
     if not ideal.is_zero_dimensional():
         raise NotZeroDimensional("basic sets require a zero-dimensional ideal")
-    return [terms for terms, _, _ in _basic_sets_data(ideal.groebner(), bound)]
+    sets = _basic_sets_data(ideal.groebner(), bound, represent=False)
+    return [terms for terms, _, _ in sets]
 
 
 def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
@@ -305,7 +307,7 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
     p = ring.field.characteristic
     start = ideal.groebner()
     found: dict[tuple, MarkedBasis] = {}
-    for _, corner_terms, rows in _basic_sets_data(start, bound):
+    for _, corner_terms, rows in _basic_sets_data(start, bound, represent=True):
         elements = []
         for u in corner_terms:
             _, _, rep = echelon_reduce(rows, start.nf_coords(u), p, u)

@@ -314,6 +314,24 @@ def test_enumerate_basic_sets_bound(rxy):
         enumerate_basic_sets(grid, bound=12)
 
 
+def test_basic_sets_carry_representations_only_for_the_oracle(record_calls):
+    # enumerate_basic_sets keeps only the terms, so its reductions track no
+    # combination; the oracle's walk finds the same sets with each row's
+    # combination, which its corner reductions need
+    import gbfan.fan
+
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    calls = record_calls(gbfan.fan, "echelon_reduce")
+    sets = enumerate_basic_sets(I)
+    bare = len(calls)
+    assert len(sets) > 1 and bare > 0
+    assert all(call["term"] is None for call in calls)
+    represented = gbfan.fan._basic_sets_data(I.groebner(), 12, represent=True)
+    assert [terms for terms, _, _ in represented] == sets
+    assert len(calls) == 2 * bare
+    assert all(call["term"] is not None for call in calls[bare:])
+
+
 def test_oracle_requires_zero_dimensional(rxy):
     with pytest.raises(NotZeroDimensional):
         fan_oracle_zerodim(ideal(rxy, "x + y"))

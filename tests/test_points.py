@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gbfan.groebner
 import gbfan.linalg
+import gbfan.points
 from gbfan import (
     GF,
     QQ,
@@ -45,6 +46,7 @@ from gbfan.errors import (
     SpecTooShort,
 )
 from gbfan.files import load_grid
+from gbfan.groebner import kernel_poly
 from gbfan.random_ideals import (
     corpus_rings,
     random_point_set,
@@ -119,9 +121,9 @@ def test_three_routes_agree_on_point_ideals(pts):
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
 def test_kernel_holds_residues_over_gf_p_and_fractions_over_qq(record_calls, field):
-    # over GF(p) every vector, echelon row and representation that the
-    # kernel sees holds ints in [0, p), and a new row has pivot 1; over QQ
-    # the entries stay Fractions
+    # Buchberger-Möller runs on ints in [0, m) with pivot-1 rows, for m = p
+    # over GF(p) and for a prime of the ladder over QQ; FGLM and the cached
+    # normal forms hold residues mod p over GF(p) and Fractions over QQ
     R = PolyRing(field, ("x", "y", "z"))
     p = field.characteristic
     calls = record_calls(gbfan.linalg, "echelon_reduce")
@@ -132,7 +134,7 @@ def test_kernel_holds_residues_over_gf_p_and_fractions_over_qq(record_calls, fie
 
     def entries(call):
         pivot, reduced, rep = call["return"]
-        if p and pivot is not None:
+        if call["p"] and pivot is not None:
             assert reduced[pivot] == 1
         yield from call["vec"]
         yield from reduced
@@ -141,12 +143,159 @@ def test_kernel_holds_residues_over_gf_p_and_fractions_over_qq(record_calls, fie
             yield from row
             yield from row_rep.values()
 
-    values = [a for call in calls for a in entries(call)]
+    moduli = {call["p"] for call in calls[:built]}
+    assert moduli == {p} if p else moduli <= set(gbfan.points._LADDER)
+    for call in calls[:built]:
+        m = call["p"]
+        assert all(type(a) is int and 0 <= a < m for a in entries(call))
+
+    assert {call["p"] for call in calls[built:]} == {p}
+    values = [a for call in calls[built:] for a in entries(call)]
     values += [a for t in gb.quotient_basis() for a in gb.nf_coords(t)]
     if p:
         assert all(type(a) is int and 0 <= a < p for a in values)
     else:
         assert all(type(a) is Fraction for a in values)
+
+
+def _exact_kernel(pts, order):
+    # the reference: the kernel on Fraction evaluation vectors, no primes
+    columns = list(zip(*pts.points))
+    ones = (Fraction(1),) * len(pts)
+
+    def evaluations(t, below, i):
+        if below is None:
+            return ones
+        return tuple(a * b for a, b in zip(below, columns[i]))
+
+    return gbfan.linalg.basis_from_functionals(order, 0, evaluations)
+
+
+def _assert_exact(pts, order):
+    gb, quotient = ideal_of_points(pts, order)
+    elements, exact_quotient = _exact_kernel(pts, order)
+    assert gb.elements == tuple(kernel_poly(pts.ring, d) for d in elements)
+    assert quotient == exact_quotient
+
+
+@st.composite
+def _rational_point_sets(draw):
+    names = ("x", "y", "z")[: draw(st.integers(min_value=1, max_value=3))]
+    R = PolyRing(QQ, names)
+    coord = st.builds(
+        Fraction,
+        st.integers(min_value=-40, max_value=40),
+        st.integers(min_value=1, max_value=12),
+    )
+    drawn = draw(st.lists(st.tuples(*[coord] * len(names)), min_size=1, max_size=9))
+    return PointSet(R, dict.fromkeys(drawn))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_point_sets(), st.sampled_from(["lex", "degrevlex"]))
+def test_modular_route_matches_the_exact_kernel(pts, name):
+    order = lex(pts.ring.nvars) if name == "lex" else degrevlex(pts.ring.nvars)
+    _assert_exact(pts, order)
+
+
+M61, M127, M255 = gbfan.points._LADDER
+
+
+@pytest.mark.parametrize(
+    "coords, rungs, lifted",
+    [
+        # two points meet modulo 2^61 - 1, so its quotient basis is short and
+        # its run is dropped before any lifting
+        pytest.param(
+            [("0", "0"), (str(M61), "0"), ("1", "1")],
+            [M61, M127],
+            [M127],
+            id="collide",
+        ),
+        # 2^61 - 1 divides a denominator, so it is not tried
+        pytest.param(
+            [(f"1/{M61}", "2"), ("0", "1")], [M127], [M127], id="denominator"
+        ),
+        # a 101-bit constant term has no reconstruction below 2^255 - 19
+        pytest.param(
+            [(str(2**50), "0"), (str(2**50 + 1), "0")],
+            [M61, M127, M255],
+            [M61, M127, M255],
+            id="three-rungs",
+        ),
+        # a 261-bit constant term lifts at no rung: the Fraction kernel runs
+        pytest.param(
+            [(str(2**130), "0"), (str(2**130 + 1), "0")],
+            [M61, M127, M255, 0],
+            [M61, M127, M255],
+            id="past-the-ladder",
+        ),
+    ],
+)
+def test_modular_route_climbs_the_ladder(record_calls, coords, rungs, lifted):
+    pts = points(qring("x", "y"), coords)
+    runs = record_calls(gbfan.points, "basis_from_functionals")
+    lifts = record_calls(gbfan.points, "_lift")
+    for order in (lex(2), degrevlex(2)):
+        runs.clear()
+        lifts.clear()
+        _assert_exact(pts, order)
+        assert [call["p"] for call in runs] == rungs
+        assert [call["m"] for call in lifts] == lifted
+
+
+def test_modular_route_ends_in_the_exact_kernel(record_calls, monkeypatch):
+    monkeypatch.setattr(gbfan.points, "_LADDER", (M61,))
+    pts = points(qring("x", "y"), [(str(2**50), "0"), (str(2**50 + 1), "0")])
+    calls = record_calls(gbfan.points, "basis_from_functionals")
+    _assert_exact(pts, lex(2))
+    assert [call["p"] for call in calls] == [M61, 0]
+
+
+def test_certificate_accepts_only_the_reduced_basis():
+    pts = points(qring("x", "y"), [("1", "2"), ("1/2", "7"), ("0", "0"), ("2", "-3")])
+    order = degrevlex(2)
+    elements, quotient = _exact_kernel(pts, order)
+
+    def certified(candidate):
+        return gbfan.points._certified(order, candidate, quotient, pts.points)
+
+    assert certified(elements)
+    # still vanishes everywhere, but not monic
+    assert not certified([{t: 2 * c for t, c in g.items()} for g in elements])
+    # one tail coefficient off by one: no longer vanishes at every point
+    bumped = dict(elements[-1])
+    bumped[min(bumped, key=order.key)] += 1
+    assert not certified(elements[:-1] + [bumped])
+    # monic and vanishing, but a tail term (a leading term) lies outside
+    # the quotient basis
+    merged = dict(elements[-1])
+    for t, c in elements[0].items():
+        merged[t] = merged.get(t, 0) + c
+    assert not certified(elements[:-1] + [merged])
+
+
+def test_certificate_rejects_a_perturbed_coefficient(record_calls, monkeypatch):
+    # the first rung's lifted basis gets one tail coefficient off by one;
+    # the certificate rejects it and the next rung gives the exact basis
+    pts = points(qring("x", "y"), [("1", "2"), ("1/2", "7"), ("0", "0"), ("2", "-3")])
+    order = degrevlex(2)
+    real_lift = gbfan.points._lift
+
+    def perturbed_lift(elements, m):
+        lifted = real_lift(elements, m)
+        if m == M61:
+            g = lifted[-1]
+            tail = min(g, key=order.key)
+            g[tail] += 1
+        return lifted
+
+    monkeypatch.setattr(gbfan.points, "_lift", perturbed_lift)
+    verdicts = record_calls(gbfan.points, "_certified")
+    runs = record_calls(gbfan.points, "basis_from_functionals")
+    _assert_exact(pts, order)
+    assert [call["return"] for call in verdicts] == [False, True]
+    assert [call["p"] for call in runs] == [M61, M127]
 
 
 def test_iterated_intersection_oracle(rxy):
