@@ -1,7 +1,8 @@
 """Buchberger's algorithm, reduced bases, and ideal arithmetic.
 
-The inner loop works on raw coefficient dicts for speed; the public surface
-deals in `Polynomial` and `ReducedGB`.  Intermediate S-polynomial reductions
+The inner loop works on raw coefficients for speed, residues in [0, p)
+over GF(p) and `Fraction`s over QQ, against monic reducers; the public
+surface deals in `Polynomial` and `ReducedGB`.  Intermediate S-polynomial reductions
 are top-reductions only; full tail reduction happens once, in the final
 interreduction pass, so the output is the unique reduced monic basis.
 """
@@ -9,7 +10,9 @@ interreduction pass, so the output is the unique reduced monic basis.
 from __future__ import annotations
 
 import threading
+from fractions import Fraction
 from heapq import heappop, heappush
+from operator import add, le, sub
 
 from .errors import (
     InvariantViolation,
@@ -17,6 +20,7 @@ from .errors import (
     RingMismatch,
     ZeroIdealDivisor,
 )
+from .field import GFElement
 from .linalg import basis_from_functionals, echelon_reduce
 from .monomials import MonomialIdeal, minimalize
 from .orderings import TermOrder, elimination_order
@@ -24,20 +28,10 @@ from .ring import Polynomial, PolyRing
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
 
-def _dict_sub_scaled(acc: dict, other: dict, shift, factor) -> None:
-    """acc -= factor * x^shift * other, in place."""
-    for e, c in other.items():
-        key = tuple(a + b for a, b in zip(e, shift))
-        cur = acc.get(key)
-        val = -(factor * c) if cur is None else cur - factor * c
-        if val:
-            acc[key] = val
-        elif cur is not None:
-            del acc[key]
-
-
-def _reduce_dict(f: dict, reducers, okey, tail: bool = True) -> dict:
-    """Remainder of f modulo the reducers (list of (lt, lc, coeffs)).
+def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> dict:
+    """Remainder of f modulo monic reducers, a list of (lt, rest) with
+    `rest` the (exp, coeff) pairs below lt.  Coefficients are residues,
+    ints in [0, p), over GF(p), and `Fraction`s over QQ (p = 0).
 
     With tail=False, stop as soon as the leading term is irreducible.
     Each term's ordering key is computed once and cached for the max scans.
@@ -49,23 +43,19 @@ def _reduce_dict(f: dict, reducers, okey, tail: bool = True) -> dict:
     while work:
         t = max(work, key=kget)
         c = work.pop(t)
-        for lt, lc, coeffs in reducers:
-            if tdivides(lt, t):
-                factor = c / lc
-                shift = tdiv(t, lt)
-                for e2, c2 in coeffs.items():
-                    if e2 == lt:
-                        continue
-                    key = tuple(a + b for a, b in zip(e2, shift))
+        for lt, rest in reducers:
+            if all(map(le, lt, t)):
+                shift = tuple(map(sub, t, lt))
+                m = p - c if p else -c
+                for e2, c2 in rest:
+                    key = tuple(map(add, e2, shift))
                     cur = work.get(key)
                     if cur is None:
-                        val = -(factor * c2)
-                        if val:
-                            work[key] = val
-                            if key not in keys:
-                                keys[key] = okey(key)
+                        work[key] = m * c2 % p if p else m * c2
+                        if key not in keys:
+                            keys[key] = okey(key)
                     else:
-                        val = cur - factor * c2
+                        val = (cur + m * c2) % p if p else cur + m * c2
                         if val:
                             work[key] = val
                         else:
@@ -79,17 +69,6 @@ def _reduce_dict(f: dict, reducers, okey, tail: bool = True) -> dict:
     return out
 
 
-def _spoly_dict(f, g) -> dict:
-    """S-polynomial of two nonzero polynomials given as (lt, lc, coeffs)."""
-    (f_lt, f_lc, f_coeffs), (g_lt, g_lc, g_coeffs) = f, g
-    l = tlcm(f_lt, g_lt)
-    out: dict = {}
-    one = f_lc / f_lc
-    _dict_sub_scaled(out, f_coeffs, tdiv(l, f_lt), -(one / f_lc))
-    _dict_sub_scaled(out, g_coeffs, tdiv(l, g_lt), one / g_lc)
-    return out
-
-
 def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     """Reduced monic basis (as dicts) of the ideal the dicts generate.
 
@@ -99,40 +78,57 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     terms are coprime, or whose lcm a third leading term divides when both
     its pairs with the two are done (the chain criterion).  The first
     element found for each divisibility-minimal leading term is kept, with
-    its tail fully reduced.
+    its tail fully reduced.  The work runs on `_reduce_dict`'s raw
+    coefficients, and each element is made monic once, when it is added.
     """
+    gens = [g for g in gens if g]
+    # a GFElement carries its p, and a Fraction has no such attribute
+    p = getattr(next(iter(gens[0].values())), "p", 0) if gens else 0
     okey = order.key
-    basis: list[tuple] = []  # (lt, lc, coeffs), the one reducer list
+    basis: list[tuple] = []  # (lt, rest), monic, the one reducer list
     queue: list = []
 
-    def add(f: dict) -> None:
+    def insert(f: dict) -> None:
         lt = max(f, key=okey)
-        for old, (old_lt, _, _) in enumerate(basis):
+        inv = pow(f[lt], -1, p) if p else 1 / f[lt]
+        for old, (old_lt, _) in enumerate(basis):
             l = tlcm(old_lt, lt)
             heappush(queue, ((tdeg(l), okey(l)), len(basis), old, l))
-        basis.append((lt, f[lt], f))
+        rest = [(e, c * inv % p if p else c * inv) for e, c in f.items() if e != lt]
+        basis.append((lt, tuple(rest)))
 
     for g in gens:
-        if g:
-            add(dict(g))
+        insert({e: c.val for e, c in g.items()} if p else g)
     done: set[tuple[int, int]] = set()
     while queue:
         _, j, i, l = heappop(queue)
         done.add((i, j))
+        (i_lt, i_rest), (j_lt, j_rest) = basis[i], basis[j]
         if use_criteria and (
-            tcoprime(basis[i][0], basis[j][0])
+            tcoprime(i_lt, j_lt)
             or any(
                 k not in (i, j)
                 and tdivides(lt, l)
                 and (min(i, k), max(i, k)) in done
                 and (min(j, k), max(j, k)) in done
-                for k, (lt, _, _) in enumerate(basis)
+                for k, (lt, _) in enumerate(basis)
             )
         ):
             continue
-        r = _reduce_dict(_spoly_dict(basis[i], basis[j]), basis, okey, tail=False)
+        # the S-polynomial: the monic leading terms cancel at l
+        shift = tdiv(l, i_lt)
+        spoly = {tuple(map(add, e, shift)): c for e, c in i_rest}
+        shift = tdiv(l, j_lt)
+        for e, c in j_rest:
+            key = tuple(map(add, e, shift))
+            val = (spoly.get(key, 0) - c) % p if p else spoly.get(key, 0) - c
+            if val:
+                spoly[key] = val
+            else:
+                del spoly[key]
+        r = _reduce_dict(spoly, basis, okey, p, tail=False)
         if r:
-            add(r)
+            insert(r)
     # the first element found for each divisibility-minimal leading term
     first: dict = {}
     for element in basis:
@@ -141,17 +137,17 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     kept = [element for lt, element in first.items() if lt in minimal]
     # no element reduces its own tail: every term met lies below its lt
     out = []
-    for lt, lc, f in sorted(kept, key=lambda element: okey(element[0])):
-        r = _reduce_dict({e: c for e, c in f.items() if e != lt}, kept, okey)
-        monic = {e: c / lc for e, c in r.items()}
-        monic[lt] = lc / lc
-        out.append(monic)
+    for lt, rest in sorted(kept, key=lambda element: okey(element[0])):
+        r = _reduce_dict(dict(rest), kept, okey, p)
+        r[lt] = 1 if p else Fraction(1)
+        out.append({e: GFElement(c, p) for e, c in r.items()} if p else r)
     return out
 
 
 def kernel_poly(ring: PolyRing, coeffs: dict) -> Polynomial:
-    """A polynomial from a combination computed by `linalg`, whose values
-    are residues over GF(p) and field elements over QQ."""
+    """A polynomial from coefficients computed by `linalg` or
+    `_reduce_dict`, which are residues over GF(p) and field elements over
+    QQ."""
     field = ring.field
     if field.characteristic:
         coeffs = {e: field.from_int(c) for e, c in coeffs.items()}
@@ -169,8 +165,13 @@ class ReducedGB:
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        self._reducers = [(*g.leading_term(order), g.coeffs) for g in self.elements]
-        self.lt_exps = tuple(lt for lt, _, _ in self._reducers)
+        p = ring.field.characteristic
+        self._reducers = []  # monic, in `_reduce_dict`'s form
+        for g in self.elements:
+            lt, _ = g.leading_term(order)
+            rest = [(e, c.val if p else c) for e, c in g.coeffs.items() if e != lt]
+            self._reducers.append((lt, tuple(rest)))
+        self.lt_exps = tuple(lt for lt, _ in self._reducers)
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
 
@@ -186,8 +187,10 @@ class ReducedGB:
         no remainder term is divisible by any basis leading term."""
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
-        r = _reduce_dict(f.coeffs, self._reducers, self.order.key, tail=True)
-        return Polynomial(self.ring, r)
+        p = self.ring.field.characteristic
+        coeffs = {e: c.val for e, c in f.coeffs.items()} if p else f.coeffs
+        r = _reduce_dict(coeffs, self._reducers, self.order.key, p)
+        return kernel_poly(self.ring, r)
 
     def quotient_basis(self) -> tuple[tuple[int, ...], ...]:
         """The power products outside the leading-term ideal, ascending in
@@ -209,9 +212,10 @@ class ReducedGB:
             field = self.ring.field
             p = field.characteristic
             row = [0 if p else field.zero()] * len(self.quotient_basis())
-            nf = _reduce_dict({exp: field.one()}, self._reducers, self.order.key)
+            one = 1 if p else field.one()
+            nf = _reduce_dict({exp: one}, self._reducers, self.order.key, p)
             for e, c in nf.items():
-                row[self._index[e]] = c.val if p else c
+                row[self._index[e]] = c
             vec = self._nf.setdefault(exp, tuple(row))
         return vec
 
@@ -428,5 +432,11 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         c = work[t] / g_lc
         shift = tdiv(t, g_lt)
         quot[shift] = c
-        _dict_sub_scaled(work, g.coeffs, shift, c)
+        for e, c2 in g.coeffs.items():
+            key = tuple(map(add, e, shift))
+            val = work[key] - c * c2 if key in work else -(c * c2)
+            if val:
+                work[key] = val
+            else:
+                del work[key]
     return Polynomial(ring, quot)

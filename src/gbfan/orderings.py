@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .errors import DimensionMismatch, InvalidOrdering
 from .linalg import echelon_reduce, primitive_vector
@@ -45,7 +46,7 @@ class TermOrder:
             raise DimensionMismatch(
                 f"exponent length {len(exp)} != {self.nvars} variables"
             )
-        return tuple(sum(w * e for w, e in zip(row, exp)) for row in self.rows)
+        return tuple([sum(map(mul, row, exp)) for row in self.rows])
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Canonical form identifying matrices that define the same ordering.

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+from operator import le, mul, sub
+
 
 def tdiv(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """s / t; caller guarantees divisibility."""
-    return tuple(a - b for a, b in zip(s, t))
+    return tuple(map(sub, s, t))
 
 
 def tdivides(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
     """True when the power product s divides t."""
-    return all(a <= b for a, b in zip(s, t))
+    return all(map(le, s, t))
 
 
 def tlcm(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(a, b) for a, b in zip(s, t))
+    return tuple(map(max, s, t))
 
 
 def tdeg(t: tuple[int, ...]) -> int:
@@ -22,7 +24,7 @@ def tdeg(t: tuple[int, ...]) -> int:
 
 
 def tcoprime(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-    return all(a == 0 or b == 0 for a, b in zip(s, t))
+    return not any(map(mul, s, t))
 
 
 def is_one(t: tuple[int, ...]) -> bool:

@@ -1,9 +1,11 @@
 """Buchberger, normal forms, quotient bases, and ideal arithmetic."""
 
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbfan import (
     GF,
@@ -128,6 +130,14 @@ def test_criteria_do_not_change_output(rxy):
             id="cyclic4",
         ),
         pytest.param(
+            GF(2),
+            "xyzw",
+            ["x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y",
+             "x*y*z*w - 1"],
+            {"degrevlex": (11, 5, 7), "lex": (14, 7, 6)},
+            id="cyclic4-gf2",
+        ),
+        pytest.param(
             QQ,
             "xyzw",
             ["x + 2*y + 2*z + 2*w - 1", "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
@@ -159,6 +169,79 @@ def test_buchberger_work_is_pinned(record_calls, field, names, texts, counts):
         zeros = sum(1 for call in pairs if call["return"] == {})
         assert (len(pairs), zeros, len(basis)) == counts[order.tag]
         assert basis == buchberger_dicts(gens, order, use_criteria=False)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
+def test_buchberger_kernel_holds_residues(record_calls, field):
+    # Buchberger, ReducedGB.reduce and nf_coords reduce raw coefficients,
+    # ints in [0, p) over GF(p) and Fractions over QQ, by monic reducers
+    # (lt, rest) that carry no leading coefficient
+    import gbfan.groebner
+
+    R = PolyRing(field, ("x", "y", "z"))
+    p = field.characteristic
+    calls = record_calls(gbfan.groebner, "_reduce_dict")
+    I = ideal(R, "2*x^2 + 3*y*z - 1", "3*y^2 - x*z + 5", "5*x*y + z^2 - 7")
+    gb = I.groebner()
+    built = len(calls)
+    assert all(gb.reduce(g).is_zero() for g in I.gens)
+    assert not gb.reduce(R.parse("x^3*y - 2/3*z^2 + 5")).is_zero()
+    reduced = len(calls)
+    assert gb.nf_coords((3, 2, 1)) and gb.nf_coords((0, 0, 0))
+    assert 0 < built < reduced < len(calls)
+
+    for call in calls:
+        values = list(call["f"].values()) + list(call["return"].values())
+        for lt, rest in call["reducers"]:
+            assert lt not in dict(rest)
+            values += [c for _, c in rest]
+        if p:
+            assert all(type(c) is int and 0 <= c < p for c in values)
+        else:
+            assert all(type(c) is Fraction for c in values)
+
+
+_FIELDS = [GF(2), GF(3), GF(32003), GF(2**61 - 1), QQ]
+
+
+@st.composite
+def _systems(draw):
+    # a few sparse generators in 2-3 variables, coefficients n/d in the
+    # field; half the draws add x_i^d + c for every i, so are zero-dimensional
+    field = draw(st.sampled_from(_FIELDS))
+    n = draw(st.integers(2, 3))
+    R = PolyRing(field, "xyz"[:n])
+    p = field.characteristic
+
+    def coeff():
+        num, den = draw(st.integers(-5, 5)), draw(st.integers(1, 4))
+        c = field.from_int(num)
+        return c / field.from_int(den) if not p or den % p else c
+
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=3))
+        gens.append(R.poly({exp: coeff() for exp in terms}))
+    if draw(st.booleans()):
+        for i in range(n):
+            exp = tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(n))
+            gens.append(R.poly({exp: field.one(), (0,) * n: coeff()}))
+    return Ideal(R, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_buchberger_over_characteristic_edges(I):
+    # GF(2) makes negation the identity, 2^61 - 1 holds large residues
+    n = I.ring.nvars
+    orders = (degrevlex(n), lex(n))
+    for order, other in (orders, orders[::-1]):
+        gb = I.groebner(order)
+        plain = buchberger_dicts([g.coeffs for g in I.gens], order, use_criteria=False)
+        assert [g.coeffs for g in gb.elements] == plain
+        assert all(gb.reduce(g).is_zero() for g in I.gens)
+        if gb.lt_ideal().is_zero_dimensional():
+            assert I.groebner(other).change_order(order) == gb
 
 
 def test_normal_form_is_idempotent_and_linear(rxy):
