@@ -1,8 +1,10 @@
 """Buchberger's algorithm, reduced bases, and ideal arithmetic.
 
-The inner loop works on raw coefficients for speed, residues in [0, p)
-over GF(p) and `Fraction`s over QQ, against monic reducers; the public
-surface deals in `Polynomial` and `ReducedGB`.  Intermediate S-polynomial reductions
+The inner loop works on raw coefficients for speed: residues in [0, p)
+over GF(p), against monic reducers, and ints over QQ, against reducers
+scaled to coprime ints, by fraction-free steps that divide by the
+accumulated scale once, at the end.  The public surface deals in
+`Polynomial` and `ReducedGB`.  Intermediate S-polynomial reductions
 are top-reductions only; full tail reduction happens once, in the final
 interreduction pass, so the output is the unique reduced monic basis.
 """
@@ -11,8 +13,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from heapq import heappop, heappush
-from operator import add, le, sub
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, neg, sub
 
 from .errors import (
     InvariantViolation,
@@ -28,23 +31,44 @@ from .ring import Polynomial, PolyRing
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
 
-def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> dict:
-    """Remainder of f modulo monic reducers, a list of (lt, rest) with
-    `rest` the (exp, coeff) pairs below lt.  Coefficients are residues,
-    ints in [0, p), over GF(p), and `Fraction`s over QQ (p = 0).
+def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> tuple[dict, int]:
+    """Remainder of f modulo reducers, as `(r, s)` with s*f - r in the
+    ideal they generate.  A reducer `(lt, a, rest)` stands for
+    a*x^lt + rest, `rest` the (exp, coeff) pairs below lt.  Over GF(p)
+    coefficients are residues, ints in [0, p), every a is 1 and s is 1.
+    Over QQ (p = 0) they are ints, a > 0, and a step on a term with
+    coefficient c first multiplies the work and the remainder so far by
+    a / gcd(a, c); s is the product of those factors, so r / s is the
+    remainder by the monic reducers, along the same path.
 
+    The work's terms sit in a heap on their negated order keys.  A term
+    is pushed when it first appears; one cancelled and met again still
+    has its entry, since every new term lies below the one reduced.
     With tail=False, stop as soon as the leading term is irreducible.
-    Each term's ordering key is computed once and cached for the max scans.
     """
     work = dict(f)
-    keys = {t: okey(t) for t in work}
-    kget = keys.__getitem__
+    seen = set(work)
+    heap = [(tuple(map(neg, okey(t))), t) for t in work]
+    heapify(heap)
     out: dict = {}
-    while work:
-        t = max(work, key=kget)
-        c = work.pop(t)
-        for lt, rest in reducers:
+    scale = 1
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:  # cancelled
+            continue
+        for lt, a, rest in reducers:
             if all(map(le, lt, t)):
+                if a != 1:
+                    g = gcd(a, c)
+                    if g != a:
+                        k = a // g
+                        scale *= k
+                        for e in work:
+                            work[e] *= k
+                        for e in out:
+                            out[e] *= k
+                    c //= g
                 shift = tuple(map(sub, t, lt))
                 m = p - c if p else -c
                 for e2, c2 in rest:
@@ -52,8 +76,9 @@ def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> dict:
                     cur = work.get(key)
                     if cur is None:
                         work[key] = m * c2 % p if p else m * c2
-                        if key not in keys:
-                            keys[key] = okey(key)
+                        if key not in seen:
+                            seen.add(key)
+                            heappush(heap, (tuple(map(neg, okey(key))), key))
                     else:
                         val = (cur + m * c2) % p if p else cur + m * c2
                         if val:
@@ -65,8 +90,29 @@ def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> dict:
             out[t] = c
             if not tail:
                 out.update(work)
-                return out
-    return out
+                return out, scale
+    return out, scale
+
+
+def _integral(f: dict) -> tuple[dict, int]:
+    """`(F, d)` with F = d*f on ints, d the least common denominator of
+    f's coefficients, `Fraction`s or ints."""
+    d = lcm(*[c.denominator for c in f.values()])
+    return {e: c.numerator * (d // c.denominator) for e, c in f.items()}, d
+
+
+def _reducer(f: dict, lt: tuple, p: int) -> tuple:
+    """f, with leading term lt, in `_reduce_dict`'s reducer form
+    `(lt, a, rest)`: monic residues over GF(p); over QQ, f scaled to
+    coprime ints with a > 0."""
+    if p:
+        inv = pow(f[lt], -1, p)
+        return lt, 1, tuple([(e, c * inv % p) for e, c in f.items() if e != lt])
+    f, _ = _integral(f)
+    g = gcd(*f.values())
+    if f[lt] < 0:
+        g = -g
+    return lt, f[lt] // g, tuple([(e, c // g) for e, c in f.items() if e != lt])
 
 
 def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
@@ -79,23 +125,23 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     its pairs with the two are done (the chain criterion).  The first
     element found for each divisibility-minimal leading term is kept, with
     its tail fully reduced.  The work runs on `_reduce_dict`'s raw
-    coefficients, and each element is made monic once, when it is added.
+    coefficients, residues over GF(p) and ints over QQ: each element is
+    put in reducer form once, when it is added, and made monic field
+    elements again only at the end.
     """
     gens = [g for g in gens if g]
     # a GFElement carries its p, and a Fraction has no such attribute
     p = getattr(next(iter(gens[0].values())), "p", 0) if gens else 0
     okey = order.key
-    basis: list[tuple] = []  # (lt, rest), monic, the one reducer list
+    basis: list[tuple] = []  # (lt, a, rest), the one reducer list
     queue: list = []
 
     def insert(f: dict) -> None:
         lt = max(f, key=okey)
-        inv = pow(f[lt], -1, p) if p else 1 / f[lt]
-        for old, (old_lt, _) in enumerate(basis):
+        for old, (old_lt, _, _) in enumerate(basis):
             l = tlcm(old_lt, lt)
             heappush(queue, ((tdeg(l), okey(l)), len(basis), old, l))
-        rest = [(e, c * inv % p if p else c * inv) for e, c in f.items() if e != lt]
-        basis.append((lt, tuple(rest)))
+        basis.append(_reducer(f, lt, p))
 
     for g in gens:
         insert({e: c.val for e, c in g.items()} if p else g)
@@ -103,7 +149,7 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     while queue:
         _, j, i, l = heappop(queue)
         done.add((i, j))
-        (i_lt, i_rest), (j_lt, j_rest) = basis[i], basis[j]
+        (i_lt, i_a, i_rest), (j_lt, j_a, j_rest) = basis[i], basis[j]
         if use_criteria and (
             tcoprime(i_lt, j_lt)
             or any(
@@ -111,22 +157,27 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
                 and tdivides(lt, l)
                 and (min(i, k), max(i, k)) in done
                 and (min(j, k), max(j, k)) in done
-                for k, (lt, _) in enumerate(basis)
+                for k, (lt, _, _) in enumerate(basis)
             )
         ):
             continue
-        # the S-polynomial: the monic leading terms cancel at l
+        # the S-polynomial, scaled so that the leading terms cancel at l
+        # on ints: (j_a/g)*x^(l-i_lt)*f_i - (i_a/g)*x^(l-j_lt)*f_j
+        g = gcd(i_a, j_a)
+        i_m, j_m = j_a // g, i_a // g
         shift = tdiv(l, i_lt)
-        spoly = {tuple(map(add, e, shift)): c for e, c in i_rest}
+        spoly = {tuple(map(add, e, shift)): i_m * c for e, c in i_rest}
         shift = tdiv(l, j_lt)
         for e, c in j_rest:
             key = tuple(map(add, e, shift))
-            val = (spoly.get(key, 0) - c) % p if p else spoly.get(key, 0) - c
+            val = spoly.get(key, 0) - j_m * c
+            if p:
+                val %= p
             if val:
                 spoly[key] = val
             else:
                 del spoly[key]
-        r = _reduce_dict(spoly, basis, okey, p, tail=False)
+        r, _ = _reduce_dict(spoly, basis, okey, p, tail=False)
         if r:
             insert(r)
     # the first element found for each divisibility-minimal leading term
@@ -137,17 +188,22 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     kept = [element for lt, element in first.items() if lt in minimal]
     # no element reduces its own tail: every term met lies below its lt
     out = []
-    for lt, rest in sorted(kept, key=lambda element: okey(element[0])):
-        r = _reduce_dict(dict(rest), kept, okey, p)
-        r[lt] = 1 if p else Fraction(1)
-        out.append({e: GFElement(c, p) for e, c in r.items()} if p else r)
+    for lt, a, rest in sorted(kept, key=lambda element: okey(element[0])):
+        r, s = _reduce_dict(dict(rest), kept, okey, p)
+        if p:
+            r[lt] = 1
+            out.append({e: GFElement(c, p) for e, c in r.items()})
+        else:
+            r = {e: Fraction(c, s * a) for e, c in r.items()}
+            r[lt] = Fraction(1)
+            out.append(r)
     return out
 
 
 def kernel_poly(ring: PolyRing, coeffs: dict) -> Polynomial:
     """A polynomial from coefficients computed by `linalg` or
-    `_reduce_dict`, which are residues over GF(p) and field elements over
-    QQ."""
+    `ReducedGB.reduce`, which are residues over GF(p) and field elements
+    over QQ."""
     field = ring.field
     if field.characteristic:
         coeffs = {e: field.from_int(c) for e, c in coeffs.items()}
@@ -165,13 +221,8 @@ class ReducedGB:
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        p = ring.field.characteristic
-        self._reducers = []  # monic, in `_reduce_dict`'s form
-        for g in self.elements:
-            lt, _ = g.leading_term(order)
-            rest = [(e, c.val if p else c) for e, c in g.coeffs.items() if e != lt]
-            self._reducers.append((lt, tuple(rest)))
-        self.lt_exps = tuple(lt for lt, _ in self._reducers)
+        self.lt_exps = tuple(g.leading_term(order)[0] for g in self.elements)
+        self._reducers: list | None = None
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
 
@@ -188,9 +239,26 @@ class ReducedGB:
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
         p = self.ring.field.characteristic
-        coeffs = {e: c.val for e, c in f.coeffs.items()} if p else f.coeffs
-        r = _reduce_dict(coeffs, self._reducers, self.order.key, p)
+        if p:
+            coeffs, d = {e: c.val for e, c in f.coeffs.items()}, 1
+        else:
+            coeffs, d = _integral(f.coeffs)
+        r, s = _reduce_dict(coeffs, self._kernel_reducers(), self.order.key, p)
+        if not p:
+            r = {e: Fraction(c, s * d) for e, c in r.items()}
         return kernel_poly(self.ring, r)
+
+    def _kernel_reducers(self) -> list:
+        """The elements in `_reduce_dict`'s reducer form, built on the
+        first `reduce` or `nf_coords`: most bases, such as a flip's or an
+        ideal of points', never reduce."""
+        if self._reducers is None:
+            p = self.ring.field.characteristic
+            self._reducers = [
+                _reducer({e: c.val for e, c in g.coeffs.items()} if p else g.coeffs, lt, p)
+                for lt, g in zip(self.lt_exps, self.elements)
+            ]
+        return self._reducers
 
     def quotient_basis(self) -> tuple[tuple[int, ...], ...]:
         """The power products outside the leading-term ideal, ascending in
@@ -212,10 +280,9 @@ class ReducedGB:
             field = self.ring.field
             p = field.characteristic
             row = [0 if p else field.zero()] * len(self.quotient_basis())
-            one = 1 if p else field.one()
-            nf = _reduce_dict({exp: one}, self._reducers, self.order.key, p)
+            nf, s = _reduce_dict({exp: 1}, self._kernel_reducers(), self.order.key, p)
             for e, c in nf.items():
-                row[self._index[e]] = c
+                row[self._index[e]] = c if p else Fraction(c, s)
             vec = self._nf.setdefault(exp, tuple(row))
         return vec
 

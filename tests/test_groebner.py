@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -15,12 +16,13 @@ from gbfan import (
     deglex,
     degrevlex,
     divide_exact,
+    ideal_of_points,
     lex,
     matrix_order,
     weight_order,
 )
 from gbfan.errors import NotZeroDimensional, RingMismatch, ZeroIdealDivisor
-from gbfan.groebner import buchberger_dicts
+from gbfan.groebner import ReducedGB, buchberger_dicts
 from gbfan.random_ideals import random_point_set, random_zero_dim_ideal
 from gbfan.points import vanishing_ideal
 from gbfan.terms import term_str
@@ -166,16 +168,16 @@ def test_buchberger_work_is_pinned(record_calls, field, names, texts, counts):
         calls.clear()
         basis = buchberger_dicts(gens, order)
         pairs = [call for call in calls if not call["tail"]]
-        zeros = sum(1 for call in pairs if call["return"] == {})
+        zeros = sum(1 for call in pairs if call["return"][0] == {})
         assert (len(pairs), zeros, len(basis)) == counts[order.tag]
         assert basis == buchberger_dicts(gens, order, use_criteria=False)
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
 def test_buchberger_kernel_holds_residues(record_calls, field):
-    # Buchberger, ReducedGB.reduce and nf_coords reduce raw coefficients,
-    # ints in [0, p) over GF(p) and Fractions over QQ, by monic reducers
-    # (lt, rest) that carry no leading coefficient
+    # Buchberger, ReducedGB.reduce and nf_coords reduce raw ints by
+    # reducers (lt, a, rest): residues in [0, p) with a == 1 over GF(p),
+    # and over QQ ints with a > 0 and content 1, fraction-free
     import gbfan.groebner
 
     R = PolyRing(field, ("x", "y", "z"))
@@ -191,14 +193,39 @@ def test_buchberger_kernel_holds_residues(record_calls, field):
     assert 0 < built < reduced < len(calls)
 
     for call in calls:
-        values = list(call["f"].values()) + list(call["return"].values())
-        for lt, rest in call["reducers"]:
+        r, scale = call["return"]
+        values = list(call["f"].values()) + list(r.values())
+        for lt, a, rest in call["reducers"]:
             assert lt not in dict(rest)
+            assert type(a) is int and a > 0
+            assert gcd(a, *(c for _, c in rest)) == 1
+            assert a == 1 or not p
             values += [c for _, c in rest]
+        assert all(type(c) is int for c in values)
+        assert type(scale) is int and scale > 0 and (scale == 1 or not p)
         if p:
-            assert all(type(c) is int and 0 <= c < p for c in values)
-        else:
-            assert all(type(c) is Fraction for c in values)
+            assert all(0 <= c < p for c in values)
+    if not p:
+        assert any(a > 1 for call in calls for _, a, _ in call["reducers"])
+
+
+def test_reducers_are_built_on_first_use(record_calls):
+    # a basis builds its reducers on its first reduce or nf_coords, once; an
+    # ideal of points or an FGLM flip that never reduces builds none
+    import gbfan.groebner
+
+    R = qring("x", "y", "z")
+    built = record_calls(gbfan.groebner, "_reducer")
+    gb, _ = ideal_of_points(points(R, [(1, 2, 3), ("1/2", 7, -1), (0, 0, 0), (2, -3, 5)]))
+    assert built == []
+    flipped = gb.change_order(lex(3))
+    assert [call["lt"] for call in built] == list(gb.lt_exps)
+    built.clear()
+    f = R.parse("x^3*y - 2/3*z^2 + 5")
+    r = flipped.reduce(f)
+    assert [call["lt"] for call in built] == list(flipped.lt_exps)
+    assert flipped.reduce(f) == r and flipped.nf_coords((1, 1, 1))
+    assert len(built) == len(flipped)
 
 
 _FIELDS = [GF(2), GF(3), GF(32003), GF(2**61 - 1), QQ]
@@ -242,6 +269,78 @@ def test_buchberger_over_characteristic_edges(I):
         assert all(gb.reduce(g).is_zero() for g in I.gens)
         if gb.lt_ideal().is_zero_dimensional():
             assert I.groebner(other).change_order(order) == gb
+
+
+def _monic_remainder(f: dict, gb: ReducedGB) -> dict:
+    # the reference: plain reduction on Fractions by the monic elements
+    okey = gb.order.key
+    work, out = dict(f), {}
+    while work:
+        t = max(work, key=okey)
+        c = work.pop(t)
+        for g in gb.elements:
+            lt, _ = g.leading_term(gb.order)
+            if all(a <= b for a, b in zip(lt, t)):
+                shift = tuple(a - b for a, b in zip(t, lt))
+                for e, c2 in g.coeffs.items():
+                    key = tuple(a + b for a, b in zip(e, shift))
+                    if key != t:
+                        val = work.get(key, 0) - c * c2
+                        if val:
+                            work[key] = val
+                        else:
+                            del work[key]
+                break
+        else:
+            out[t] = c
+    return out
+
+
+# leading coefficients none of whose numerators divides another's
+_LEADS = [Fraction(2, 3), Fraction(5, 7), Fraction(-9, 4)]
+_TAILS = [Fraction(1, 3), Fraction(-7, 2), Fraction(3, 5), Fraction(11, 6), Fraction(-4)]
+
+
+@st.composite
+def _qq_zero_dim(draw):
+    # c*x_i^d plus terms of lower total degree for every i, so degree-first
+    # orders lead with x_i^d and the ideal is zero-dimensional; plus a
+    # sparse extra generator with non-integral coefficients
+    n = draw(st.integers(2, 3))
+    R = PolyRing(QQ, "xyz"[:n])
+    gens = []
+    for i in range(n):
+        d = draw(st.integers(1, 3))
+        lower = draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * n), max_size=3))
+        coeffs = {e: draw(st.sampled_from(_TAILS)) for e in lower if sum(e) < d}
+        coeffs[tuple(d if j == i else 0 for j in range(n))] = draw(st.sampled_from(_LEADS))
+        gens.append(R.poly(coeffs))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=3))
+    gens.append(R.poly({e: draw(st.sampled_from(_LEADS + _TAILS)) for e in extra}))
+    return Ideal(R, gens), draw(st.sampled_from([degrevlex(n), deglex(n)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qq_zero_dim())
+def test_fraction_free_reduction_is_exact_over_qq(case):
+    # the integer kernel scales by leading coefficients and divides once at
+    # the end; its bases and normal forms equal plain monic reduction's
+    I, order = case
+    R = I.ring
+    gb = I.groebner(order)
+    plain = buchberger_dicts([g.coeffs for g in I.gens], order, use_criteria=False)
+    assert [g.coeffs for g in gb.elements] == plain
+    # under lex, standard terms lie above reducible ones, so the remainder
+    # is scaled too
+    for basis in (gb, gb.change_order(lex(R.nvars))):
+        index = {t: i for i, t in enumerate(basis.quotient_basis())}
+        for exp in [(a, b, c)[: R.nvars] for a in range(4) for b in range(4) for c in range(2)]:
+            row = [Fraction(0)] * len(index)
+            for e, c in _monic_remainder({exp: Fraction(1)}, basis).items():
+                row[index[e]] = c
+            assert basis.nf_coords(exp) == tuple(row)
+        for f in list(I.gens) + [R.parse("x^3*y - 2/3*x*y^2 + 5/7*y^4 - 1/2")]:
+            assert basis.reduce(f).coeffs == _monic_remainder(f.coeffs, basis)
 
 
 def test_normal_form_is_idempotent_and_linear(rxy):
