@@ -1,11 +1,14 @@
 """Buchberger's algorithm, reduced bases, and ideal arithmetic.
 
-The inner loop works on raw coefficients for speed: residues in [0, p)
-over GF(p), against monic reducers, and ints over QQ, against reducers
-scaled to coprime ints, by fraction-free steps that divide by the
-accumulated scale once, at the end.  The public surface deals in
-`Polynomial` and `ReducedGB`.  Intermediate S-polynomial reductions
-are top-reductions only; full tail reduction happens once, in the final
+Like `linalg.basis_from_functionals`, the kernel takes the field's
+characteristic p and raw ints, and returns monic dicts: residues in
+[0, p) over GF(p), for any prime p, against monic reducers; over QQ
+(p = 0), ints against reducers scaled to coprime ints, by fraction-free
+steps that divide by the accumulated scale once, at the end, into
+`Fraction`s.  The public surface deals in `Polynomial` and `ReducedGB`:
+`_integral` unwraps coefficients on the way in, `kernel_poly` wraps them
+on the way out.  Intermediate S-polynomial reductions are
+top-reductions only; full tail reduction happens once, in the final
 interreduction pass, so the output is the unique reduced monic basis.
 """
 
@@ -23,7 +26,6 @@ from .errors import (
     RingMismatch,
     ZeroIdealDivisor,
 )
-from .field import GFElement
 from .linalg import basis_from_functionals, echelon_reduce
 from .monomials import MonomialIdeal, minimalize
 from .orderings import TermOrder, elimination_order
@@ -94,29 +96,35 @@ def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> tuple[di
     return out, scale
 
 
-def _integral(f: dict) -> tuple[dict, int]:
-    """`(F, d)` with F = d*f on ints, d the least common denominator of
-    f's coefficients, `Fraction`s or ints."""
+def _integral(f: dict, p: int) -> tuple[dict, int]:
+    """`(F, d)` with F = d*f on ints, for f's field elements over the
+    field of characteristic p: over GF(p) F holds the residues and d = 1;
+    over QQ d is the least common denominator of the `Fraction`s."""
+    if p:
+        return {e: c.val for e, c in f.items()}, 1
     d = lcm(*[c.denominator for c in f.values()])
     return {e: c.numerator * (d // c.denominator) for e, c in f.items()}, d
 
 
 def _reducer(f: dict, lt: tuple, p: int) -> tuple:
-    """f, with leading term lt, in `_reduce_dict`'s reducer form
-    `(lt, a, rest)`: monic residues over GF(p); over QQ, f scaled to
-    coprime ints with a > 0."""
+    """f, ints with leading term lt, in `_reduce_dict`'s reducer form
+    `(lt, a, rest)`: monic residues over GF(p); over QQ, f divided by its
+    content, with a > 0."""
     if p:
         inv = pow(f[lt], -1, p)
         return lt, 1, tuple([(e, c * inv % p) for e, c in f.items() if e != lt])
-    f, _ = _integral(f)
     g = gcd(*f.values())
     if f[lt] < 0:
         g = -g
     return lt, f[lt] // g, tuple([(e, c // g) for e, c in f.items() if e != lt])
 
 
-def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
-    """Reduced monic basis (as dicts) of the ideal the dicts generate.
+def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
+    """Reduced monic basis, as dicts, of the ideal the dicts of ints
+    generate over the field of characteristic p: residues mod p over
+    GF(p), for any prime p, or any integer multiples of the generators
+    over QQ (p = 0).  The elements come back sorted by increasing leading
+    term, as residues over GF(p) and as `Fraction`s over QQ.
 
     Each element, input or nonzero remainder, pairs with every earlier one.
     Pairs go by the total degree of their lcm, then by the ordering on it,
@@ -125,13 +133,9 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     its pairs with the two are done (the chain criterion).  The first
     element found for each divisibility-minimal leading term is kept, with
     its tail fully reduced.  The work runs on `_reduce_dict`'s raw
-    coefficients, residues over GF(p) and ints over QQ: each element is
-    put in reducer form once, when it is added, and made monic field
-    elements again only at the end.
+    coefficients: each element is put in reducer form once, when it is
+    added, and made monic only at the end.
     """
-    gens = [g for g in gens if g]
-    # a GFElement carries its p, and a Fraction has no such attribute
-    p = getattr(next(iter(gens[0].values())), "p", 0) if gens else 0
     okey = order.key
     basis: list[tuple] = []  # (lt, a, rest), the one reducer list
     queue: list = []
@@ -144,7 +148,8 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
         basis.append(_reducer(f, lt, p))
 
     for g in gens:
-        insert({e: c.val for e, c in g.items()} if p else g)
+        if g:
+            insert(g)
     done: set[tuple[int, int]] = set()
     while queue:
         _, j, i, l = heappop(queue)
@@ -190,20 +195,17 @@ def buchberger_dicts(gens, order: TermOrder, use_criteria: bool = True):
     out = []
     for lt, a, rest in sorted(kept, key=lambda element: okey(element[0])):
         r, s = _reduce_dict(dict(rest), kept, okey, p)
-        if p:
-            r[lt] = 1
-            out.append({e: GFElement(c, p) for e, c in r.items()})
-        else:
+        if not p:
             r = {e: Fraction(c, s * a) for e, c in r.items()}
-            r[lt] = Fraction(1)
-            out.append(r)
+        r[lt] = 1 if p else Fraction(1)
+        out.append(r)
     return out
 
 
 def kernel_poly(ring: PolyRing, coeffs: dict) -> Polynomial:
-    """A polynomial from coefficients computed by `linalg` or
-    `ReducedGB.reduce`, which are residues over GF(p) and field elements
-    over QQ."""
+    """A polynomial from coefficients computed by `linalg`,
+    `buchberger_dicts` or `ReducedGB.reduce`, which are residues over
+    GF(p) and field elements over QQ."""
     field = ring.field
     if field.characteristic:
         coeffs = {e: field.from_int(c) for e, c in coeffs.items()}
@@ -239,10 +241,7 @@ class ReducedGB:
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
         p = self.ring.field.characteristic
-        if p:
-            coeffs, d = {e: c.val for e, c in f.coeffs.items()}, 1
-        else:
-            coeffs, d = _integral(f.coeffs)
+        coeffs, d = _integral(f.coeffs, p)
         r, s = _reduce_dict(coeffs, self._kernel_reducers(), self.order.key, p)
         if not p:
             r = {e: Fraction(c, s * d) for e, c in r.items()}
@@ -255,7 +254,7 @@ class ReducedGB:
         if self._reducers is None:
             p = self.ring.field.characteristic
             self._reducers = [
-                _reducer({e: c.val for e, c in g.coeffs.items()} if p else g.coeffs, lt, p)
+                _reducer(_integral(g.coeffs, p)[0], lt, p)
                 for lt, g in zip(self.lt_exps, self.elements)
             ]
         return self._reducers
@@ -347,8 +346,9 @@ class Ideal:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        dicts = buchberger_dicts([g.coeffs for g in self.gens], order)
-        gb = ReducedGB(self.ring, order, [Polynomial(self.ring, d) for d in dicts])
+        p = self.ring.field.characteristic
+        dicts = buchberger_dicts([_integral(g.coeffs, p)[0] for g in self.gens], order, p)
+        gb = ReducedGB(self.ring, order, [kernel_poly(self.ring, d) for d in dicts])
         with self._lock:
             self._cache.setdefault(key, gb)
         return gb

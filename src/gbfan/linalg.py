@@ -13,8 +13,10 @@ vectors, rows and combinations hold plain ints in [0, p), and each new
 echelon row is scaled so that its pivot is 1, so a reduction step needs
 no division.  Over QQ (p = 0) they hold `Fraction`s and rows keep the
 scale they were reduced to: the canonical form of an ordering turns each
-row into a primitive integer vector, which keeps the row's sign.  Callers
-wrap residues back into field elements only where a polynomial is built.
+row into a primitive integer vector, which keeps the row's sign.
+`groebner.kernel_poly` wraps residues back into field elements where a
+polynomial is built, for all three basis builders: Buchberger, FGLM and
+Buchberger-Möller.
 
 `basis_from_functionals` runs that reduction over terms in increasing
 order.  It is Buchberger-Möller when a term's vector holds its values at

@@ -10,6 +10,7 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     DomainError,
+    FieldMismatch,
     ParseError,
     RingMismatch,
     ZeroPolynomial,
@@ -47,7 +48,11 @@ class PolyRing:
             raise ParseError(f"unknown variable {name!r}; ring has {self.vars}")
 
     def poly(self, coeffs: dict) -> "Polynomial":
-        """Build a polynomial, dropping zero coefficients."""
+        """Build a polynomial, dropping zero coefficients.  An int is mapped
+        into the field; any other coefficient must be the field's own
+        element, or FieldMismatch is raised."""
+        field = self.field
+        kind = type(field.zero())
         clean = {}
         n = self.nvars
         for exp, c in coeffs.items():
@@ -56,6 +61,10 @@ class PolyRing:
                 raise DimensionMismatch(f"exponent {exp} has wrong length")
             if any(e < 0 for e in exp):
                 raise ParseError(f"negative exponent in {exp}")
+            if isinstance(c, int):
+                c = field.from_int(c)
+            elif type(c) is not kind or (field.characteristic and c.p != field.characteristic):
+                raise FieldMismatch(f"{c!r} is not an element of {field}")
             if c:
                 clean[exp] = c
         return Polynomial(self, clean)
@@ -206,15 +215,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {e: v * c for e, v in self.coeffs.items()})
 
-    def term_multiple(self, exp: tuple[int, ...], c) -> "Polynomial":
-        """Multiply by the single term c * x^exp."""
-        if not c:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {tuple(a + b for a, b in zip(e, exp)): v * c for e, v in self.coeffs.items()},
-        )
-
     def evaluate(self, point) -> object:
         """Evaluate at a tuple of field elements."""
         field = self.ring.field
@@ -292,11 +292,6 @@ class LinearShift:
             raise DomainError("linear shift scales must be nonzero")
         self.scales = scales
         self.offsets = offsets
-
-    @classmethod
-    def identity(cls, ring: PolyRing) -> "LinearShift":
-        one, zero = ring.field.one(), ring.field.zero()
-        return cls((one,) * ring.nvars, (zero,) * ring.nvars)
 
     def inverse(self) -> "LinearShift":
         inv_scales = tuple(a ** (-1) for a in self.scales)

@@ -24,6 +24,7 @@ from gbfan import (
     weight_order,
 )
 from gbfan.cones import strict_positive_solution
+from gbfan.groebner import _integral
 from gbfan.linalg import primitive_vector
 
 
@@ -37,6 +38,12 @@ def fring(p, *names) -> PolyRing:
 
 def ideal(ring, *texts) -> Ideal:
     return Ideal.from_strings(ring, texts)
+
+
+def kernel_gens(ring, polys) -> list[dict]:
+    """Polynomials as `buchberger_dicts` takes them: dicts of ints,
+    residues over GF(p) and integer multiples over QQ."""
+    return [_integral(f.coeffs, ring.field.characteristic)[0] for f in polys]
 
 
 def points(ring, coords) -> PointSet:

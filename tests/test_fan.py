@@ -30,7 +30,7 @@ from gbfan.errors import (
 from gbfan.random_ideals import random_zero_dim_ideal, random_zero_dim_monomial_ideal
 from gbfan.terms import term_str
 
-from conftest import fring, ideal, points, qring, weight_refinement
+from conftest import fring, ideal, kernel_gens, points, qring, weight_refinement
 
 
 def test_principal_binomial_two_cones(rxy):
@@ -221,9 +221,9 @@ def test_concurrent_change_order_on_one_basis():
             results = list(pool.map(start.change_order, orders, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    gens = [g.coeffs for g in I.gens]
+    gens = kernel_gens(I.ring, I.gens)
     for order, gb in zip(orders, results):
-        dicts = buchberger_dicts(gens, order)
+        dicts = buchberger_dicts(gens, order, 0)
         assert gb.elements == tuple(Polynomial(I.ring, d) for d in dicts)
 
 

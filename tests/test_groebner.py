@@ -22,12 +22,12 @@ from gbfan import (
     weight_order,
 )
 from gbfan.errors import NotZeroDimensional, RingMismatch, ZeroIdealDivisor
-from gbfan.groebner import ReducedGB, buchberger_dicts
+from gbfan.groebner import ReducedGB, buchberger_dicts, kernel_poly
 from gbfan.random_ideals import random_point_set, random_zero_dim_ideal
 from gbfan.points import vanishing_ideal
 from gbfan.terms import term_str
 
-from conftest import fring, ideal, points, qring
+from conftest import fring, ideal, kernel_gens, points, qring
 
 
 def lac_ideal():
@@ -105,8 +105,8 @@ def test_spolys_reduce_to_zero(rxy):
                 ei, ci = els[i].leading_term(o)
                 ej, cj = els[j].leading_term(o)
                 lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-                si = els[i].term_multiple(tuple(a - b for a, b in zip(lcm, ei)), ci ** (-1))
-                sj = els[j].term_multiple(tuple(a - b for a, b in zip(lcm, ej)), cj ** (-1))
+                si = els[i] * rxy.poly({tuple(a - b for a, b in zip(lcm, ei)): ci ** (-1)})
+                sj = els[j] * rxy.poly({tuple(a - b for a, b in zip(lcm, ej)): cj ** (-1)})
                 assert gb.reduce(si - sj).is_zero()
 
 
@@ -116,7 +116,7 @@ def test_criteria_do_not_change_output(rxy):
         I = random_zero_dim_ideal(rng, rxy, max_mult=7)
         o = rng.choice([lex(2), degrevlex(2)])
         with_criteria = I.groebner(o)
-        plain = buchberger_dicts([g.coeffs for g in I.gens], o, use_criteria=False)
+        plain = buchberger_dicts(kernel_gens(rxy, I.gens), o, 0, use_criteria=False)
         assert [g.coeffs for g in with_criteria.elements] == plain
 
 
@@ -162,15 +162,49 @@ def test_buchberger_work_is_pinned(record_calls, field, names, texts, counts):
     import gbfan.groebner
 
     R = PolyRing(field, list(names))
-    gens = [R.parse(t).coeffs if t else {} for t in texts]
+    p = field.characteristic
+    gens = kernel_gens(R, [R.parse(t) if t else R.zero() for t in texts])
     calls = record_calls(gbfan.groebner, "_reduce_dict")
     for order in (degrevlex(len(names)), lex(len(names))):
         calls.clear()
-        basis = buchberger_dicts(gens, order)
+        basis = buchberger_dicts(gens, order, p)
         pairs = [call for call in calls if not call["tail"]]
         zeros = sum(1 for call in pairs if call["return"][0] == {})
         assert (len(pairs), zeros, len(basis)) == counts[order.tag]
-        assert basis == buchberger_dicts(gens, order, use_criteria=False)
+        assert basis == buchberger_dicts(gens, order, p, use_criteria=False)
+
+
+@pytest.mark.parametrize("m", [2**61 - 1, 2**127 - 1])
+@pytest.mark.parametrize(
+    "names, texts",
+    [
+        pytest.param(
+            "xyzw",
+            ["x + 2*y + 2*z + 2*w - 1", "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
+             "2*x*y + 2*y*z + 2*z*w - y", "2*x*z + y^2 + 2*y*w - z"],
+            id="katsura3",
+        ),
+        pytest.param(
+            "xyz",
+            ["2/3*x^2*y + 1/3*y*z - 4", "5/7*x*y^2 + 11/6*x - 7/2*z",
+             "-9/4*z^2 + 3/5*x*y + 1/3*x"],
+            id="fracs",
+        ),
+    ],
+)
+def test_buchberger_kernel_runs_modulo_any_prime(names, texts, m):
+    # the kernel takes p, so it runs modulo primes past GF(p)'s 2^64 bound;
+    # for these primes its basis of the residues is the QQ basis mod m
+    R = PolyRing(QQ, list(names))
+    order = degrevlex(len(names))
+
+    def residues(coeffs):
+        return {e: c.numerator * pow(c.denominator, -1, m) % m for e, c in coeffs.items()}
+
+    gens = [residues(R.parse(t).coeffs) for t in texts]
+    want = [residues(g.coeffs) for g in Ideal.from_strings(R, texts).groebner(order)]
+    assert buchberger_dicts(gens, order, m) == want
+    assert buchberger_dicts(gens, order, m, use_criteria=False) == want
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
@@ -260,12 +294,12 @@ def _systems(draw):
 @given(_systems())
 def test_buchberger_over_characteristic_edges(I):
     # GF(2) makes negation the identity, 2^61 - 1 holds large residues
-    n = I.ring.nvars
+    n, p = I.ring.nvars, I.ring.field.characteristic
     orders = (degrevlex(n), lex(n))
     for order, other in (orders, orders[::-1]):
         gb = I.groebner(order)
-        plain = buchberger_dicts([g.coeffs for g in I.gens], order, use_criteria=False)
-        assert [g.coeffs for g in gb.elements] == plain
+        plain = buchberger_dicts(kernel_gens(I.ring, I.gens), order, p, use_criteria=False)
+        assert list(gb.elements) == [kernel_poly(I.ring, d) for d in plain]
         assert all(gb.reduce(g).is_zero() for g in I.gens)
         if gb.lt_ideal().is_zero_dimensional():
             assert I.groebner(other).change_order(order) == gb
@@ -328,7 +362,7 @@ def test_fraction_free_reduction_is_exact_over_qq(case):
     I, order = case
     R = I.ring
     gb = I.groebner(order)
-    plain = buchberger_dicts([g.coeffs for g in I.gens], order, use_criteria=False)
+    plain = buchberger_dicts(kernel_gens(R, I.gens), order, 0, use_criteria=False)
     assert [g.coeffs for g in gb.elements] == plain
     # under lex, standard terms lie above reducible ones, so the remainder
     # is scaled too

@@ -1,11 +1,12 @@
 """Polynomials: parsing, printing, leading terms, shifts, factor-closed."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from gbfan import GF, QQ, LinearShift, PolyRing, deglex, degrevlex, lex, matrix_order
-from gbfan.errors import ParseError, RingMismatch, ZeroPolynomial
+from gbfan import GF, QQ, Ideal, LinearShift, PolyRing, deglex, degrevlex, lex, matrix_order
+from gbfan.errors import FieldMismatch, ParseError, RingMismatch, ZeroPolynomial
 from gbfan.random_ideals import random_linear_shift
 
 from conftest import fring, qring
@@ -39,6 +40,30 @@ def test_print_gf_residues():
     # -1 normalizes to 2 and prints with plus separators only
     f = R.parse("y^2 - x*y - y")
     assert f.to_str(lex(2)) == "2*x*y + y^2 + 2*y"
+
+
+def test_int_coefficients_map_into_the_field():
+    # a GF(5) ideal gets a GF(5) basis, and QQ arithmetic stays exact
+    R = PolyRing(GF(5), "xy")
+    gb = Ideal(R, [R.poly({(1, 0): 3, (0, 0): 1})]).groebner()
+    assert gb.elements == (R.parse("x + 2"),)
+    assert R.const(7) == R.parse("2") and R.poly({(1, 0): 5}).is_zero()
+    f = PolyRing(QQ, "xy").poly({(1, 0): 3, (0, 0): 1}).monic(degrevlex(2))
+    assert f.coeffs == {(1, 0): 1, (0, 0): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in f.coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "field, c",
+    [(QQ, 0.5), (GF(5), Fraction(1, 2)), (GF(5), GF(7).one()), (QQ, GF(7).one())],
+    ids=["float", "fraction-in-gf", "other-prime", "gf-in-qq"],
+)
+def test_foreign_coefficients_are_rejected(field, c):
+    R = PolyRing(field, "xy")
+    with pytest.raises(FieldMismatch):
+        R.poly({(1, 0): c})
+    with pytest.raises(FieldMismatch):
+        R.const(c)
 
 
 def test_parse_rejects_implicit_products(rxy):
@@ -130,7 +155,7 @@ def test_linear_shift_expansion(rxy):
     assert shift.apply(rxy.parse("x^2")) == rxy.parse("x^2 + 2*x + 1")
     f = rxy.parse("x^2 + x*y + y^2")
     assert shift.apply(f) == rxy.parse("(x+1)^2 + (x+1)*(y-2) + (y-2)^2")
-    ident = LinearShift.identity(rxy)
+    ident = LinearShift((one, one), (QQ.zero(), QQ.zero()))
     assert ident.apply(f) == f
 
 
