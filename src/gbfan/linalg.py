@@ -11,12 +11,16 @@ tracked.
 Every routine takes the field's characteristic ``p``.  Over GF(p) (p > 0)
 vectors, rows and combinations hold plain ints in [0, p), and each new
 echelon row is scaled so that its pivot is 1, so a reduction step needs
-no division.  Over QQ (p = 0) they hold `Fraction`s and rows keep the
-scale they were reduced to: the canonical form of an ordering turns each
-row into a primitive integer vector, which keeps the row's sign.
-`groebner.kernel_poly` wraps residues back into field elements where a
-polynomial is built, for all three basis builders: Buchberger, FGLM and
-Buchberger-Möller.
+no division.  Over QQ (p = 0) the reduction is fraction-free (Bareiss
+1968): an input vector is cleared of denominators, a row and its
+combination hold ints with no common factor, and the row is a positive
+multiple of the row that elimination over `Fraction`s would keep.  It
+keeps that row's sign, so the canonical form of an ordering reads its
+primitive integer rows directly.  Only a relation, the combination of a
+vector that reduces to zero, comes back in `Fraction`s, divided once by
+its term's coefficient.  `groebner.kernel_poly` wraps residues back into
+field elements where a polynomial is built, for all three basis builders:
+Buchberger, FGLM and Buchberger-Möller.
 
 `basis_from_functionals` runs that reduction over terms in increasing
 order.  It is Buchberger-Möller when a term's vector holds its values at
@@ -35,35 +39,61 @@ from math import gcd, isqrt, lcm
 
 def echelon_reduce(rows, vec, p, term=None):
     """Reduce vec against echelon rows ``(pivot, row, row_rep)`` over the
-    field of characteristic p: residues mod p when p > 0, `Fraction`s when
+    field of characteristic p: residues mod p when p > 0, rationals when
     p = 0.
 
     Returns ``(pivot, reduced, rep)``: the first nonzero index of the
     reduced vector (None when vec lies in the span of the rows), the
     reduced vector, and rep, the combination vec stands for.  When a term
-    is given, rep starts as that term with coefficient 1 and is updated
-    alongside the vector; otherwise rep is None.  When the vector reduces
-    to zero, rep is the relation that the rows' combinations satisfy.
+    is given, rep starts as that term and is updated alongside the vector;
+    otherwise rep is None.  When the vector reduces to zero, rep is the
+    relation that the rows' combinations satisfy, with coefficient 1 on
+    the term.
+
     Over GF(p) every row must have pivot 1, so a step subtracts vec[pivot]
     times the row with no division; a nonzero result is scaled, rep with
-    it, to pivot 1, the form in which it joins the rows.  Over QQ rows keep
-    their scale.
+    it, to pivot 1, the form in which it joins the rows.
+
+    Over QQ vec may hold ints or `Fraction`s; rows, their combinations and
+    a nonzero result hold ints.  vec is scaled by the least common
+    denominator d of its entries and rep starts as the term with
+    coefficient d.  A step on a row with pivot entry r, where vec holds c
+    and g = gcd(c, r), is fraction-free: vec becomes
+    ``(|r|/g)·vec - sign(r)·(c/g)·row``, and rep the same.  A nonzero
+    result is divided, rep with it, by their joint content, so it is a
+    positive multiple of the vector that elimination over `Fraction`s
+    would give, and primitive when no term is tracked.  A relation is
+    divided once by its term's coefficient and comes back in `Fraction`s.
     """
-    rep = None if term is None else {term: 1 if p else Fraction(1)}
+    if p:
+        rep = None if term is None else {term: 1}
+    else:
+        d = lcm(*[x.denominator for x in vec])
+        vec = [x.numerator * (d // x.denominator) for x in vec]
+        rep = None if term is None else {term: d}
     for pivot, row, row_rep in rows:
         c = vec[pivot]
         if not c:
             continue
         if p:
-            f = c
-            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+            a, b = 1, c
+            vec = [(x - b * y) % p for x, y in zip(vec, row)]
         else:
-            f = c / row[pivot]
-            vec = [a - f * b for a, b in zip(vec, row)]
+            r = row[pivot]
+            g = gcd(c, r)
+            a, b = abs(r) // g, c // g
+            if r < 0:
+                b = -b
+            if a == 1:
+                vec = [x - b * y for x, y in zip(vec, row)]
+            else:
+                vec = [a * x - b * y for x, y in zip(vec, row)]
         if rep is not None:
+            if a != 1:
+                rep = {e: a * x for e, x in rep.items()}
             for e, coef in row_rep.items():
                 cur = rep.get(e)
-                val = -(f * coef) if cur is None else cur - f * coef
+                val = -(b * coef) if cur is None else cur - b * coef
                 if p:
                     val %= p
                 if val:
@@ -71,11 +101,22 @@ def echelon_reduce(rows, vec, p, term=None):
                 elif cur is not None:
                     del rep[e]
     pivot = next((i for i, x in enumerate(vec) if x), None)
-    if p and pivot is not None and vec[pivot] != 1:
-        inv = pow(vec[pivot], -1, p)
-        vec = [a * inv % p for a in vec]
+    if p:
+        if pivot is not None and vec[pivot] != 1:
+            inv = pow(vec[pivot], -1, p)
+            vec = [x * inv % p for x in vec]
+            if rep is not None:
+                rep = {e: x * inv % p for e, x in rep.items()}
+    elif pivot is None:
         if rep is not None:
-            rep = {e: c * inv % p for e, c in rep.items()}
+            s = rep[term]
+            rep = {e: Fraction(x, s) for e, x in rep.items()}
+    else:
+        g = gcd(*vec) if rep is None else gcd(*vec, *rep.values())
+        if g > 1:
+            vec = [x // g for x in vec]
+            if rep is not None:
+                rep = {e: x // g for e, x in rep.items()}
     return pivot, vec, rep
 
 

@@ -7,12 +7,11 @@ that the first nonzero entry of every column (read top-down) is positive.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
 from .errors import DimensionMismatch, InvalidOrdering
-from .linalg import echelon_reduce, primitive_vector
+from .linalg import echelon_reduce
 
 
 class TermOrder:
@@ -62,10 +61,10 @@ class TermOrder:
             echelon: list = []
             out: list[tuple[int, ...]] = []
             for row in self.rows:
-                pivot, vec, _ = echelon_reduce(echelon, [Fraction(x) for x in row], 0)
+                pivot, vec, _ = echelon_reduce(echelon, row, 0)
                 if pivot is not None:
                     echelon.append((pivot, vec, None))
-                    out.append(primitive_vector(vec))
+                    out.append(tuple(vec))
                     if len(out) == self.nvars:
                         break
             self._canon = tuple(out)

@@ -12,7 +12,6 @@ Robbiano, "Computing ideals of points", 2000).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
@@ -105,7 +104,7 @@ def _evaluation_kernel(order: TermOrder, m: int, points):
     """`basis_from_functionals` on the evaluation vectors of points whose
     coordinates are residues mod the prime m, or rationals when m = 0."""
     coord_vecs = list(zip(*points))
-    ones = (1 if m else Fraction(1),) * len(points)
+    ones = (1,) * len(points)
 
     def evaluations(t, below, i):
         if below is None:
@@ -119,8 +118,8 @@ def _evaluation_kernel(order: TermOrder, m: int, points):
 
 # Primes for Buchberger-Möller over QQ, tried in turn: each lifts
 # numerators and denominators about twice as long as the one before, up to
-# 127 bits.  Past them the Fraction kernel runs: a larger prime's run costs
-# a growing share of it and is lost whenever that prime falls short too.
+# 127 bits.  Past them the exact kernel runs: a larger prime's run would
+# cost more than it and be lost whenever that prime falls short too.
 _LADDER = (2**61 - 1, 2**127 - 1, 2**255 - 19)
 
 
@@ -132,7 +131,7 @@ def _rational_kernel(order: TermOrder, points):
     short) or when a coefficient has no rational reconstruction.  Otherwise
     the lifted basis is returned if `_certified` accepts it, so a prime can
     cost a run but never a wrong basis.  After the last prime comes the
-    exact kernel on `Fraction`s, so the ladder always ends.
+    exact kernel over QQ, so the ladder always ends.
     """
     for m in _LADDER:
         if any(c.denominator % m == 0 for pt in points for c in pt):

@@ -120,10 +120,12 @@ def test_three_routes_agree_on_point_ideals(pts):
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
-def test_kernel_holds_residues_over_gf_p_and_fractions_over_qq(record_calls, field):
+def test_kernel_holds_residues_over_gf_p_and_ints_over_qq(record_calls, field):
     # Buchberger-Möller runs on ints in [0, m) with pivot-1 rows, for m = p
-    # over GF(p) and for a prime of the ladder over QQ; FGLM and the cached
-    # normal forms hold residues mod p over GF(p) and Fractions over QQ
+    # over GF(p) and for a prime of the ladder over QQ.  FGLM holds residues
+    # mod p over GF(p); over QQ its rows and their combinations are ints,
+    # while its input (the cached normal forms) and the relations it
+    # returns are Fractions
     R = PolyRing(field, ("x", "y", "z"))
     p = field.characteristic
     calls = record_calls(gbfan.linalg, "echelon_reduce")
@@ -133,29 +135,37 @@ def test_kernel_holds_residues_over_gf_p_and_fractions_over_qq(record_calls, fie
     assert 0 < built < len(calls)
 
     def entries(call):
+        # (int entries, entries that are Fractions over QQ)
         pivot, reduced, rep = call["return"]
         if call["p"] and pivot is not None:
             assert reduced[pivot] == 1
-        yield from call["vec"]
-        yield from reduced
-        yield from rep.values()
+        ints = list(reduced)
         for _, row, row_rep in call["rows"]:
-            yield from row
-            yield from row_rep.values()
+            ints += row
+            ints += row_rep.values()
+        fractions = list(call["vec"])
+        (fractions if pivot is None else ints).extend(rep.values())
+        return ints, fractions
 
     moduli = {call["p"] for call in calls[:built]}
     assert moduli == {p} if p else moduli <= set(gbfan.points._LADDER)
     for call in calls[:built]:
         m = call["p"]
-        assert all(type(a) is int and 0 <= a < m for a in entries(call))
+        ints, fractions = entries(call)
+        assert all(type(a) is int and 0 <= a < m for a in ints + fractions)
 
     assert {call["p"] for call in calls[built:]} == {p}
-    values = [a for call in calls[built:] for a in entries(call)]
-    values += [a for t in gb.quotient_basis() for a in gb.nf_coords(t)]
+    assert any(call["return"][0] is None for call in calls[built:])
+    ints, fractions = [], [a for t in gb.quotient_basis() for a in gb.nf_coords(t)]
+    for call in calls[built:]:
+        call_ints, call_fractions = entries(call)
+        ints += call_ints
+        fractions += call_fractions
     if p:
-        assert all(type(a) is int and 0 <= a < p for a in values)
+        assert all(type(a) is int and 0 <= a < p for a in ints + fractions)
     else:
-        assert all(type(a) is Fraction for a in values)
+        assert ints and all(type(a) is int for a in ints)
+        assert all(type(a) is Fraction for a in fractions)
 
 
 def _exact_kernel(pts, order):
