@@ -25,16 +25,14 @@ Buchberger, FGLM and Buchberger-Möller.
 `basis_from_functionals` runs that reduction over terms in increasing
 order.  It is Buchberger-Möller when a term's vector holds its values at
 points, and FGLM (Faugère-Gianni-Lazard-Mora) when the vector holds its
-normal-form coordinates modulo a known zero-dimensional basis.  A result
-computed modulo a large prime is lifted back to QQ by
-`rational_reconstruct`.
+normal-form coordinates modulo a known zero-dimensional basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 def echelon_reduce(rows, vec, p, term=None):
@@ -183,24 +181,3 @@ def primitive_vector(vec) -> tuple[int, ...]:
         return tuple(x // g for x in vec)
     return tuple(vec)
 
-
-def rational_reconstruct(a, m):
-    """The fraction r/s congruent to a modulo m with |r|, s <= sqrt(m/2) and
-    gcd(r, s) = 1, or None when there is none.
-
-    Wang's half-extended Euclidean algorithm: run Euclid on (m, a) and stop
-    at the first remainder within the bound.  Since 2 * bound^2 < m, at
-    most one fraction within the bound has residue a, and when it exists
-    the stopping remainder and its cofactor are it (Wang, Guy and
-    Davenport 1982).
-    """
-    bound = isqrt(m // 2)
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)

@@ -3,17 +3,16 @@
 The vanishing ideal of a finite point set comes from the Buchberger-Möller
 elimination: `linalg.basis_from_functionals` reduces the evaluation vectors
 of terms, taken in increasing order, and produces the reduced basis and the
-quotient basis in one pass.  It runs on residues: modulo p over GF(p), and
-over QQ modulo one large prime at a time, lifted back by rational
-reconstruction and certified exactly over QQ (Abbott, Bigatti, Kreuzer and
-Robbiano, "Computing ideals of points", 2000).
+quotient basis in one pass.  It runs on residues modulo p over GF(p), and
+fraction-free on integers over QQ, where exact elimination gives the reduced
+basis with no certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from .errors import (
     CharacteristicTooSmall,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .field import PrimeField, nat_embed
 from .groebner import Ideal, ReducedGB, kernel_poly
-from .linalg import basis_from_functionals, rational_reconstruct
+from .linalg import basis_from_functionals
 from .monomials import MonomialIdeal
 from .orderings import TermOrder
 from .ring import LinearShift, Polynomial, PolyRing
@@ -79,9 +78,9 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     vector of x_i*t is the vector of t times the i-th coordinate column, so
     each term costs one product per point and only the vectors of terms
     not yet taken are held.  Over GF(p) the vectors hold the coordinates'
-    residues.  Over QQ they hold residues modulo a large prime, and the
-    basis is lifted back by rational reconstruction and returned only once
-    an exact check over QQ certifies it; see `_rational_kernel`.
+    residues.  Over QQ they hold ints and `Fraction`s, and the kernel
+    eliminates fraction-free; an integral coordinate enters as an int, so
+    the vectors of a set of integer points hold only ints.
     """
     if not pts.points:
         raise EmptyPointSet("ideal of points needs at least one point")
@@ -89,20 +88,21 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     if order is None:
         order = ring.default_order()
     p = ring.field.characteristic
-    if p:
-        residues = []
-        for pt in pts.points:
-            residues.append(tuple(c.val for c in pt))
-        elements, quotient = _evaluation_kernel(order, p, residues)
-    else:
-        elements, quotient = _rational_kernel(order, pts.points)
+    coords = []
+    for pt in pts.points:
+        if p:
+            coords.append(tuple(c.val for c in pt))
+        else:
+            coords.append(tuple(c.numerator if c.denominator == 1 else c for c in pt))
+    elements, quotient = _evaluation_kernel(order, p, coords)
     gb = ReducedGB(ring, order, [kernel_poly(ring, d) for d in elements])
     return gb, quotient
 
 
 def _evaluation_kernel(order: TermOrder, m: int, points):
     """`basis_from_functionals` on the evaluation vectors of points whose
-    coordinates are residues mod the prime m, or rationals when m = 0."""
+    coordinates are residues mod the prime m, or ints and `Fraction`s when
+    m = 0."""
     coord_vecs = list(zip(*points))
     ones = (1,) * len(points)
 
@@ -114,109 +114,6 @@ def _evaluation_kernel(order: TermOrder, m: int, points):
         return tuple(a * b for a, b in zip(below, coord_vecs[i]))
 
     return basis_from_functionals(order, m, evaluations)
-
-
-# Primes for Buchberger-Möller over QQ, tried in turn: each lifts
-# numerators and denominators about twice as long as the one before, up to
-# 127 bits.  Past them the exact kernel runs: a larger prime's run would
-# cost more than it and be lost whenever that prime falls short too.
-_LADDER = (2**61 - 1, 2**127 - 1, 2**255 - 19)
-
-
-def _rational_kernel(order: TermOrder, points):
-    """Buchberger-Möller over QQ by residues modulo the primes of _LADDER.
-
-    A prime is skipped when it divides a coordinate's denominator; its run
-    is dropped when two points meet modulo it (the quotient basis comes out
-    short) or when a coefficient has no rational reconstruction.  Otherwise
-    the lifted basis is returned if `_certified` accepts it, so a prime can
-    cost a run but never a wrong basis.  After the last prime comes the
-    exact kernel over QQ, so the ladder always ends.
-    """
-    for m in _LADDER:
-        if any(c.denominator % m == 0 for pt in points for c in pt):
-            continue
-        residues = []
-        for pt in points:
-            residues.append(
-                tuple(c.numerator * pow(c.denominator, -1, m) % m for c in pt)
-            )
-        elements, quotient = _evaluation_kernel(order, m, residues)
-        if len(quotient) < len(points):
-            continue
-        lifted = _lift(elements, m)
-        if lifted is not None and _certified(order, lifted, quotient, points):
-            return lifted, quotient
-    return _evaluation_kernel(order, 0, points)
-
-
-def _lift(elements, m: int):
-    """The elements with every residue mod m rationally reconstructed, or
-    None when one coefficient has no reconstruction."""
-    lifted = []
-    for g in elements:
-        h = {}
-        for t, c in g.items():
-            q = rational_reconstruct(c, m)
-            if q is None:
-                return None
-            h[t] = q
-        lifted.append(h)
-    return lifted
-
-
-def _certified(order: TermOrder, elements, quotient, points) -> bool:
-    """Whether lifted Buchberger-Möller elements are the reduced basis of
-    the vanishing ideal of `points`, over QQ, whatever prime they came from.
-
-    The checks: every element is monic, all of its terms but the leading
-    one lie in the quotient basis Q, and it vanishes at every point.  The
-    run that made the elements leads each one with a term outside Q, so the
-    leading terms are the run's.  By construction Q is an order ideal of
-    len(points) terms and every x_i*q (q in Q) lies in Q or is a multiple
-    of a leading term, so every term outside Q is such a multiple.  The
-    elements then span an ideal inside the vanishing ideal whose quotient
-    has dimension at most |Q|, which is the vanishing ideal's, so the two
-    ideals are equal and the elements are its reduced basis.
-    """
-    # the kernel only makes monic elements with tails in Q; these two checks
-    # keep the proof whole should it ever change
-    okey = order.key
-    in_quotient = set(quotient)
-    for g in elements:
-        lead = max(g, key=okey)
-        if g[lead] != 1:
-            return False
-        if any(t not in in_quotient for t in g if t != lead):
-            return False
-    return _vanishes(elements, points)
-
-
-def _vanishes(elements, points) -> bool:
-    """Whether every element (term -> Fraction) is zero at every point,
-    checked in integers.
-
-    Scaled by the common denominator s of its coefficients, an element g
-    has integer coefficients a_e.  A point with denominator d (the lcm of
-    its coordinates' denominators) is z/d for an integer vector z, and
-    with D the largest total degree of any element, s * d^D * g(z/d) is the
-    integer sum of a_e * z^e * d^(D - |e|).
-    """
-    degree = max(sum(t) for g in elements for t in g)
-    terms = {t for g in elements for t in g}
-    scaled = []
-    for g in elements:
-        den = lcm(*(c.denominator for c in g.values()))
-        scaled.append([(t, c.numerator * den // c.denominator) for t, c in g.items()])
-    for pt in points:
-        d = lcm(*(c.denominator for c in pt))
-        z = [c.numerator * (d // c.denominator) for c in pt]
-        d_powers = [d**k for k in range(degree + 1)]
-        values = {t: prod(map(pow, z, t)) * d_powers[degree - sum(t)] for t in terms}
-        for g in scaled:
-            if sum(a * values[t] for t, a in g):
-                return False
-    return True
 
 
 def vanishing_ideal(pts: PointSet) -> Ideal:

@@ -121,11 +121,11 @@ def test_three_routes_agree_on_point_ideals(pts):
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
 def test_kernel_holds_residues_over_gf_p_and_ints_over_qq(record_calls, field):
-    # Buchberger-Möller runs on ints in [0, m) with pivot-1 rows, for m = p
-    # over GF(p) and for a prime of the ladder over QQ.  FGLM holds residues
-    # mod p over GF(p); over QQ its rows and their combinations are ints,
-    # while its input (the cached normal forms) and the relations it
-    # returns are Fractions
+    # Over GF(p) Buchberger-Möller and FGLM run on ints in [0, p) with
+    # pivot-1 rows.  Over QQ both run the exact kernel (p = 0): rows, their
+    # combinations and nonzero results are ints, and relations come back in
+    # Fractions.  The evaluation vectors of integer points hold ints, while
+    # FGLM's input, the cached normal forms, holds Fractions
     R = PolyRing(field, ("x", "y", "z"))
     p = field.characteristic
     calls = record_calls(gbfan.linalg, "echelon_reduce")
@@ -134,42 +134,39 @@ def test_kernel_holds_residues_over_gf_p_and_ints_over_qq(record_calls, field):
     gb.change_order(lex(3))
     assert 0 < built < len(calls)
 
-    def entries(call):
-        # (int entries, entries that are Fractions over QQ)
-        pivot, reduced, rep = call["return"]
-        if call["p"] and pivot is not None:
-            assert reduced[pivot] == 1
-        ints = list(reduced)
-        for _, row, row_rep in call["rows"]:
-            ints += row
-            ints += row_rep.values()
-        fractions = list(call["vec"])
-        (fractions if pivot is None else ints).extend(rep.values())
-        return ints, fractions
+    def entries(calls):
+        # (input vectors, int entries, relation coefficients)
+        vecs, ints, relations = [], [], []
+        for call in calls:
+            pivot, reduced, rep = call["return"]
+            if call["p"] and pivot is not None:
+                assert reduced[pivot] == 1
+            vecs += call["vec"]
+            ints += reduced
+            for _, row, row_rep in call["rows"]:
+                ints += row
+                ints += row_rep.values()
+            (ints if pivot is not None else relations).extend(rep.values())
+        return vecs, ints, relations
 
-    moduli = {call["p"] for call in calls[:built]}
-    assert moduli == {p} if p else moduli <= set(gbfan.points._LADDER)
-    for call in calls[:built]:
-        m = call["p"]
-        ints, fractions = entries(call)
-        assert all(type(a) is int and 0 <= a < m for a in ints + fractions)
-
-    assert {call["p"] for call in calls[built:]} == {p}
-    assert any(call["return"][0] is None for call in calls[built:])
-    ints, fractions = [], [a for t in gb.quotient_basis() for a in gb.nf_coords(t)]
-    for call in calls[built:]:
-        call_ints, call_fractions = entries(call)
-        ints += call_ints
-        fractions += call_fractions
+    assert {call["p"] for call in calls} == {p}
+    build_vecs, build_ints, build_relations = entries(calls[:built])
+    flip_vecs, flip_ints, flip_relations = entries(calls[built:])
+    flip_vecs += [a for t in gb.quotient_basis() for a in gb.nf_coords(t)]
+    ints = build_ints + flip_ints
+    relations = build_relations + flip_relations
+    assert build_vecs and build_ints and build_relations
+    assert flip_vecs and flip_ints and flip_relations
     if p:
-        assert all(type(a) is int and 0 <= a < p for a in ints + fractions)
+        everything = build_vecs + flip_vecs + ints + relations
+        assert all(type(a) is int and 0 <= a < p for a in everything)
     else:
-        assert ints and all(type(a) is int for a in ints)
-        assert all(type(a) is Fraction for a in fractions)
+        assert all(type(a) is int for a in build_vecs + ints)
+        assert all(type(a) is Fraction for a in flip_vecs + relations)
 
 
-def _exact_kernel(pts, order):
-    # the reference: the kernel on Fraction evaluation vectors, no primes
+def _fraction_kernel(pts, order):
+    # the reference: the kernel on all-Fraction evaluation vectors
     columns = list(zip(*pts.points))
     ones = (Fraction(1),) * len(pts)
 
@@ -181,21 +178,55 @@ def _exact_kernel(pts, order):
     return gbfan.linalg.basis_from_functionals(order, 0, evaluations)
 
 
+def _certify(pts, order, gb, quotient):
+    # an independent check that gb is the reduced basis of the vanishing
+    # ideal I: Q (the quotient) is an order ideal of one term per point,
+    # the leading terms are the minimal terms outside Q, every element is
+    # monic with its tail in Q and vanishes at every point.  The elements
+    # then span an ideal J inside I whose quotient Q spans, and
+    # dim K[x]/J <= |Q| = dim K[x]/I forces J = I
+    n = pts.ring.nvars
+    qset = set(quotient)
+    assert len(qset) == len(quotient) == len(pts)
+
+    def below(t):
+        return [t[:i] + (t[i] - 1,) + t[i + 1 :] for i in range(n) if t[i]]
+
+    def above(t):
+        return [t[:i] + (t[i] + 1,) + t[i + 1 :] for i in range(n)]
+
+    assert all(u in qset for t in quotient for u in below(t))
+    leads = []
+    for g in gb:
+        lead, c = g.leading_term(order)
+        assert c == 1
+        assert lead not in qset and all(u in qset for u in below(lead))
+        assert all(t in qset for t in g.support() if t != lead)
+        assert all(not g.evaluate(pt) for pt in pts)
+        leads.append(lead)
+    for t in quotient:
+        for u in above(t):
+            assert u in qset or any(all(a <= b for a, b in zip(lt, u)) for lt in leads)
+
+
 def _assert_exact(pts, order):
     gb, quotient = ideal_of_points(pts, order)
-    elements, exact_quotient = _exact_kernel(pts, order)
+    _certify(pts, order, gb, quotient)
+    elements, fraction_quotient = _fraction_kernel(pts, order)
     assert gb.elements == tuple(kernel_poly(pts.ring, d) for d in elements)
-    assert quotient == exact_quotient
+    assert quotient == fraction_quotient
 
 
 @st.composite
 def _rational_point_sets(draw):
     names = ("x", "y", "z")[: draw(st.integers(min_value=1, max_value=3))]
     R = PolyRing(QQ, names)
+    # all-integer sets, or integral coordinates mixed with proper fractions
+    top = draw(st.sampled_from([1, 12]))
     coord = st.builds(
         Fraction,
         st.integers(min_value=-40, max_value=40),
-        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=top),
     )
     drawn = draw(st.lists(st.tuples(*[coord] * len(names)), min_size=1, max_size=9))
     return PointSet(R, dict.fromkeys(drawn))
@@ -203,109 +234,33 @@ def _rational_point_sets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_rational_point_sets(), st.sampled_from(["lex", "degrevlex"]))
-def test_modular_route_matches_the_exact_kernel(pts, name):
+def test_int_and_mixed_coordinates_match_fraction_vectors(pts, name):
     order = lex(pts.ring.nvars) if name == "lex" else degrevlex(pts.ring.nvars)
     _assert_exact(pts, order)
 
 
-M61, M127, M255 = gbfan.points._LADDER
+M61 = 2**61 - 1
 
 
 @pytest.mark.parametrize(
-    "coords, rungs, lifted",
+    "coords",
     [
-        # two points meet modulo 2^61 - 1, so its quotient basis is short and
-        # its run is dropped before any lifting
+        # the hard cases of a modular route: two points that meet modulo
+        # 2^61 - 1, a denominator of 2^61 - 1, a 101-bit and a 261-bit
+        # constant term, and a rational coordinate among integers
+        pytest.param([("0", "0"), (str(M61), "0"), ("1", "1")], id="collide"),
+        pytest.param([(f"1/{M61}", "2"), ("0", "1")], id="denominator"),
+        pytest.param([(str(2**50), "0"), (str(2**50 + 1), "0")], id="101-bit"),
+        pytest.param([(str(2**130), "0"), (str(2**130 + 1), "0")], id="261-bit"),
         pytest.param(
-            [("0", "0"), (str(M61), "0"), ("1", "1")],
-            [M61, M127],
-            [M127],
-            id="collide",
-        ),
-        # 2^61 - 1 divides a denominator, so it is not tried
-        pytest.param(
-            [(f"1/{M61}", "2"), ("0", "1")], [M127], [M127], id="denominator"
-        ),
-        # a 101-bit constant term has no reconstruction below 2^255 - 19
-        pytest.param(
-            [(str(2**50), "0"), (str(2**50 + 1), "0")],
-            [M61, M127, M255],
-            [M61, M127, M255],
-            id="three-rungs",
-        ),
-        # a 261-bit constant term lifts at no rung: the Fraction kernel runs
-        pytest.param(
-            [(str(2**130), "0"), (str(2**130 + 1), "0")],
-            [M61, M127, M255, 0],
-            [M61, M127, M255],
-            id="past-the-ladder",
+            [("1", "2"), ("1/2", "7"), ("0", "0"), ("2", "-3")], id="one-half"
         ),
     ],
 )
-def test_modular_route_climbs_the_ladder(record_calls, coords, rungs, lifted):
+def test_qq_points_give_the_certified_exact_basis(coords):
     pts = points(qring("x", "y"), coords)
-    runs = record_calls(gbfan.points, "basis_from_functionals")
-    lifts = record_calls(gbfan.points, "_lift")
     for order in (lex(2), degrevlex(2)):
-        runs.clear()
-        lifts.clear()
         _assert_exact(pts, order)
-        assert [call["p"] for call in runs] == rungs
-        assert [call["m"] for call in lifts] == lifted
-
-
-def test_modular_route_ends_in_the_exact_kernel(record_calls, monkeypatch):
-    monkeypatch.setattr(gbfan.points, "_LADDER", (M61,))
-    pts = points(qring("x", "y"), [(str(2**50), "0"), (str(2**50 + 1), "0")])
-    calls = record_calls(gbfan.points, "basis_from_functionals")
-    _assert_exact(pts, lex(2))
-    assert [call["p"] for call in calls] == [M61, 0]
-
-
-def test_certificate_accepts_only_the_reduced_basis():
-    pts = points(qring("x", "y"), [("1", "2"), ("1/2", "7"), ("0", "0"), ("2", "-3")])
-    order = degrevlex(2)
-    elements, quotient = _exact_kernel(pts, order)
-
-    def certified(candidate):
-        return gbfan.points._certified(order, candidate, quotient, pts.points)
-
-    assert certified(elements)
-    # still vanishes everywhere, but not monic
-    assert not certified([{t: 2 * c for t, c in g.items()} for g in elements])
-    # one tail coefficient off by one: no longer vanishes at every point
-    bumped = dict(elements[-1])
-    bumped[min(bumped, key=order.key)] += 1
-    assert not certified(elements[:-1] + [bumped])
-    # monic and vanishing, but a tail term (a leading term) lies outside
-    # the quotient basis
-    merged = dict(elements[-1])
-    for t, c in elements[0].items():
-        merged[t] = merged.get(t, 0) + c
-    assert not certified(elements[:-1] + [merged])
-
-
-def test_certificate_rejects_a_perturbed_coefficient(record_calls, monkeypatch):
-    # the first rung's lifted basis gets one tail coefficient off by one;
-    # the certificate rejects it and the next rung gives the exact basis
-    pts = points(qring("x", "y"), [("1", "2"), ("1/2", "7"), ("0", "0"), ("2", "-3")])
-    order = degrevlex(2)
-    real_lift = gbfan.points._lift
-
-    def perturbed_lift(elements, m):
-        lifted = real_lift(elements, m)
-        if m == M61:
-            g = lifted[-1]
-            tail = min(g, key=order.key)
-            g[tail] += 1
-        return lifted
-
-    monkeypatch.setattr(gbfan.points, "_lift", perturbed_lift)
-    verdicts = record_calls(gbfan.points, "_certified")
-    runs = record_calls(gbfan.points, "basis_from_functionals")
-    _assert_exact(pts, order)
-    assert [call["return"] for call in verdicts] == [False, True]
-    assert [call["p"] for call in runs] == [M61, M127]
 
 
 def test_iterated_intersection_oracle(rxy):
