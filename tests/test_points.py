@@ -263,6 +263,56 @@ def test_qq_points_give_the_certified_exact_basis(coords):
         _assert_exact(pts, order)
 
 
+def _one_half_basis():
+    pts = points(qring("x", "y"), [("1", "2"), ("1/2", "7"), ("0", "0"), ("2", "-3")])
+    order = degrevlex(2)
+    elements, quotient = _fraction_kernel(pts, order)
+    return pts, order, elements, quotient
+
+
+def _certifies(pts, order, elements, quotient):
+    gb = [kernel_poly(pts.ring, g) for g in elements]
+    try:
+        _certify(pts, order, gb, quotient)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_certificate_accepts_only_the_reduced_basis():
+    pts, order, elements, quotient = _one_half_basis()
+    assert _certifies(pts, order, elements, quotient)
+    # still vanishes everywhere, but not monic
+    doubled = [{t: 2 * c for t, c in g.items()} for g in elements]
+    assert not _certifies(pts, order, doubled, quotient)
+    # monic and vanishing, but a tail term (a leading term) lies outside
+    # the quotient basis
+    merged = dict(elements[-1])
+    for t, c in elements[0].items():
+        merged[t] = merged.get(t, 0) + c
+    assert not _certifies(pts, order, elements[:-1] + [merged], quotient)
+    # the right elements against a quotient basis that is not an order ideal
+    assert not _certifies(pts, order, elements, quotient[:-1] + [(5, 5)])
+
+
+def test_certificate_rejects_a_perturbed_coefficient():
+    # every tail coefficient of every element, one at a time, off by one:
+    # the element no longer vanishes at every point
+    pts, order, elements, quotient = _one_half_basis()
+    tried = 0
+    for i, g in enumerate(elements):
+        lead = max(g, key=order.key)
+        for t in g:
+            if t == lead:
+                continue
+            bumped = dict(g)
+            bumped[t] += 1
+            candidate = elements[:i] + [bumped] + elements[i + 1 :]
+            assert not _certifies(pts, order, candidate, quotient)
+            tried += 1
+    assert tried
+
+
 def test_iterated_intersection_oracle(rxy):
     # intersecting the maximal ideals one point at a time must agree
     pts = points(rxy, [(0, 0), (1, 2), (-1, 1), (2, 2)])
