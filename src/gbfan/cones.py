@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import primitive_vector
 
@@ -111,7 +112,8 @@ def strict_positive_solution(vectors, n, zeros=()):
     """w with w >= 1, v·w >= 1 for every v, and z·w = 0 for every z.
 
     By scaling, such w exists exactly when some strictly positive w has
-    v·w > 0 and z·w = 0.  Returns None when the system is infeasible.
+    v·w > 0 and z·w = 0.  Returns None when the system is infeasible, and
+    otherwise the primitive integer multiple of `solve_system`'s point.
     """
     cons = [(tuple(v), 1) for v in vectors]
     cons += [(_unit(n, i), 1) for i in range(n)]
@@ -119,7 +121,11 @@ def strict_positive_solution(vectors, n, zeros=()):
         z = tuple(z)
         cons.append((z, 0))
         cons.append((tuple(-x for x in z), 0))
-    return solve_system(cons, n)
+    point = solve_system(cons, n)
+    if point is None:
+        return None
+    d = lcm(*[x.denominator for x in point])
+    return primitive_vector([x.numerator * (d // x.denominator) for x in point])
 
 
 def marking_realizable(vectors, n) -> bool:
@@ -175,9 +181,9 @@ class Cone:
         return all(sum(a * b for a, b in zip(v, w)) >= 0 for v in self.ineqs)
 
     def facet_interior_point(self, v):
-        """A strictly positive rational point in the relative interior of
-        the facet v·w = 0, or None when that facet avoids the open
-        orthant."""
+        """A strictly positive primitive integer point in the relative
+        interior of the facet v·w = 0, or None when that facet avoids the
+        open orthant."""
         others = [u for u in self.ineqs if u != tuple(v)]
         return strict_positive_solution(others, self.nvars, zeros=[v])
 

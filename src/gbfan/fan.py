@@ -41,18 +41,18 @@ from .errors import (
     DimensionMismatch,
     ZeroIdeal,
 )
-from .groebner import Ideal, ReducedGB, kernel_poly
-from .linalg import echelon_reduce, primitive_vector
+from .groebner import Ideal, ReducedGB
+from .linalg import echelon_reduce
 from .monomials import MonomialIdeal
 from .orderings import TermOrder, degrevlex, weight_order
 from .ring import Polynomial
 
 
-def marking_vectors(elements, markings):
-    """Difference vectors lt - t' over every element and support term."""
+def marking_vectors(supports, markings):
+    """Difference vectors lt - t' over every support and its other terms t'."""
     out = []
-    for g, lt in zip(elements, markings):
-        for exp in g.coeffs:
+    for support, lt in zip(supports, markings):
+        for exp in support:
             if exp != lt:
                 out.append(tuple(a - b for a, b in zip(lt, exp)))
     return out
@@ -64,7 +64,7 @@ def cone_of_marked(elements, markings, nvars: int) -> Cone:
     for g, lt in zip(elements, markings):
         if tuple(lt) not in g.coeffs:
             raise InconsistentMarking(f"marked term not in support of {g!r}")
-    vecs = marking_vectors(elements, markings)
+    vecs = marking_vectors([g.coeffs for g in elements], markings)
     if not marking_realizable(vecs, nvars):
         raise InconsistentMarking("no positive weight realizes this marking")
     return Cone.from_vectors(vecs, nvars)
@@ -121,8 +121,7 @@ class GroebnerFan:
 def flip_order(weight, crossing, n: int) -> TermOrder:
     """Ordering for the neighbor across a facet: the facet-interior weight
     first, then the crossing direction, completed by degrevlex."""
-    w = primitive_vector(weight)
-    rows = [list(w), [-x for x in crossing]]
+    rows = [list(weight), [-x for x in crossing]]
     rows += [list(r) for r in degrevlex(n).rows]
     return TermOrder(rows, "flip")
 
@@ -308,21 +307,17 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
     start = ideal.groebner()
     found: dict[tuple, MarkedBasis] = {}
     for _, corner_terms, rows in _basic_sets_data(start, bound, represent=True):
-        elements = []
-        for u in corner_terms:
-            _, _, rep = echelon_reduce(rows, start.nf_coords(u), p, u)
-            elements.append(kernel_poly(ring, rep))
-        vectors = marking_vectors(elements, corner_terms)
+        reps = [echelon_reduce(rows, start.nf_coords(u), p, u)[2] for u in corner_terms]
+        vectors = marking_vectors(reps, corner_terms)
         w = strict_positive_solution(vectors, ring.nvars)
         if w is None:
             continue
-        order = weight_order(primitive_vector(w))
-        pairs = sorted(
-            zip(corner_terms, elements), key=lambda pair: order.key(pair[0])
-        )
-        gb = ReducedGB(ring, order, [g for _, g in pairs])
-        if gb.lt_exps != tuple(m for m, _ in pairs):
-            raise InvariantViolation("oracle marking disagrees with its ordering")
+        order = weight_order(w)
+        pairs = sorted(zip(corner_terms, reps), key=lambda pair: order.key(pair[0]))
+        for u, rep in pairs:
+            if u != max(rep, key=order.key):
+                raise InvariantViolation("oracle marking disagrees with its ordering")
+        gb = ReducedGB(ring, order, pairs)
         key = gb.lt_key()
         if key in found:
             raise InvariantViolation("duplicate leading-term ideal in oracle")

@@ -1,13 +1,14 @@
 """Buchberger's algorithm, reduced bases, and ideal arithmetic.
 
 Like `linalg.basis_from_functionals`, the kernel takes the field's
-characteristic p and raw ints, and returns monic dicts: residues in
-[0, p) over GF(p), for any prime p, against monic reducers; over QQ
-(p = 0), ints against reducers scaled to coprime ints, by fraction-free
-steps that divide by the accumulated scale once, at the end, into
-`Fraction`s.  The public surface deals in `Polynomial` and `ReducedGB`:
-`_integral` unwraps coefficients on the way in, `kernel_poly` wraps them
-on the way out.  Intermediate S-polynomial reductions are
+characteristic p and raw ints, and returns monic `(lead_term, coeffs)`
+pairs: residues in [0, p) over GF(p), for any prime p, against monic
+reducers; over QQ (p = 0), ints against reducers scaled to coprime ints,
+by fraction-free steps that divide by the accumulated scale once, at the
+end, into `Fraction`s.  The public surface deals in `Polynomial` and
+`ReducedGB`: `_integral` unwraps coefficients on the way in, and
+`ReducedGB` wraps any builder's pairs on the way out.  Intermediate
+S-polynomial reductions are
 top-reductions only; full tail reduction happens once, in the final
 interreduction pass, so the output is the unique reduced monic basis.
 """
@@ -123,8 +124,8 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
     """Reduced monic basis, as dicts, of the ideal the dicts of ints
     generate over the field of characteristic p: residues mod p over
     GF(p), for any prime p, or any integer multiples of the generators
-    over QQ (p = 0).  The elements come back sorted by increasing leading
-    term, as residues over GF(p) and as `Fraction`s over QQ.
+    over QQ (p = 0).  Returns `(lead_term, coeffs)` pairs by increasing
+    lead_term, coeffs residues over GF(p) and `Fraction`s over QQ.
 
     Each element, input or nonzero remainder, pairs with every earlier one.
     Pairs go by the total degree of their lcm, then by the ordering on it,
@@ -198,14 +199,14 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
         if not p:
             r = {e: Fraction(c, s * a) for e, c in r.items()}
         r[lt] = 1 if p else Fraction(1)
-        out.append(r)
+        out.append((lt, r))
     return out
 
 
 def kernel_poly(ring: PolyRing, coeffs: dict) -> Polynomial:
-    """A polynomial from coefficients computed by `linalg`,
-    `buchberger_dicts` or `ReducedGB.reduce`, which are residues over
-    GF(p) and field elements over QQ."""
+    """A polynomial from kernel coefficients, residues over GF(p) and field
+    elements over QQ: a basis builder's pair (in `ReducedGB`), a normal
+    form or an eliminant."""
     field = ring.field
     if field.characteristic:
         coeffs = {e: field.from_int(c) for e, c in coeffs.items()}
@@ -213,17 +214,19 @@ def kernel_poly(ring: PolyRing, coeffs: dict) -> Polynomial:
 
 
 class ReducedGB:
-    """The unique reduced monic basis of an ideal for one ordering,
-    elements sorted by increasing leading term.  A zero-dimensional basis
-    fills its quotient basis and normal forms on first use, deterministically."""
+    """The unique reduced monic basis of an ideal for one ordering, from a
+    basis builder's `(lead_term, coeffs)` pairs by increasing lead_term:
+    the lead terms become `lt_exps` as given, each coeffs a `Polynomial`
+    by `kernel_poly`.  A zero-dimensional basis fills its quotient basis
+    and normal forms on first use, deterministically."""
 
     __slots__ = ("ring", "order", "elements", "lt_exps", "_reducers", "_index", "_nf")
 
-    def __init__(self, ring: PolyRing, order: TermOrder, elements):
+    def __init__(self, ring: PolyRing, order: TermOrder, pairs):
         self.ring = ring
         self.order = order
-        self.elements = tuple(elements)
-        self.lt_exps = tuple(g.leading_term(order)[0] for g in self.elements)
+        self.lt_exps = tuple(lt for lt, _ in pairs)
+        self.elements = tuple(kernel_poly(ring, coeffs) for _, coeffs in pairs)
         self._reducers: list | None = None
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
@@ -289,10 +292,10 @@ class ReducedGB:
         """The reduced basis of the same zero-dimensional ideal for another
         ordering, by FGLM over the normal-form coordinates of this one."""
         ring = self.ring
-        elements, _ = basis_from_functionals(
+        pairs, _ = basis_from_functionals(
             order, ring.field.characteristic, lambda t, below, i: self.nf_coords(t)
         )
-        return ReducedGB(ring, order, [kernel_poly(ring, d) for d in elements])
+        return ReducedGB(ring, order, pairs)
 
     def __iter__(self):
         return iter(self.elements)
@@ -347,8 +350,8 @@ class Ideal:
         if hit is not None:
             return hit
         p = self.ring.field.characteristic
-        dicts = buchberger_dicts([_integral(g.coeffs, p)[0] for g in self.gens], order, p)
-        gb = ReducedGB(self.ring, order, [kernel_poly(self.ring, d) for d in dicts])
+        pairs = buchberger_dicts([_integral(g.coeffs, p)[0] for g in self.gens], order, p)
+        gb = ReducedGB(self.ring, order, pairs)
         with self._lock:
             self._cache.setdefault(key, gb)
         return gb

@@ -18,14 +18,14 @@ multiple of the row that elimination over `Fraction`s would keep.  It
 keeps that row's sign, so the canonical form of an ordering reads its
 primitive integer rows directly.  Only a relation, the combination of a
 vector that reduces to zero, comes back in `Fraction`s, divided once by
-its term's coefficient.  `groebner.kernel_poly` wraps residues back into
-field elements where a polynomial is built, for all three basis builders:
-Buchberger, FGLM and Buchberger-Möller.
+its term's coefficient.
 
 `basis_from_functionals` runs that reduction over terms in increasing
 order.  It is Buchberger-Möller when a term's vector holds its values at
 points, and FGLM (Faugère-Gianni-Lazard-Mora) when the vector holds its
-normal-form coordinates modulo a known zero-dimensional basis.
+normal-form coordinates modulo a known zero-dimensional basis.  Like
+`groebner.buchberger_dicts`, it returns `(lead_term, coeffs)` pairs, which
+`groebner.ReducedGB` turns into polynomials.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def basis_from_functionals(order, p, vec_of):
     so a multiplicative source can extend it by one variable.  A vector is
     dropped once its term is popped.
 
-    Returns ``(elements, quotient)``: the monic basis elements as dicts from
-    term to coefficient (residues over GF(p)), in increasing leading-term
-    order, and the quotient basis in increasing order.
+    Returns ``(elements, quotient)``: the monic basis elements as pairs
+    `(lead_term, coeffs)` by increasing lead_term, coeffs residues over
+    GF(p), and the quotient basis in increasing order.
     """
     okey = order.key
     n = order.nvars
@@ -144,20 +144,18 @@ def basis_from_functionals(order, p, vec_of):
     heap = [(okey(origin), origin)]
     pending = {origin: vec_of(origin, None, None)}
 
-    lead_terms: list[tuple] = []
     quotient: list[tuple] = []
     echelon: list[tuple] = []
-    elements: list[dict] = []
+    elements: list[tuple] = []
 
     while heap:
         _, t = heappop(heap)
         vec = pending.pop(t)
-        if any(all(a <= b for a, b in zip(lt, t)) for lt in lead_terms):
+        if any(all(a <= b for a, b in zip(lt, t)) for lt, _ in elements):
             continue
         pivot, reduced, rep = echelon_reduce(echelon, vec, p, t)
         if pivot is None:
-            lead_terms.append(t)
-            elements.append(rep)
+            elements.append((t, rep))
             continue
         quotient.append(t)
         echelon.append((pivot, reduced, rep))
@@ -170,12 +168,8 @@ def basis_from_functionals(order, p, vec_of):
 
 
 def primitive_vector(vec) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational to coprime integers;
-    the zero vector stays zero."""
-    if not all(type(x) is int for x in vec):
-        fracs = [Fraction(x) for x in vec]
-        denom = lcm(*(f.denominator for f in fracs))
-        vec = [int(f * denom) for f in fracs]
+    """Divide an integer vector by the gcd of its entries, to coprime
+    integers; the zero vector stays zero."""
     g = gcd(*vec)
     if g > 1:
         return tuple(x // g for x in vec)

@@ -15,12 +15,16 @@ from .linalg import echelon_reduce
 
 
 class TermOrder:
-    """A term ordering given by integer weight rows, compared row by row."""
+    """A term ordering given by integer weight rows, compared row by row;
+    an entry with a fractional part raises `InvalidOrdering`."""
 
     __slots__ = ("rows", "tag", "nvars", "_canon")
 
     def __init__(self, rows, tag: str = "matrix"):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        given = tuple(map(tuple, rows))
+        rows = tuple(tuple(map(int, r)) for r in given)
+        if rows != given:
+            raise InvalidOrdering("weights must be integers")
         if not rows or not rows[0]:
             raise InvalidOrdering("empty weight matrix")
         n = len(rows[0])
@@ -104,7 +108,7 @@ def degrevlex(n: int) -> TermOrder:
 
 def weight_order(weights) -> TermOrder:
     """A weight vector first, completed by degrevlex."""
-    w = [int(x) for x in weights]
+    w = list(weights)
     return TermOrder([w] + [list(r) for r in degrevlex(len(w)).rows], "weight")
 
 

@@ -33,7 +33,7 @@ from .errors import (
     SpecTooShort,
 )
 from .field import PrimeField, nat_embed
-from .groebner import Ideal, ReducedGB, kernel_poly
+from .groebner import Ideal, ReducedGB
 from .linalg import basis_from_functionals
 from .monomials import MonomialIdeal
 from .orderings import TermOrder
@@ -42,13 +42,14 @@ from .ring import LinearShift, Polynomial, PolyRing
 
 @dataclass(frozen=True)
 class PointSet:
-    """Pairwise distinct points with coordinates in the ring's field."""
+    """Pairwise distinct points with coordinates in the ring's field, each
+    taken through `PolyRing.element`."""
 
     ring: PolyRing
     points: tuple
 
     def __init__(self, ring: PolyRing, points):
-        pts = tuple(tuple(p) for p in points)
+        pts = tuple(tuple(map(ring.element, p)) for p in points)
         n = ring.nvars
         for p in pts:
             if len(p) != n:
@@ -88,32 +89,23 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     if order is None:
         order = ring.default_order()
     p = ring.field.characteristic
-    coords = []
-    for pt in pts.points:
+    coord_vecs = []
+    for column in zip(*pts.points):
         if p:
-            coords.append(tuple(c.val for c in pt))
+            coord_vecs.append(tuple(c.val for c in column))
         else:
-            coords.append(tuple(c.numerator if c.denominator == 1 else c for c in pt))
-    elements, quotient = _evaluation_kernel(order, p, coords)
-    gb = ReducedGB(ring, order, [kernel_poly(ring, d) for d in elements])
-    return gb, quotient
-
-
-def _evaluation_kernel(order: TermOrder, m: int, points):
-    """`basis_from_functionals` on the evaluation vectors of points whose
-    coordinates are residues mod the prime m, or ints and `Fraction`s when
-    m = 0."""
-    coord_vecs = list(zip(*points))
-    ones = (1,) * len(points)
+            coord_vecs.append(tuple(c.numerator if c.denominator == 1 else c for c in column))
+    ones = (1,) * len(pts.points)
 
     def evaluations(t, below, i):
         if below is None:
             return ones
-        if m:
-            return tuple(a * b % m for a, b in zip(below, coord_vecs[i]))
+        if p:
+            return tuple(a * b % p for a, b in zip(below, coord_vecs[i]))
         return tuple(a * b for a, b in zip(below, coord_vecs[i]))
 
-    return basis_from_functionals(order, m, evaluations)
+    pairs, quotient = basis_from_functionals(order, p, evaluations)
+    return ReducedGB(ring, order, pairs), quotient
 
 
 def vanishing_ideal(pts: PointSet) -> Ideal:

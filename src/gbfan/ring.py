@@ -47,12 +47,19 @@ class PolyRing:
         except KeyError:
             raise ParseError(f"unknown variable {name!r}; ring has {self.vars}")
 
-    def poly(self, coeffs: dict) -> "Polynomial":
-        """Build a polynomial, dropping zero coefficients.  An int is mapped
-        into the field; any other coefficient must be the field's own
-        element, or FieldMismatch is raised."""
+    def element(self, c):
+        """c as a field element: an int is mapped into the field; any other
+        value must be its own element, or FieldMismatch is raised."""
         field = self.field
-        kind = type(field.zero())
+        if isinstance(c, int):
+            return field.from_int(c)
+        p = field.characteristic
+        if type(c) is not type(field.zero()) or (p and c.p != p):
+            raise FieldMismatch(f"{c!r} is not an element of {field}")
+        return c
+
+    def poly(self, coeffs: dict) -> "Polynomial":
+        """Build a polynomial from `element`s, dropping zero coefficients."""
         clean = {}
         n = self.nvars
         for exp, c in coeffs.items():
@@ -61,10 +68,7 @@ class PolyRing:
                 raise DimensionMismatch(f"exponent {exp} has wrong length")
             if any(e < 0 for e in exp):
                 raise ParseError(f"negative exponent in {exp}")
-            if isinstance(c, int):
-                c = field.from_int(c)
-            elif type(c) is not kind or (field.characteristic and c.p != field.characteristic):
-                raise FieldMismatch(f"{c!r} is not an element of {field}")
+            c = self.element(c)
             if c:
                 clean[exp] = c
         return Polynomial(self, clean)

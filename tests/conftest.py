@@ -25,7 +25,6 @@ from gbfan import (
 )
 from gbfan.cones import strict_positive_solution
 from gbfan.groebner import _integral
-from gbfan.linalg import primitive_vector
 
 
 def qring(*names) -> PolyRing:
@@ -75,7 +74,7 @@ def socle_bijection_holds(spec, first, second) -> bool:
     if not fan_equal(fan1, fan2):
         return False
     for mb in fan1:
-        w = primitive_vector(strict_positive_solution(mb.cone.ineqs, spec.ring.nvars))
+        w = strict_positive_solution(mb.cone.ineqs, spec.ring.nvars)
         order = weight_refinement(w)
         o1 = set(first.quotient_basis(order))
         o2 = set(second.quotient_basis(order))

@@ -57,8 +57,10 @@ def test_cone_contains_and_interior():
     cone = Cone.from_vectors([(1, -1)], 2)
     assert cone.contains((2, 1))
     assert not cone.contains((1, 2))
-    w = primitive_vector(strict_positive_solution(cone.ineqs, 2))
+    w = strict_positive_solution(cone.ineqs, 2)
     assert all(x > 0 for x in w) and w[0] > w[1]
+    # the LP's rational point comes back as a primitive integer vector
+    assert all(type(x) is int for x in w) and primitive_vector(w) == w
 
 
 def test_facet_interior_point():
@@ -66,6 +68,7 @@ def test_facet_interior_point():
     w = cone.facet_interior_point((1, -1, 0))
     assert w is not None
     assert w[0] == w[1] and all(x > 0 for x in w) and w[0] > w[2]
+    assert all(type(x) is int for x in w) and primitive_vector(w) == w
 
 
 def test_cone_of_single_binomial():

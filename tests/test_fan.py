@@ -223,8 +223,9 @@ def test_concurrent_change_order_on_one_basis():
         sys.setswitchinterval(interval)
     gens = kernel_gens(I.ring, I.gens)
     for order, gb in zip(orders, results):
-        dicts = buchberger_dicts(gens, order, 0)
-        assert gb.elements == tuple(Polynomial(I.ring, d) for d in dicts)
+        pairs = buchberger_dicts(gens, order, 0)
+        got = list(zip(gb.lt_exps, gb.elements))
+        assert got == [(lt, Polynomial(I.ring, d)) for lt, d in pairs]
 
 
 def test_walk_matches_facets_before_flipping(record_calls, rxy):

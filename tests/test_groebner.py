@@ -16,6 +16,7 @@ from gbfan import (
     deglex,
     degrevlex,
     divide_exact,
+    fan_oracle_zerodim,
     ideal_of_points,
     lex,
     matrix_order,
@@ -117,7 +118,8 @@ def test_criteria_do_not_change_output(rxy):
         o = rng.choice([lex(2), degrevlex(2)])
         with_criteria = I.groebner(o)
         plain = buchberger_dicts(kernel_gens(rxy, I.gens), o, 0, use_criteria=False)
-        assert [g.coeffs for g in with_criteria.elements] == plain
+        got = zip(with_criteria.lt_exps, with_criteria.elements)
+        assert [(lt, g.coeffs) for lt, g in got] == plain
 
 
 @pytest.mark.parametrize(
@@ -202,7 +204,8 @@ def test_buchberger_kernel_runs_modulo_any_prime(names, texts, m):
         return {e: c.numerator * pow(c.denominator, -1, m) % m for e, c in coeffs.items()}
 
     gens = [residues(R.parse(t).coeffs) for t in texts]
-    want = [residues(g.coeffs) for g in Ideal.from_strings(R, texts).groebner(order)]
+    gb = Ideal.from_strings(R, texts).groebner(order)
+    want = [(lt, residues(g.coeffs)) for lt, g in zip(gb.lt_exps, gb.elements)]
     assert buchberger_dicts(gens, order, m) == want
     assert buchberger_dicts(gens, order, m, use_criteria=False) == want
 
@@ -299,10 +302,37 @@ def test_buchberger_over_characteristic_edges(I):
     for order, other in (orders, orders[::-1]):
         gb = I.groebner(order)
         plain = buchberger_dicts(kernel_gens(I.ring, I.gens), order, p, use_criteria=False)
-        assert list(gb.elements) == [kernel_poly(I.ring, d) for d in plain]
+        got = list(zip(gb.lt_exps, gb.elements))
+        assert got == [(lt, kernel_poly(I.ring, d)) for lt, d in plain]
         assert all(gb.reduce(g).is_zero() for g in I.gens)
         if gb.lt_ideal().is_zero_dimensional():
             assert I.groebner(other).change_order(order) == gb
+
+
+def _built_bases(builder, ring):
+    I = ideal(ring, "x^2 - y", "y^2 - x + 1")
+    if builder == "buchberger":
+        return [I.groebner(), I.groebner(lex(2))]
+    if builder == "fglm":
+        return [I.groebner().change_order(lex(2)), I.groebner(lex(2)).change_order(degrevlex(2))]
+    if builder == "points":
+        pts = points(ring, [(0, 0), (1, 2), (-1, 1), (2, 2), (3, -1)])
+        return [ideal_of_points(pts, lex(2))[0], ideal_of_points(pts)[0]]
+    return [mb.basis for mb in fan_oracle_zerodim(I)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("builder", ["buchberger", "fglm", "points", "oracle"])
+def test_builders_hand_reduced_gb_its_leading_terms(field, builder):
+    # ReducedGB takes lt_exps from its builder's pairs as given, so each
+    # builder must emit the true leading terms, in increasing order
+    bases = _built_bases(builder, PolyRing(field, ["x", "y"]))
+    assert len(bases) > 1
+    for gb in bases:
+        order = gb.order
+        assert gb.lt_exps == tuple(g.leading_term(order)[0] for g in gb.elements)
+        assert all(g.leading_term(order)[1] == field.one() for g in gb.elements)
+        assert list(gb.lt_exps) == sorted(gb.lt_exps, key=order.key)
 
 
 def _monic_remainder(f: dict, gb: ReducedGB) -> dict:
@@ -363,7 +393,7 @@ def test_fraction_free_reduction_is_exact_over_qq(case):
     R = I.ring
     gb = I.groebner(order)
     plain = buchberger_dicts(kernel_gens(R, I.gens), order, 0, use_criteria=False)
-    assert [g.coeffs for g in gb.elements] == plain
+    assert [(lt, g.coeffs) for lt, g in zip(gb.lt_exps, gb.elements)] == plain
     # under lex, standard terms lie above reducible ones, so the remainder
     # is scaled too
     for basis in (gb, gb.change_order(lex(R.nvars))):

@@ -1,6 +1,7 @@
 """Matrix term orderings: presets, comparisons, validity, canonical forms."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -115,6 +116,17 @@ def test_validate_rejects_ragged_and_empty():
         TermOrder([])
     with pytest.raises(InvalidOrdering):
         TermOrder([[1, 0], [1]])
+
+
+def test_non_integral_weights_are_rejected():
+    # both used to be truncated: to the rows of degrevlex(2), and to lex
+    with pytest.raises(InvalidOrdering, match="integers"):
+        weight_order([Fraction(1, 2), Fraction(1, 3)])
+    with pytest.raises(InvalidOrdering, match="integers"):
+        TermOrder([[1.7, 0.2], [0, 1]])
+    # integral values of any numeric type are taken as ints
+    assert weight_order([Fraction(2), 1.0]) == weight_order([2, 1])
+    assert TermOrder([[2.0, 1], [0, Fraction(1)]]).rows == ((2, 1), (0, 1))
 
 
 def _valid_order(rows):

@@ -38,6 +38,7 @@ from gbfan.errors import (
     DuplicatePoint,
     EmptyPointSet,
     FactorProductMismatch,
+    FieldMismatch,
     NotZeroDimensional,
     ParseError,
     RationalsNotFinite,
@@ -62,6 +63,24 @@ def test_point_set_validation(rxy):
         points(rxy, [(0, 0), (0, 0)])
     with pytest.raises(EmptyPointSet):
         ideal_of_points(PointSet(rxy, []))
+
+
+def test_point_coordinates_are_taken_into_the_field():
+    # a GF(7) point set in a GF(5) ring used to give the ideal of one point
+    R = fring(5, "x")
+    gf7 = GF(7)
+    with pytest.raises(FieldMismatch):
+        PointSet(R, [(gf7.from_int(1),), (gf7.from_int(6),)])
+    with pytest.raises(FieldMismatch):
+        PointSet(qring("x"), [(GF(5).from_int(1),)])
+    with pytest.raises(FieldMismatch):
+        PointSet(R, [(Fraction(1, 2),)])
+    # ints are mapped into the field before the duplicate check: 6 = 1 mod 5
+    with pytest.raises(DuplicatePoint):
+        PointSet(R, [(1,), (6,)])
+    gb, quotient = ideal_of_points(PointSet(R, [(1,), (3,)]))
+    assert [g.to_str() for g in gb] == ["x^2 + x + 3"]
+    assert quotient == [(0,), (1,)]
 
 
 def test_single_point_maximal_ideal(rxyz):
@@ -212,8 +231,9 @@ def _certify(pts, order, gb, quotient):
 def _assert_exact(pts, order):
     gb, quotient = ideal_of_points(pts, order)
     _certify(pts, order, gb, quotient)
-    elements, fraction_quotient = _fraction_kernel(pts, order)
-    assert gb.elements == tuple(kernel_poly(pts.ring, d) for d in elements)
+    pairs, fraction_quotient = _fraction_kernel(pts, order)
+    got = list(zip(gb.lt_exps, gb.elements))
+    assert got == [(lt, kernel_poly(pts.ring, d)) for lt, d in pairs]
     assert quotient == fraction_quotient
 
 
@@ -266,8 +286,8 @@ def test_qq_points_give_the_certified_exact_basis(coords):
 def _one_half_basis():
     pts = points(qring("x", "y"), [("1", "2"), ("1/2", "7"), ("0", "0"), ("2", "-3")])
     order = degrevlex(2)
-    elements, quotient = _fraction_kernel(pts, order)
-    return pts, order, elements, quotient
+    pairs, quotient = _fraction_kernel(pts, order)
+    return pts, order, [coeffs for _, coeffs in pairs], quotient
 
 
 def _certifies(pts, order, elements, quotient):
