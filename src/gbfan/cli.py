@@ -85,8 +85,8 @@ def _basis(gb) -> dict:
     }
 
 
-def _point_rows(ring, pts) -> list[str]:
-    return [",".join(ring.field.to_str(c) for c in p) for p in pts]
+def _point_rows(pts) -> list[str]:
+    return [",".join(map(str, p)) for p in pts]
 
 
 def cmd_gb(args):
@@ -175,7 +175,7 @@ def cmd_natural(args):
 
 def cmd_staircase(args):
     ring, mono = load_monomial_ideal(args.ideal, args.field, args.vars)
-    rows = _point_rows(ring, staircase(ring, mono))
+    rows = _point_rows(staircase(ring, mono))
     diagram = _staircase_diagram(ring, mono) if args.diagram else []
     return {"points": rows}, rows + diagram
 
@@ -212,7 +212,7 @@ def cmd_mgrid(args):
 def cmd_grid(args):
     spec = load_grid(args.grid, args.field, args.vars)
     if args.points:
-        return _listing("points", _point_rows(spec.ring, spec.points()))
+        return _listing("points", _point_rows(spec.points()))
     return _generators(spec.generators())
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .linalg import primitive_vector
+from .linalg import clear_denominators, primitive_vector
 
 # One constraint is (coeffs, rhs) and means  sum(coeffs[i] * x_i) >= rhs.
 
@@ -124,8 +123,7 @@ def strict_positive_solution(vectors, n, zeros=()):
     point = solve_system(cons, n)
     if point is None:
         return None
-    d = lcm(*[x.denominator for x in point])
-    return primitive_vector([x.numerator * (d // x.denominator) for x in point])
+    return primitive_vector(clear_denominators(point)[0])
 
 
 def marking_realizable(vectors, n) -> bool:

@@ -3,7 +3,8 @@
 Rational scalars are `fractions.Fraction` (arbitrary precision, always in
 lowest terms with positive denominator).  Prime-field scalars are `GFElement`
 residues kept in [0, p).  Both are immutable and hashable, so polynomials can
-share them freely across threads.
+share them freely across threads.  A field's `kernel` gives an element as the
+kernels of `linalg` and `groebner` compute on it; no other module unwraps one.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class RationalField:
 
     characteristic = 0
     name = "QQ"
+    element_type = Fraction
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -135,17 +137,15 @@ class RationalField:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
 
-    def to_str(self, c: Fraction) -> str:
-        return str(c)
+    def kernel(self, c: Fraction) -> int | Fraction:
+        """c as the kernels take it: its numerator when c is integral."""
+        return c.numerator if c.denominator == 1 else c
 
     def is_one(self, c: Fraction) -> bool:
         return c == 1
 
     def is_negative(self, c: Fraction) -> bool:
         return c < 0
-
-    def abs(self, c: Fraction) -> Fraction:
-        return -c if c < 0 else c
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -159,6 +159,8 @@ class RationalField:
 
 class PrimeField:
     """GF(p) for a prime p; construct through the `GF` factory."""
+
+    element_type = GFElement
 
     def __init__(self, p: int):
         if p >= 2**64:
@@ -188,17 +190,15 @@ class PrimeField:
             raise ParseError(f"zero denominator in GF({self.p}) literal {text!r}")
         return GFElement(int(m.group(1)) * pow(den, -1, self.p), self.p)
 
-    def to_str(self, c: GFElement) -> str:
-        return str(c.val)
+    def kernel(self, c: GFElement) -> int:
+        """c as the kernels take it: its residue in [0, p)."""
+        return c.val
 
     def is_one(self, c: GFElement) -> bool:
         return c.val == 1
 
     def is_negative(self, c: GFElement) -> bool:
         return False
-
-    def abs(self, c: GFElement) -> GFElement:
-        return c
 
     def elements(self):
         return (GFElement(i, self.p) for i in range(self.p))

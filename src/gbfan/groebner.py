@@ -6,10 +6,10 @@ pairs: residues in [0, p) over GF(p), for any prime p, against monic
 reducers; over QQ (p = 0), ints against reducers scaled to coprime ints,
 by fraction-free steps that divide by the accumulated scale once, at the
 end, into `Fraction`s.  The public surface deals in `Polynomial` and
-`ReducedGB`: `_integral` unwraps coefficients on the way in, and
-`ReducedGB` wraps any builder's pairs on the way out.  Intermediate
-S-polynomial reductions are
-top-reductions only; full tail reduction happens once, in the final
+`ReducedGB`: on the way in, `_integral` takes coefficients through the
+field's `kernel` and `linalg.clear_denominators`; on the way out,
+`ReducedGB` wraps any builder's pairs.  S-polynomials are only
+top-reduced; full tail reduction happens once, in the final
 interreduction pass, so the output is the unique reduced monic basis.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, neg, sub
 
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     RingMismatch,
     ZeroIdealDivisor,
 )
-from .linalg import basis_from_functionals, echelon_reduce
+from .linalg import basis_from_functionals, clear_denominators, echelon_reduce
 from .monomials import MonomialIdeal, minimalize
 from .orderings import TermOrder, elimination_order
 from .ring import Polynomial, PolyRing
@@ -97,14 +97,12 @@ def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> tuple[di
     return out, scale
 
 
-def _integral(f: dict, p: int) -> tuple[dict, int]:
-    """`(F, d)` with F = d*f on ints, for f's field elements over the
-    field of characteristic p: over GF(p) F holds the residues and d = 1;
-    over QQ d is the least common denominator of the `Fraction`s."""
-    if p:
-        return {e: c.val for e, c in f.items()}, 1
-    d = lcm(*[c.denominator for c in f.values()])
-    return {e: c.numerator * (d // c.denominator) for e, c in f.items()}, d
+def _integral(f: dict, field) -> tuple[dict, int]:
+    """`(F, d)` with F = d*f on ints, for f's elements of the field: over
+    GF(p) F holds the residues and d = 1; over QQ d is the least common
+    denominator of the coefficients."""
+    ints, d = clear_denominators([field.kernel(c) for c in f.values()])
+    return dict(zip(f, ints)), d
 
 
 def _reducer(f: dict, lt: tuple, p: int) -> tuple:
@@ -243,8 +241,9 @@ class ReducedGB:
         no remainder term is divisible by any basis leading term."""
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
-        p = self.ring.field.characteristic
-        coeffs, d = _integral(f.coeffs, p)
+        field = self.ring.field
+        p = field.characteristic
+        coeffs, d = _integral(f.coeffs, field)
         r, s = _reduce_dict(coeffs, self._kernel_reducers(), self.order.key, p)
         if not p:
             r = {e: Fraction(c, s * d) for e, c in r.items()}
@@ -255,9 +254,10 @@ class ReducedGB:
         first `reduce` or `nf_coords`: most bases, such as a flip's or an
         ideal of points', never reduce."""
         if self._reducers is None:
-            p = self.ring.field.characteristic
+            field = self.ring.field
+            p = field.characteristic
             self._reducers = [
-                _reducer(_integral(g.coeffs, p)[0], lt, p)
+                _reducer(_integral(g.coeffs, field)[0], lt, p)
                 for lt, g in zip(self.lt_exps, self.elements)
             ]
         return self._reducers
@@ -330,7 +330,7 @@ class Ideal:
                 raise RingMismatch(f"{g.ring} vs {ring}")
         self.ring = ring
         self.gens = gens
-        self._cache: dict[tuple, ReducedGB] = {}
+        self._cache: dict[TermOrder, ReducedGB] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -344,21 +344,21 @@ class Ideal:
         """The reduced monic basis for the ordering, cached per ordering."""
         if order is None:
             order = self.ring.default_order()
-        key = order.canonical()
         with self._lock:
-            hit = self._cache.get(key)
+            hit = self._cache.get(order)
         if hit is not None:
             return hit
-        p = self.ring.field.characteristic
-        pairs = buchberger_dicts([_integral(g.coeffs, p)[0] for g in self.gens], order, p)
+        field = self.ring.field
+        gens = [_integral(g.coeffs, field)[0] for g in self.gens]
+        pairs = buchberger_dicts(gens, order, field.characteristic)
         gb = ReducedGB(self.ring, order, pairs)
         with self._lock:
-            self._cache.setdefault(key, gb)
+            self._cache.setdefault(order, gb)
         return gb
 
     def seed_cache(self, gb: ReducedGB) -> "Ideal":
         with self._lock:
-            self._cache.setdefault(gb.order.canonical(), gb)
+            self._cache.setdefault(gb.order, gb)
         return self
 
     def lt_ideal(self, order: TermOrder | None = None) -> MonomialIdeal:

@@ -12,7 +12,7 @@ Every routine takes the field's characteristic ``p``.  Over GF(p) (p > 0)
 vectors, rows and combinations hold plain ints in [0, p), and each new
 echelon row is scaled so that its pivot is 1, so a reduction step needs
 no division.  Over QQ (p = 0) the reduction is fraction-free (Bareiss
-1968): an input vector is cleared of denominators, a row and its
+1968): `clear_denominators` scales an input vector to ints, a row and its
 combination hold ints with no common factor, and the row is a positive
 multiple of the row that elimination over `Fraction`s would keep.  It
 keeps that row's sign, so the canonical form of an ordering reads its
@@ -53,21 +53,19 @@ def echelon_reduce(rows, vec, p, term=None):
     it, to pivot 1, the form in which it joins the rows.
 
     Over QQ vec may hold ints or `Fraction`s; rows, their combinations and
-    a nonzero result hold ints.  vec is scaled by the least common
-    denominator d of its entries and rep starts as the term with
-    coefficient d.  A step on a row with pivot entry r, where vec holds c
-    and g = gcd(c, r), is fraction-free: vec becomes
-    ``(|r|/g)·vec - sign(r)·(c/g)·row``, and rep the same.  A nonzero
-    result is divided, rep with it, by their joint content, so it is a
-    positive multiple of the vector that elimination over `Fraction`s
+    a nonzero result hold ints.  `clear_denominators` scales vec by d and
+    rep starts as the term with coefficient d.  A step on a row with pivot
+    entry r, where vec holds c and g = gcd(c, r), is fraction-free: vec
+    becomes ``(|r|/g)·vec - sign(r)·(c/g)·row``, and rep the same.  A
+    nonzero result is divided, rep with it, by their joint content, so it
+    is a positive multiple of the vector that elimination over `Fraction`s
     would give, and primitive when no term is tracked.  A relation is
     divided once by its term's coefficient and comes back in `Fraction`s.
     """
     if p:
         rep = None if term is None else {term: 1}
     else:
-        d = lcm(*[x.denominator for x in vec])
-        vec = [x.numerator * (d // x.denominator) for x in vec]
+        vec, d = clear_denominators(vec)
         rep = None if term is None else {term: d}
     for pivot, row, row_rep in rows:
         c = vec[pivot]
@@ -165,6 +163,13 @@ def basis_from_functionals(order, p, vec_of):
                 pending[up] = vec_of(up, vec, i)
                 heappush(heap, (okey(up), up))
     return elements, quotient
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """`(ints, d)` for ints and `Fraction`s: d the least positive integer
+    that makes every d·x an integer, and ints those integers."""
+    d = lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

@@ -43,7 +43,7 @@ from .ring import LinearShift, Polynomial, PolyRing
 @dataclass(frozen=True)
 class PointSet:
     """Pairwise distinct points with coordinates in the ring's field, each
-    taken through `PolyRing.element`."""
+    taken through `PolyRing.element`, as are the coordinates of a probe."""
 
     ring: PolyRing
     points: tuple
@@ -66,7 +66,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p):
-        return tuple(p) in set(self.points)
+        return tuple(map(self.ring.element, p)) in set(self.points)
 
     def subset_of(self, other: "PointSet") -> bool:
         return set(self.points) <= set(other.points)
@@ -78,23 +78,19 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     This is `linalg.basis_from_functionals` on evaluation vectors: the
     vector of x_i*t is the vector of t times the i-th coordinate column, so
     each term costs one product per point and only the vectors of terms
-    not yet taken are held.  Over GF(p) the vectors hold the coordinates'
-    residues.  Over QQ they hold ints and `Fraction`s, and the kernel
-    eliminates fraction-free; an integral coordinate enters as an int, so
-    the vectors of a set of integer points hold only ints.
+    not yet taken are held.  Coordinates enter as the field's `kernel`
+    gives them: residues over GF(p); over QQ, an int for an integral
+    coordinate and a `Fraction` otherwise, so the vectors of a set of
+    integer points hold only ints, and the kernel eliminates fraction-free.
     """
     if not pts.points:
         raise EmptyPointSet("ideal of points needs at least one point")
     ring = pts.ring
     if order is None:
         order = ring.default_order()
-    p = ring.field.characteristic
-    coord_vecs = []
-    for column in zip(*pts.points):
-        if p:
-            coord_vecs.append(tuple(c.val for c in column))
-        else:
-            coord_vecs.append(tuple(c.numerator if c.denominator == 1 else c for c in column))
+    field = ring.field
+    p = field.characteristic
+    coord_vecs = [tuple(map(field.kernel, column)) for column in zip(*pts.points)]
     ones = (1,) * len(pts.points)
 
     def evaluations(t, below, i):

@@ -54,7 +54,7 @@ class PolyRing:
         if isinstance(c, int):
             return field.from_int(c)
         p = field.characteristic
-        if type(c) is not type(field.zero()) or (p and c.p != p):
+        if type(c) is not field.element_type or (p and c.p != p):
             raise FieldMismatch(f"{c!r} is not an element of {field}")
         return c
 
@@ -254,14 +254,14 @@ class Polynomial:
         for i, exp in enumerate(sorted(self.coeffs, key=order.key, reverse=True)):
             c = self.coeffs[exp]
             neg = field.is_negative(c)
-            mag = field.abs(c)
+            mag = -c if neg else c
             mon = term_str(exp, self.ring.vars)
             if mon == "1":
-                body = field.to_str(mag)
+                body = str(mag)
             elif field.is_one(mag):
                 body = mon
             else:
-                body = f"{field.to_str(mag)}*{mon}"
+                body = f"{mag}*{mon}"
             if i == 0:
                 parts.append(f"-{body}" if neg else body)
             else:

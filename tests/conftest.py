@@ -42,7 +42,7 @@ def ideal(ring, *texts) -> Ideal:
 def kernel_gens(ring, polys) -> list[dict]:
     """Polynomials as `buchberger_dicts` takes them: dicts of ints,
     residues over GF(p) and integer multiples over QQ."""
-    return [_integral(f.coeffs, ring.field.characteristic)[0] for f in polys]
+    return [_integral(f.coeffs, ring.field)[0] for f in polys]
 
 
 def points(ring, coords) -> PointSet:

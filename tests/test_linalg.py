@@ -1,4 +1,5 @@
-"""The echelon kernel over QQ against plain Fraction elimination."""
+"""The echelon kernel over QQ against plain Fraction elimination, and the
+helper that clears a vector's denominators."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gbfan import TermOrder
 from gbfan.errors import InvalidOrdering
-from gbfan.linalg import echelon_reduce
+from gbfan.linalg import clear_denominators, echelon_reduce
 
 
 def _gauss(rows, vec, term):
@@ -52,6 +53,20 @@ _entries = st.one_of(
         st.integers(min_value=1, max_value=6),
     ),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_entries, max_size=6))
+def test_clear_denominators_scales_by_the_least_integer(values):
+    # ints, Fractions, mixes, negatives and the empty vector: ints is
+    # d·values in ints, and no smaller positive multiplier is integral
+    ints, d = clear_denominators(values)
+    assert type(d) is int and d >= 1
+    assert all(type(x) is int for x in ints)
+    assert ints == [d * x for x in values]
+    assert not any(
+        all((m * x).denominator == 1 for x in values) for m in range(1, d)
+    )
 
 
 @st.composite

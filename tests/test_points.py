@@ -78,9 +78,20 @@ def test_point_coordinates_are_taken_into_the_field():
     # ints are mapped into the field before the duplicate check: 6 = 1 mod 5
     with pytest.raises(DuplicatePoint):
         PointSet(R, [(1,), (6,)])
-    gb, quotient = ideal_of_points(PointSet(R, [(1,), (3,)]))
+    ps = PointSet(R, [(1,), (3,)])
+    gb, quotient = ideal_of_points(ps)
     assert [g.to_str() for g in gb] == ["x^2 + x + 3"]
     assert quotient == [(0,), (1,)]
+    # a probe's coordinates are taken into the field the same way
+    assert (1,) in ps and (6,) in ps and (R.field.from_int(8),) in ps
+    assert (2,) not in ps
+    with pytest.raises(FieldMismatch):
+        (gf7.from_int(1),) in ps
+    Q = PointSet(qring("x"), [(1,), (Fraction(1, 2),)])
+    assert (1,) in Q and (Fraction(1),) in Q and (Fraction(1, 2),) in Q
+    assert (2,) not in Q and (Fraction(-1, 2),) not in Q
+    with pytest.raises(FieldMismatch):
+        (GF(5).from_int(1),) in Q
 
 
 def test_single_point_maximal_ideal(rxyz):
