@@ -126,12 +126,6 @@ def strict_positive_solution(vectors, n, zeros=()):
     return primitive_vector(clear_denominators(point)[0])
 
 
-def marking_realizable(vectors, n) -> bool:
-    """True when a strictly positive weight makes every v·w strictly
-    positive."""
-    return strict_positive_solution(vectors, n) is not None
-
-
 def _redundant(v, others, n) -> bool:
     """Is v·w >= 0 implied by the others within the closed orthant?"""
     cons = [(tuple(u), 0) for u in others]

@@ -12,19 +12,20 @@ Two independent routes compute the fan:
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible) with the exact echelon
   kernel of `linalg` (the same one that Buchberger-Möller uses).  The
-  walk's echelon rows carry term representations, so each corner term's
-  normal form reduces through the rows of its basic set to the candidate
-  reduced basis element; the oracle keeps the candidates realizable by a
-  strictly positive weight vector.
+  basic-set walk's echelon rows carry term representations, so each corner
+  term's normal form reduces through the rows of its basic set to the
+  candidate reduced basis element; the oracle keeps the candidates
+  realizable by a strictly positive weight vector.
 
 Both routes read the normal forms of the ideal's one cached degrevlex basis
 (`ReducedGB.nf_coords`), so each monomial is reduced once for both.
 
-A marked basis fixes its cone, which `MarkedBasis.cone` builds with
-`cone_of_marked` on first use; the oracle builds none.  Cones are
-deduplicated by leading-term ideal, which is also what the fan size
-counts: a single reduced basis can span several cones when different
-markings of the same polynomials are realizable.
+A marked basis fixes its cone.  `MarkedBasis` checks that each marked term
+leads under the basis's ordering, which some positive weight agrees with on
+finitely many terms (Mora-Robbiano 1988), so `MarkedBasis.cone` needs no
+LP and `cone_of_marked` tests only a caller's marking by one.  Cones are
+deduplicated by leading-term ideal, as the fan size counts: one reduced
+basis can span several cones when several of its markings are realizable.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cones import Cone, marking_realizable, strict_positive_solution
+from .cones import Cone, strict_positive_solution
 from .errors import (
     BoundExceeded,
     InconsistentMarking,
@@ -65,21 +66,28 @@ def cone_of_marked(elements, markings, nvars: int) -> Cone:
         if tuple(lt) not in g.coeffs:
             raise InconsistentMarking(f"marked term not in support of {g!r}")
     vecs = marking_vectors([g.coeffs for g in elements], markings)
-    if not marking_realizable(vecs, nvars):
+    if strict_positive_solution(vecs, nvars) is None:
         raise InconsistentMarking("no positive weight realizes this marking")
     return Cone.from_vectors(vecs, nvars)
 
 
 @dataclass(frozen=True)
 class MarkedBasis:
-    """A reduced basis marked by its own ordering, and the cone it fixes."""
+    """A reduced basis, checked to lead by its own ordering, and its cone."""
 
     basis: ReducedGB
+
+    def __post_init__(self):
+        key = self.basis.order.key
+        for lt, g in zip(self.basis.lt_exps, self.basis.elements):
+            if lt != max(g.coeffs, key=key):
+                raise InvariantViolation(f"marked term of {g!r} does not lead it")
 
     @cached_property
     def cone(self) -> Cone:
         gb = self.basis
-        return cone_of_marked(gb.elements, gb.lt_exps, gb.ring.nvars)
+        vecs = marking_vectors([g.coeffs for g in gb.elements], gb.lt_exps)
+        return Cone.from_vectors(vecs, gb.ring.nvars)
 
     def identity(self):
         """Equality key; the leading terms fix the marking, so also the cone."""
@@ -314,9 +322,6 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
             continue
         order = weight_order(w)
         pairs = sorted(zip(corner_terms, reps), key=lambda pair: order.key(pair[0]))
-        for u, rep in pairs:
-            if u != max(rep, key=order.key):
-                raise InvariantViolation("oracle marking disagrees with its ordering")
         gb = ReducedGB(ring, order, pairs)
         key = gb.lt_key()
         if key in found:

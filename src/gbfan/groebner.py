@@ -27,9 +27,9 @@ from .errors import (
     RingMismatch,
     ZeroIdealDivisor,
 )
-from .linalg import basis_from_functionals, clear_denominators, echelon_reduce
+from .linalg import basis_from_functionals, clear_denominators
 from .monomials import MonomialIdeal, minimalize
-from .orderings import TermOrder, elimination_order
+from .orderings import TermOrder, elimination_order, lex
 from .ring import Polynomial, PolyRing
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
@@ -455,20 +455,19 @@ class Ideal:
 
     def univariate_in(self, i: int) -> Polynomial:
         """Monic generator of the intersection with K[x_i], for a
-        zero-dimensional ideal, read from the normal forms of the cached
-        degrevlex basis: the powers 1, x_i, x_i^2, ... are reduced in turn,
-        and the first one whose normal form depends on the lower ones leads
-        the eliminant, which is that dependence."""
+        zero-dimensional ideal: FGLM in x_i alone over the normal forms of
+        the cached degrevlex basis, so the first power of x_i whose normal
+        form depends on the lower ones leads the eliminant, that dependence."""
         gb = self.groebner()
         p = self.ring.field.characteristic
-        rows: list[tuple] = []
-        t = (0,) * self.ring.nvars
-        while True:
-            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), p, t)
-            if pivot is None:
-                return kernel_poly(self.ring, rep)
-            rows.append((pivot, vec, rep))
-            t = t[:i] + (t[i] + 1,) + t[i + 1 :]
+
+        def power(k):
+            return (0,) * i + (k,) + (0,) * (self.ring.nvars - 1 - i)
+
+        [(_, coeffs)], _ = basis_from_functionals(
+            lex(1), p, lambda t, below, j: gb.nf_coords(power(t[0]))
+        )
+        return kernel_poly(self.ring, {power(e[0]): c for e, c in coeffs.items()})
 
     def __eq__(self, other):
         return (

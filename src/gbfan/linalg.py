@@ -134,7 +134,7 @@ def basis_from_functionals(order, p, vec_of):
 
     Returns ``(elements, quotient)``: the monic basis elements as pairs
     `(lead_term, coeffs)` by increasing lead_term, coeffs residues over
-    GF(p), and the quotient basis in increasing order.
+    GF(p) and `Fraction`s over QQ, and the quotient basis in increasing order.
     """
     okey = order.key
     n = order.nvars

@@ -54,7 +54,9 @@ class PointSet:
         for p in pts:
             if len(p) != n:
                 raise ParseError(f"point {p} has {len(p)} coordinates, expected {n}")
-        if len(set(pts)) != len(pts):
+        # not a field, so eq, hash and repr see only ring and points
+        object.__setattr__(self, "_members", frozenset(pts))
+        if len(self._members) != len(pts):
             raise DuplicatePoint("points must be pairwise distinct")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "points", pts)
@@ -66,10 +68,10 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p):
-        return tuple(map(self.ring.element, p)) in set(self.points)
+        return tuple(map(self.ring.element, p)) in self._members
 
     def subset_of(self, other: "PointSet") -> bool:
-        return set(self.points) <= set(other.points)
+        return self._members <= other._members
 
 
 def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
@@ -382,8 +384,7 @@ def subset_complement_ideals(grid_points: PointSet, subset: PointSet):
     if not subset.subset_of(grid_points):
         raise NotSubset("second point set is not inside the grid")
     first = vanishing_ideal(subset)
-    chosen = set(subset.points)
-    rest = [p for p in grid_points.points if p not in chosen]
+    rest = [p for p in grid_points.points if p not in subset._members]
     if rest:
         second = vanishing_ideal(PointSet(grid_points.ring, rest))
     else:

@@ -8,7 +8,6 @@ from gbfan import Cone, cone_of_marked
 from gbfan.cones import (
     canonical_inequalities,
     feasible,
-    marking_realizable,
     solve_system,
     strict_positive_solution,
 )
@@ -39,6 +38,7 @@ def test_solve_infeasible_returns_none():
 def test_strict_positive_solution():
     sol = strict_positive_solution([(1, -1)], 2)
     assert sol is not None and sol[0] >= sol[1] + 0
+    assert strict_positive_solution([(1, -1), (0, 1)], 2) is not None
     assert strict_positive_solution([(1, -1), (-1, 1)], 2) is None  # needs w_x > w_y > w_x
 
 
@@ -102,9 +102,3 @@ def test_inconsistent_marking_rejected():
         cone_of_marked([f], [(0, 0)], 2)  # constant can never lead
     with pytest.raises(InconsistentMarking):
         cone_of_marked([f], [(3, 3)], 2)  # not in the support
-
-
-def test_marking_realizable():
-    assert marking_realizable([(1, -1), (0, 1)], 2)
-    # opposite strict inequalities are jointly unrealizable
-    assert not marking_realizable([(1, -1), (-1, 1)], 2)

@@ -6,14 +6,18 @@ from random import Random
 import pytest
 
 from gbfan import (
+    Cone,
     Ideal,
+    MarkedBasis,
     Polynomial,
+    ReducedGB,
     enumerate_basic_sets,
     enumerate_fan,
     fan_equal,
     fan_oracle_zerodim,
     gbasic_sets,
     gfan_number,
+    lex,
     minimal_models,
     natural_distraction,
     unique_gb_fast_check,
@@ -23,6 +27,7 @@ from gbfan import (
 from gbfan.cli import main
 from gbfan.errors import (
     BoundExceeded,
+    InvariantViolation,
     NotZeroDimensional,
     DimensionMismatch,
     ZeroIdeal,
@@ -331,6 +336,26 @@ def test_basic_sets_carry_representations_only_for_the_oracle(record_calls):
     assert [terms for terms, _, _ in represented] == sets
     assert len(calls) == 2 * bare
     assert all(call["term"] is not None for call in calls[bare:])
+
+
+def test_walk_solves_only_facet_lps(record_calls):
+    # a walked basis is certified by its own ordering when it is marked, so
+    # the only LP solved per cone is each unmatched facet's interior point
+    import gbfan.cones
+
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    solves = record_calls(gbfan.cones, "solve_system")
+    facets = record_calls(Cone, "facet_interior_point")
+    enumerate_fan(I)
+    assert len(facets) > 0
+    assert len(solves) == len(facets)
+
+
+def test_marked_basis_rejects_a_term_its_ordering_does_not_lead(rxy):
+    # y is a realizable marking of x + y, but not the one lex gives
+    basis = ReducedGB(rxy, lex(2), [((0, 1), {(1, 0): 1, (0, 1): 1})])
+    with pytest.raises(InvariantViolation, match="does not lead"):
+        MarkedBasis(basis)
 
 
 def test_oracle_requires_zero_dimensional(rxy):
