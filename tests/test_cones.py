@@ -38,7 +38,6 @@ def test_solve_infeasible_returns_none():
 def test_strict_positive_solution():
     sol = strict_positive_solution([(1, -1)], 2)
     assert sol is not None and sol[0] >= sol[1] + 0
-    assert strict_positive_solution([(1, -1), (0, 1)], 2) is not None
     assert strict_positive_solution([(1, -1), (-1, 1)], 2) is None  # needs w_x > w_y > w_x
 
 
@@ -102,3 +101,16 @@ def test_inconsistent_marking_rejected():
         cone_of_marked([f], [(0, 0)], 2)  # constant can never lead
     with pytest.raises(InconsistentMarking):
         cone_of_marked([f], [(3, 3)], 2)  # not in the support
+
+
+def test_marking_realizable():
+    # a marking is realizable when a strictly positive weight makes every
+    # marking vector strictly positive; cone_of_marked decides it by this LP
+    assert strict_positive_solution([(1, -1), (0, 1)], 2) is not None
+    R = qring("x", "y")
+    f, g = R.parse("x + y"), R.parse("y + 1")
+    assert cone_of_marked([f, g], [(1, 0), (0, 1)], 2).contains((2, 1))
+    # opposite strict inequalities are jointly unrealizable
+    assert strict_positive_solution([(1, -1), (-1, 1)], 2) is None
+    with pytest.raises(InconsistentMarking):
+        cone_of_marked([f, f], [(1, 0), (0, 1)], 2)
