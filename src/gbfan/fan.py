@@ -78,7 +78,7 @@ class MarkedBasis:
     basis: ReducedGB
 
     def __post_init__(self):
-        key = self.basis.order.key
+        key = self.basis.key
         for lt, g in zip(self.basis.lt_exps, self.basis.elements):
             if lt != max(g.coeffs, key=key):
                 raise InvariantViolation(f"marked term of {g!r} does not lead it")

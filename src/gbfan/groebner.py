@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, le, neg, sub
@@ -34,7 +35,9 @@ from .ring import Polynomial, PolyRing
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
 
-def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> tuple[dict, int]:
+def _reduce_dict(
+    f: dict, reducers, divisors: dict, okey, p: int, tail: bool = True
+) -> tuple[dict, int]:
     """Remainder of f modulo reducers, as `(r, s)` with s*f - r in the
     ideal they generate.  A reducer `(lt, a, rest)` stands for
     a*x^lt + rest, `rest` the (exp, coeff) pairs below lt.  Over GF(p)
@@ -48,6 +51,15 @@ def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> tuple[di
     is pushed when it first appears; one cancelled and met again still
     has its entry, since every new term lies below the one reduced.
     With tail=False, stop as soon as the leading term is irreducible.
+
+    `divisors` maps a term to the index of the first reducer whose leading
+    term divides it; a scan fills it on a hit, and a term found there is
+    not scanned again.  The caller keeps one such dict beside each reducer
+    list, shared by every reduction against that list.  This is exact
+    because a reducer list only ever grows at its end: the first divisor
+    found stays the first divisor, so each step takes the reducer a full
+    scan would take.  A miss is not recorded, since a reducer appended
+    later may divide the term.
     """
     work = dict(f)
     seen = set(work)
@@ -60,40 +72,45 @@ def _reduce_dict(f: dict, reducers, okey, p: int, tail: bool = True) -> tuple[di
         c = work.pop(t, None)
         if c is None:  # cancelled
             continue
-        for lt, a, rest in reducers:
-            if all(map(le, lt, t)):
-                if a != 1:
-                    g = gcd(a, c)
-                    if g != a:
-                        k = a // g
-                        scale *= k
-                        for e in work:
-                            work[e] *= k
-                        for e in out:
-                            out[e] *= k
-                    c //= g
-                shift = tuple(map(sub, t, lt))
-                m = p - c if p else -c
-                for e2, c2 in rest:
-                    key = tuple(map(add, e2, shift))
-                    cur = work.get(key)
-                    if cur is None:
-                        work[key] = m * c2 % p if p else m * c2
-                        if key not in seen:
-                            seen.add(key)
-                            heappush(heap, (tuple(map(neg, okey(key))), key))
-                    else:
-                        val = (cur + m * c2) % p if p else cur + m * c2
-                        if val:
-                            work[key] = val
-                        else:
-                            del work[key]
-                break
-        else:
-            out[t] = c
-            if not tail:
-                out.update(work)
-                return out, scale
+        i = divisors.get(t)
+        if i is None:
+            for i, (lt, _, _) in enumerate(reducers):
+                if all(map(le, lt, t)):
+                    divisors[t] = i
+                    break
+            else:
+                out[t] = c
+                if not tail:
+                    out.update(work)
+                    return out, scale
+                continue
+        lt, a, rest = reducers[i]
+        if a != 1:
+            g = gcd(a, c)
+            if g != a:
+                k = a // g
+                scale *= k
+                for e in work:
+                    work[e] *= k
+                for e in out:
+                    out[e] *= k
+            c //= g
+        shift = tuple(map(sub, t, lt))
+        m = p - c if p else -c
+        for e2, c2 in rest:
+            key = tuple(map(add, e2, shift))
+            cur = work.get(key)
+            if cur is None:
+                work[key] = m * c2 % p if p else m * c2
+                if key not in seen:
+                    seen.add(key)
+                    heappush(heap, (tuple(map(neg, okey(key))), key))
+            else:
+                val = (cur + m * c2) % p if p else cur + m * c2
+                if val:
+                    work[key] = val
+                else:
+                    del work[key]
     return out, scale
 
 
@@ -133,10 +150,12 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
     element found for each divisibility-minimal leading term is kept, with
     its tail fully reduced.  The work runs on `_reduce_dict`'s raw
     coefficients: each element is put in reducer form once, when it is
-    added, and made monic only at the end.
+    added, and made monic only at the end.  Order keys are memoised for
+    the run, and first divisors beside each reducer list.
     """
-    okey = order.key
+    okey = cache(order.key)
     basis: list[tuple] = []  # (lt, a, rest), the one reducer list
+    divisors: dict = {}  # first divisors in basis, which only grows
     queue: list = []
 
     def insert(f: dict) -> None:
@@ -181,7 +200,7 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
                 spoly[key] = val
             else:
                 del spoly[key]
-        r, _ = _reduce_dict(spoly, basis, okey, p, tail=False)
+        r, _ = _reduce_dict(spoly, basis, divisors, okey, p, tail=False)
         if r:
             insert(r)
     # the first element found for each divisibility-minimal leading term
@@ -191,9 +210,10 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
     minimal = minimalize(first)
     kept = [element for lt, element in first.items() if lt in minimal]
     # no element reduces its own tail: every term met lies below its lt
+    divisors = {}  # first divisors in kept, which is fixed
     out = []
     for lt, a, rest in sorted(kept, key=lambda element: okey(element[0])):
-        r, s = _reduce_dict(dict(rest), kept, okey, p)
+        r, s = _reduce_dict(dict(rest), kept, divisors, okey, p)
         if not p:
             r = {e: Fraction(c, s * a) for e, c in r.items()}
         r[lt] = 1 if p else Fraction(1)
@@ -216,16 +236,26 @@ class ReducedGB:
     basis builder's `(lead_term, coeffs)` pairs by increasing lead_term:
     the lead terms become `lt_exps` as given, each coeffs a `Polynomial`
     by `kernel_poly`.  A zero-dimensional basis fills its quotient basis
-    and normal forms on first use, deterministically."""
+    and normal forms on first use, deterministically.
 
-    __slots__ = ("ring", "order", "elements", "lt_exps", "_reducers", "_index", "_nf")
+    `key` is `order.key` memoised for this basis alone, so each term is
+    keyed once however often the basis sorts or reduces it; the presets
+    `lex(n)` and `degrevlex(n)` live for the whole process, and a memo on
+    the ordering would outlive every basis."""
+
+    __slots__ = (
+        "ring", "order", "key", "elements", "lt_exps",
+        "_reducers", "_divisors", "_index", "_nf",
+    )
 
     def __init__(self, ring: PolyRing, order: TermOrder, pairs):
         self.ring = ring
         self.order = order
+        self.key = cache(order.key)
         self.lt_exps = tuple(lt for lt, _ in pairs)
         self.elements = tuple(kernel_poly(ring, coeffs) for _, coeffs in pairs)
         self._reducers: list | None = None
+        self._divisors: dict = {}  # first divisors in _reducers, which is fixed
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
 
@@ -244,7 +274,7 @@ class ReducedGB:
         field = self.ring.field
         p = field.characteristic
         coeffs, d = _integral(f.coeffs, field)
-        r, s = _reduce_dict(coeffs, self._kernel_reducers(), self.order.key, p)
+        r, s = _reduce_dict(coeffs, self._kernel_reducers(), self._divisors, self.key, p)
         if not p:
             r = {e: Fraction(c, s * d) for e, c in r.items()}
         return kernel_poly(self.ring, r)
@@ -269,7 +299,7 @@ class ReducedGB:
             lt = self.lt_ideal()
             if not lt.is_zero_dimensional():
                 raise NotZeroDimensional("quotient basis requires a zero-dimensional ideal")
-            terms = sorted(lt.order_ideal(), key=self.order.key)
+            terms = sorted(lt.order_ideal(), key=self.key)
             self._index = {t: i for i, t in enumerate(terms)}
         return tuple(self._index)
 
@@ -282,7 +312,9 @@ class ReducedGB:
             field = self.ring.field
             p = field.characteristic
             row = [0 if p else field.zero()] * len(self.quotient_basis())
-            nf, s = _reduce_dict({exp: 1}, self._kernel_reducers(), self.order.key, p)
+            nf, s = _reduce_dict(
+                {exp: 1}, self._kernel_reducers(), self._divisors, self.key, p
+            )
             for e, c in nf.items():
                 row[self._index[e]] = c if p else Fraction(c, s)
             vec = self._nf.setdefault(exp, tuple(row))
@@ -490,7 +522,7 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroIdealDivisor("division by the zero polynomial")
     ring = f.ring
     order = ring.default_order()
-    okey = order.key
+    okey = cache(order.key)  # every step keys all the remaining terms
     g_lt, g_lc = g.leading_term(order)
     work = dict(f.coeffs)
     quot: dict = {}

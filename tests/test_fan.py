@@ -11,6 +11,7 @@ from gbfan import (
     MarkedBasis,
     Polynomial,
     ReducedGB,
+    TermOrder,
     enumerate_basic_sets,
     enumerate_fan,
     fan_equal,
@@ -356,6 +357,24 @@ def test_marked_basis_rejects_a_term_its_ordering_does_not_lead(rxy):
     basis = ReducedGB(rxy, lex(2), [((0, 1), {(1, 0): 1, (0, 1): 1})])
     with pytest.raises(InvariantViolation, match="does not lead"):
         MarkedBasis(basis)
+
+
+def test_marked_basis_keys_each_term_once(record_calls):
+    # a flip basis keys a term once for its marking check, its quotient
+    # basis and its reductions together, through the basis's own memo
+    R = qring("x", "y", "z")
+    I = ideal(R, "x^2 - y*z + 1", "y^2 - x*z + 2", "z^2 - x*y + 3")
+    start = I.groebner()
+    calls = record_calls(TermOrder, "key")
+    flip = start.change_order(lex(3))
+    calls.clear()
+    MarkedBasis(flip)
+    flip.quotient_basis()
+    for g in I.gens:
+        assert flip.reduce(g).is_zero()
+    keyed = [call["exp"] for call in calls]
+    assert keyed
+    assert len(keyed) == len(set(keyed))
 
 
 def test_oracle_requires_zero_dimensional(rxy):

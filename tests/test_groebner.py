@@ -13,6 +13,7 @@ from gbfan import (
     QQ,
     Ideal,
     PolyRing,
+    TermOrder,
     deglex,
     degrevlex,
     divide_exact,
@@ -23,7 +24,7 @@ from gbfan import (
     weight_order,
 )
 from gbfan.errors import NotZeroDimensional, RingMismatch, ZeroIdealDivisor
-from gbfan.groebner import ReducedGB, buchberger_dicts, kernel_poly
+from gbfan.groebner import ReducedGB, _reduce_dict, buchberger_dicts, kernel_poly
 from gbfan.random_ideals import random_point_set, random_zero_dim_ideal
 from gbfan.points import vanishing_ideal
 from gbfan.terms import term_str
@@ -208,6 +209,68 @@ def test_buchberger_kernel_runs_modulo_any_prime(names, texts, m):
     want = [(lt, residues(g.coeffs)) for lt, g in zip(gb.lt_exps, gb.elements)]
     assert buchberger_dicts(gens, order, m) == want
     assert buchberger_dicts(gens, order, m, use_criteria=False) == want
+
+
+def katsura(n: int) -> list[str]:
+    """Katsura-n in x0..xn: sum_i u_i = 1 and sum_i u_i*u_(m-i) = u_m for
+    m < n, indices over -n..n with u_-i = u_i and u_i = 0 past n."""
+
+    def u(i):
+        return f"x{abs(i)}" if abs(i) <= n else None
+
+    texts = [" + ".join(u(i) for i in range(-n, n + 1)) + " - 1"]
+    for m in range(n):
+        terms = [f"{u(i)}*{u(m - i)}" for i in range(-n, n + 1) if u(m - i)]
+        texts.append(" + ".join(terms) + f" - x{m}")
+    return texts
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_buchberger_keys_each_term_once(record_calls, field):
+    # one run memoises its order keys: the pair queue, each new leading
+    # term, every reduction and the final sort key a term once between them
+    R = PolyRing(field, [f"x{i}" for i in range(5)])
+    gens = kernel_gens(R, [R.parse(t) for t in katsura(4)])
+    calls = record_calls(TermOrder, "key")
+    basis = buchberger_dicts(gens, degrevlex(5), field.characteristic)
+    keyed = [call["exp"] for call in calls]
+    assert len(basis) > 5 and keyed
+    assert len(keyed) == len(set(keyed))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_first_divisors_match_a_fresh_scan(record_calls, field):
+    # replay a run's reductions against a reducer list that grows by appends,
+    # as the run's does, with one divisor dict kept beside it: each gives what
+    # a full scan with a fresh dict gives, and so does the interreduction
+    # against its fixed list of kept elements
+    import gbfan.groebner
+
+    R = PolyRing(field, [f"x{i}" for i in range(4)])
+    p = field.characteristic
+    order = degrevlex(4)
+    gens = kernel_gens(R, [R.parse(t) for t in katsura(3)])
+    calls = record_calls(gbfan.groebner, "_reduce_dict")
+    buchberger_dicts(gens, order, p)
+    spolys = [call for call in calls if not call["tail"]]
+    tails = [call for call in calls if call["tail"]]
+    basis = spolys[0]["reducers"]  # the run's own list, as it ended
+    reducers = basis[: len(basis) - sum(1 for call in spolys if call["return"][0])]
+    divisors: dict = {}
+    for call in spolys:
+        got = _reduce_dict(call["f"], reducers, divisors, order.key, p, tail=False)
+        assert got == _reduce_dict(call["f"], reducers, {}, order.key, p, tail=False)
+        assert got == call["return"]
+        if got[0]:
+            reducers.append(basis[len(reducers)])
+    assert reducers == basis and divisors
+    kept = tails[0]["reducers"]
+    divisors = {}
+    for call in tails:
+        assert call["reducers"] is kept
+        got = _reduce_dict(call["f"], kept, divisors, order.key, p)
+        assert got == _reduce_dict(call["f"], kept, {}, order.key, p)
+    assert divisors
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
