@@ -31,7 +31,7 @@ basis can span several cones when several of its markings are realizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cones import Cone, strict_positive_solution
 from .errors import (
@@ -78,7 +78,7 @@ class MarkedBasis:
     basis: ReducedGB
 
     def __post_init__(self):
-        key = self.basis.key
+        key = cache(self.basis.order.key)  # tails share their terms
         for lt, g in zip(self.basis.lt_exps, self.basis.elements):
             if lt != max(g.coeffs, key=key):
                 raise InvariantViolation(f"marked term of {g!r} does not lead it")

@@ -236,26 +236,16 @@ class ReducedGB:
     basis builder's `(lead_term, coeffs)` pairs by increasing lead_term:
     the lead terms become `lt_exps` as given, each coeffs a `Polynomial`
     by `kernel_poly`.  A zero-dimensional basis fills its quotient basis
-    and normal forms on first use, deterministically.
+    and normal forms on first use, deterministically."""
 
-    `key` is `order.key` memoised for this basis alone, so each term is
-    keyed once however often the basis sorts or reduces it; the presets
-    `lex(n)` and `degrevlex(n)` live for the whole process, and a memo on
-    the ordering would outlive every basis."""
-
-    __slots__ = (
-        "ring", "order", "key", "elements", "lt_exps",
-        "_reducers", "_divisors", "_index", "_nf",
-    )
+    __slots__ = ("ring", "order", "elements", "lt_exps", "_kernel", "_index", "_nf")
 
     def __init__(self, ring: PolyRing, order: TermOrder, pairs):
         self.ring = ring
         self.order = order
-        self.key = cache(order.key)
         self.lt_exps = tuple(lt for lt, _ in pairs)
         self.elements = tuple(kernel_poly(ring, coeffs) for _, coeffs in pairs)
-        self._reducers: list | None = None
-        self._divisors: dict = {}  # first divisors in _reducers, which is fixed
+        self._kernel: tuple | None = None
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
 
@@ -274,23 +264,27 @@ class ReducedGB:
         field = self.ring.field
         p = field.characteristic
         coeffs, d = _integral(f.coeffs, field)
-        r, s = _reduce_dict(coeffs, self._kernel_reducers(), self._divisors, self.key, p)
+        r, s = _reduce_dict(coeffs, *self._reduction_kernel(), p)
         if not p:
             r = {e: Fraction(c, s * d) for e, c in r.items()}
         return kernel_poly(self.ring, r)
 
-    def _kernel_reducers(self) -> list:
-        """The elements in `_reduce_dict`'s reducer form, built on the
-        first `reduce` or `nf_coords`: most bases, such as a flip's or an
-        ideal of points', never reduce."""
-        if self._reducers is None:
+    def _reduction_kernel(self) -> tuple:
+        """`(reducers, divisors, okey)` for `_reduce_dict`, shared by every
+        `reduce` and `nf_coords`: the elements in reducer form, a list that
+        is fixed, with its first-divisor dict and `order.key` memoised for
+        this basis, not on the ordering, whose presets live for the whole
+        process.  Built on first use, so the bases that never reduce, such
+        as a flip's or an ideal of points', keep no memo."""
+        if self._kernel is None:
             field = self.ring.field
             p = field.characteristic
-            self._reducers = [
+            reducers = [
                 _reducer(_integral(g.coeffs, field)[0], lt, p)
                 for lt, g in zip(self.lt_exps, self.elements)
             ]
-        return self._reducers
+            self._kernel = (reducers, {}, cache(self.order.key))
+        return self._kernel
 
     def quotient_basis(self) -> tuple[tuple[int, ...], ...]:
         """The power products outside the leading-term ideal, ascending in
@@ -299,7 +293,7 @@ class ReducedGB:
             lt = self.lt_ideal()
             if not lt.is_zero_dimensional():
                 raise NotZeroDimensional("quotient basis requires a zero-dimensional ideal")
-            terms = sorted(lt.order_ideal(), key=self.key)
+            terms = sorted(lt.order_ideal(), key=self.order.key)
             self._index = {t: i for i, t in enumerate(terms)}
         return tuple(self._index)
 
@@ -312,9 +306,7 @@ class ReducedGB:
             field = self.ring.field
             p = field.characteristic
             row = [0 if p else field.zero()] * len(self.quotient_basis())
-            nf, s = _reduce_dict(
-                {exp: 1}, self._kernel_reducers(), self._divisors, self.key, p
-            )
+            nf, s = _reduce_dict({exp: 1}, *self._reduction_kernel(), p)
             for e, c in nf.items():
                 row[self._index[e]] = c if p else Fraction(c, s)
             vec = self._nf.setdefault(exp, tuple(row))
@@ -522,7 +514,7 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroIdealDivisor("division by the zero polynomial")
     ring = f.ring
     order = ring.default_order()
-    okey = cache(order.key)  # every step keys all the remaining terms
+    okey = order.key
     g_lt, g_lc = g.leading_term(order)
     work = dict(f.coeffs)
     quot: dict = {}

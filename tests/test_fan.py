@@ -360,21 +360,25 @@ def test_marked_basis_rejects_a_term_its_ordering_does_not_lead(rxy):
 
 
 def test_marked_basis_keys_each_term_once(record_calls):
-    # a flip basis keys a term once for its marking check, its quotient
-    # basis and its reductions together, through the basis's own memo
+    # a flip basis's marking check keys each term once, as do its
+    # reductions between them; the basis keeps a memo only once it reduces
     R = qring("x", "y", "z")
     I = ideal(R, "x^2 - y*z + 1", "y^2 - x*z + 2", "z^2 - x*y + 3")
-    start = I.groebner()
+    flip = I.groebner().change_order(lex(3))
+    standard = flip.quotient_basis()
     calls = record_calls(TermOrder, "key")
-    flip = start.change_order(lex(3))
-    calls.clear()
     MarkedBasis(flip)
-    flip.quotient_basis()
+    assert flip._kernel is None
+    checked = [call["exp"] for call in calls]
+    calls.clear()
     for g in I.gens:
         assert flip.reduce(g).is_zero()
-    keyed = [call["exp"] for call in calls]
-    assert keyed
-    assert len(keyed) == len(set(keyed))
+    for t in standard:
+        flip.nf_coords(tuple(2 * e for e in t))
+    reduced = [call["exp"] for call in calls]
+    for keyed in (checked, reduced):
+        assert keyed
+        assert len(keyed) == len(set(keyed))
 
 
 def test_oracle_requires_zero_dimensional(rxy):

@@ -32,6 +32,21 @@ from gbfan.terms import term_str
 from conftest import fring, ideal, kernel_gens, points, qring
 
 
+KATSURA3 = [
+    "x + 2*y + 2*z + 2*w - 1",
+    "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
+    "2*x*y + 2*y*z + 2*z*w - y",
+    "2*x*z + y^2 + 2*y*w - z",
+]
+KATSURA4 = [
+    "x + 2*y + 2*z + 2*w + 2*v - 1",
+    "x^2 + 2*y^2 + 2*z^2 + 2*w^2 + 2*v^2 - x",
+    "2*x*y + 2*y*z + 2*z*w + 2*w*v - y",
+    "2*x*z + y^2 + 2*y*w + 2*z*v - z",
+    "2*x*w + 2*y*z + 2*y*v - w",
+]
+
+
 def lac_ideal():
     R = fring(2, "x", "y", "z")
     pts = points(R, [(1, 0, 0), (0, 1, 0), (1, 0, 1)])
@@ -145,8 +160,7 @@ def test_criteria_do_not_change_output(rxy):
         pytest.param(
             QQ,
             "xyzw",
-            ["x + 2*y + 2*z + 2*w - 1", "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
-             "2*x*y + 2*y*z + 2*z*w - y", "2*x*z + y^2 + 2*y*w - z"],
+            KATSURA3,
             {"degrevlex": (10, 5, 7), "lex": (22, 8, 4)},
             id="katsura3",
         ),
@@ -183,8 +197,7 @@ def test_buchberger_work_is_pinned(record_calls, field, names, texts, counts):
     [
         pytest.param(
             "xyzw",
-            ["x + 2*y + 2*z + 2*w - 1", "x^2 + 2*y^2 + 2*z^2 + 2*w^2 - x",
-             "2*x*y + 2*y*z + 2*z*w - y", "2*x*z + y^2 + 2*y*w - z"],
+            KATSURA3,
             id="katsura3",
         ),
         pytest.param(
@@ -211,26 +224,12 @@ def test_buchberger_kernel_runs_modulo_any_prime(names, texts, m):
     assert buchberger_dicts(gens, order, m, use_criteria=False) == want
 
 
-def katsura(n: int) -> list[str]:
-    """Katsura-n in x0..xn: sum_i u_i = 1 and sum_i u_i*u_(m-i) = u_m for
-    m < n, indices over -n..n with u_-i = u_i and u_i = 0 past n."""
-
-    def u(i):
-        return f"x{abs(i)}" if abs(i) <= n else None
-
-    texts = [" + ".join(u(i) for i in range(-n, n + 1)) + " - 1"]
-    for m in range(n):
-        terms = [f"{u(i)}*{u(m - i)}" for i in range(-n, n + 1) if u(m - i)]
-        texts.append(" + ".join(terms) + f" - x{m}")
-    return texts
-
-
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_buchberger_keys_each_term_once(record_calls, field):
     # one run memoises its order keys: the pair queue, each new leading
     # term, every reduction and the final sort key a term once between them
-    R = PolyRing(field, [f"x{i}" for i in range(5)])
-    gens = kernel_gens(R, [R.parse(t) for t in katsura(4)])
+    R = PolyRing(field, list("xyzwv"))
+    gens = kernel_gens(R, [R.parse(t) for t in KATSURA4])
     calls = record_calls(TermOrder, "key")
     basis = buchberger_dicts(gens, degrevlex(5), field.characteristic)
     keyed = [call["exp"] for call in calls]
@@ -246,10 +245,10 @@ def test_first_divisors_match_a_fresh_scan(record_calls, field):
     # against its fixed list of kept elements
     import gbfan.groebner
 
-    R = PolyRing(field, [f"x{i}" for i in range(4)])
+    R = PolyRing(field, list("xyzw"))
     p = field.characteristic
     order = degrevlex(4)
-    gens = kernel_gens(R, [R.parse(t) for t in katsura(3)])
+    gens = kernel_gens(R, [R.parse(t) for t in KATSURA3])
     calls = record_calls(gbfan.groebner, "_reduce_dict")
     buchberger_dicts(gens, order, p)
     spolys = [call for call in calls if not call["tail"]]
