@@ -91,7 +91,10 @@ def _point_rows(pts) -> list[str]:
 
 def cmd_gb(args):
     ring, ideal = load_ideal(args.ideal, args.field, args.vars)
-    payload = _basis(ideal.groebner(_order_for(ring, args.order)))
+    gb = ideal.groebner()
+    if args.order is not None:
+        gb = gb.change_order(parse_order(args.order, ring.nvars))
+    payload = _basis(gb)
     return payload, ["order: " + payload["order"], *payload["basis"]]
 
 

@@ -6,9 +6,8 @@ Two independent routes compute the fan:
   degrevlex basis.  A facet already flipped from its other side is matched
   by that flip's interior point, with no LP; any other facet is flipped to
   the basis for an ordering whose first row is a facet-interior weight and
-  whose second row points across the facet, by FGLM from the start basis
-  (`ReducedGB.change_order`) for a zero-dimensional ideal, and by
-  Buchberger for any other ideal.
+  whose second row points across the facet, converted from the start basis
+  by `ReducedGB.change_order` (FGLM when the ideal is zero-dimensional).
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible) with the exact echelon
   kernel of `linalg` (the same one that Buchberger-Möller uses).  The
@@ -142,16 +141,15 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
     weight there, which a flipped facet keeps.  Facet v of a new cone is
     matched, with no LP and no flip, when the cone contains a weight kept
     for -v: the fan is polyhedral, so the cone that flipped -v is the
-    neighbor.  For a zero-dimensional ideal a neighbor comes by FGLM from
-    the start basis; for any other ideal, by Buchberger in the flip
-    ordering.  Only zero-dimensional fans have `fan_oracle_zerodim` as an
+    neighbor.  Each neighbor is converted from the start basis by
+    `ReducedGB.change_order`, so the ideal's cache keeps only that one
+    basis.  Only zero-dimensional fans have `fan_oracle_zerodim` as an
     independent check.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
     n = ideal.ring.nvars
     start = ideal.groebner()
-    zero_dim = start.lt_ideal().is_zero_dimensional()
     visited: dict[tuple, MarkedBasis] = {}
     flipped: dict[tuple, list[tuple]] = {}
     stack: list[ReducedGB] = [start]
@@ -170,8 +168,7 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
             if w is None:
                 raise InvariantViolation(f"facet {v} misses the open orthant")
             flipped.setdefault(v, []).append(w)
-            order = flip_order(w, v, n)
-            neighbor = start.change_order(order) if zero_dim else ideal.groebner(order)
+            neighbor = start.change_order(flip_order(w, v, n))
             if neighbor.lt_key() not in visited:
                 stack.append(neighbor)
     return GroebnerFan(ideal.ring, visited.values())

@@ -238,7 +238,7 @@ class ReducedGB:
     by `kernel_poly`.  A zero-dimensional basis fills its quotient basis
     and normal forms on first use, deterministically."""
 
-    __slots__ = ("ring", "order", "elements", "lt_exps", "_kernel", "_index", "_nf")
+    __slots__ = ("ring", "order", "elements", "lt_exps", "_kernel", "_index", "_nf", "_zero_dim")
 
     def __init__(self, ring: PolyRing, order: TermOrder, pairs):
         self.ring = ring
@@ -248,6 +248,7 @@ class ReducedGB:
         self._kernel: tuple | None = None
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
+        self._zero_dim: bool | None = None
 
     def lt_key(self) -> tuple:
         """Canonical identity of the leading-term ideal."""
@@ -313,8 +314,13 @@ class ReducedGB:
         return vec
 
     def change_order(self, order: TermOrder) -> "ReducedGB":
-        """The reduced basis of the same zero-dimensional ideal for another
-        ordering, by FGLM over the normal-form coordinates of this one."""
+        """A new reduced basis of the same ideal, labelled `order`: by FGLM
+        over this one's normal-form coordinates when it is zero-dimensional
+        (read once per basis), else by Buchberger from its elements."""
+        if self._zero_dim is None:
+            self._zero_dim = self.lt_ideal().is_zero_dimensional()
+        if not self._zero_dim:
+            return Ideal(self.ring, self.elements).groebner(order)
         ring = self.ring
         pairs, _ = basis_from_functionals(
             order, ring.field.characteristic, lambda t, below, i: self.nf_coords(t)
@@ -510,6 +516,8 @@ class Ideal:
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f / g; raises when the division leaves a remainder."""
+    if f.ring != g.ring:
+        raise RingMismatch(f"{f.ring} vs {g.ring}")
     if g.is_zero():
         raise ZeroIdealDivisor("division by the zero polynomial")
     ring = f.ring

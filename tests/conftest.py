@@ -59,6 +59,31 @@ def points(ring, coords) -> PointSet:
     return PointSet(ring, pts)
 
 
+# Lex bases that Buchberger from the generators is slow to reach: the QQ one
+# did not finish in minutes, the GF(32003) one took about 15 s.
+FOUND_IDEALS = {
+    "QQ": (
+        "4*x*z - x*y*z - y^2*z^2 - 4*x^2*z",
+        "x*y*z^2 + x^2*y^2*z + y*z^2 - x",
+        "4 - x^2 + 3*y*z^2",
+    ),
+    "GF(32003)": (
+        "3*x*y - x^2*y^2 + x^2*y*z^2 + 2*y^2*z^2",
+        "-4*y*z - 4*x^2*y*z + 4*x*y^2 - 3*x^2*z",
+        "-x*y + x^2*y^2*z^2 - 3*z^2 + 4*y^2",
+    ),
+}
+
+
+def write_found_ideal(tmp_path, field) -> Path:
+    """The FOUND_IDEALS entry for `field` as an ideal file in tmp_path."""
+    path = tmp_path / "found.ideal"
+    path.write_text(
+        f"# field: {field}\n# vars: x, y, z\n" + "\n".join(FOUND_IDEALS[field]) + "\n"
+    )
+    return path
+
+
 def weight_refinement(w) -> TermOrder:
     """Ordering realizing a strictly positive weight, degrevlex-refined."""
     return weight_order(w)

@@ -1,14 +1,17 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import hashlib
 import json
 
 import pytest
 
 import gbfan.cli
-from gbfan import parse_field, PolyRing
+from gbfan import degrevlex, parse_field, PolyRing
 from gbfan.cli import main
 from gbfan.fan import GroebnerFan
 from gbfan.files import load_ideal
+
+from conftest import write_found_ideal
 
 
 def run(capsys, *argv):
@@ -62,6 +65,40 @@ def test_gb_order_flag(demo, capsys):
     code, out, _ = run(capsys, "gb", str(demo["ideal"]), "--order", "lex")
     assert code == 0
     assert out.splitlines()[0] == "order: lex"
+
+
+@pytest.mark.parametrize(
+    "spec, lines",
+    [
+        ("lex", ["order: lex", "y^2 - 2", "x - 1"]),
+        # both equal degrevlex on two variables; the label is the one asked for
+        ("deglex", ["order: deglex", "x - 1", "y^2 - 2"]),
+        ("weight:1,1", ["order: weight[[1, 1], [1, 1], [0, -1]]", "x - 1", "y^2 - 2"]),
+    ],
+)
+def test_gb_order_converts_the_degrevlex_basis(demo, capsys, record_calls, spec, lines):
+    import gbfan.groebner
+
+    runs = record_calls(gbfan.groebner, "buchberger_dicts")
+    code, out, _ = run(capsys, "gb", str(demo["ideal"]), "--order", spec)
+    assert code == 0
+    assert out.splitlines() == lines
+    assert [call["order"] for call in runs] == [degrevlex(2)]
+
+
+@pytest.mark.parametrize(
+    "field, digest",
+    [
+        ("QQ", "ed8f5af7c38803094ecf885c9a6d6e79f8403bd1d97c17e74118904c6564277e"),
+        ("GF(32003)", "b712e8b52605d0be00d88530bc128b990b0b76a4488c07e472d1e4d939b9f6e0"),
+    ],
+)
+def test_gb_lex_of_found_ideals_is_pinned(tmp_path, capsys, field, digest):
+    # the zero-dimensional QQ ideal goes by FGLM, the positive-dimensional
+    # GF(32003) one by Buchberger in lex from its degrevlex basis
+    code, out, _ = run(capsys, "gb", str(write_found_ideal(tmp_path, field)), "--order", "lex")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fan_text_and_json(demo, capsys):

@@ -174,6 +174,14 @@ def test_zero_dimensional_walk_runs_buchberger_once(record_calls):
     assert fan == fan_oracle_zerodim(I)
 
 
+def test_walk_caches_only_the_start_basis(rxyz):
+    # every flip basis is converted from the start basis, so a
+    # positive-dimensional walk leaves the ideal's cache as it found it
+    I = ideal(rxyz, "x^2 - y^3", "x*y - z")
+    assert enumerate_fan(I).size == 9
+    assert list(I._cache) == [rxyz.default_order()]
+
+
 def test_walk_and_oracle_share_normal_forms(record_calls):
     # both routes read the normal forms of the ideal's one cached basis, so
     # no monomial is reduced twice

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbfan import GF, QQ, Ideal, PolyRing, degrevlex, lex
+from gbfan.cli import main
+
+from conftest import FOUND_IDEALS, write_found_ideal
 
 sympy = pytest.importorskip("sympy")
 
@@ -93,3 +96,14 @@ def test_groebner_matches_sympy():
             f"{len(overruns)} basis(es) ran past {BUDGET_S} s, first {overruns[0]}"
             " (known: buchberger_dicts is slow on some lex bases over QQ)"
         )
+
+
+def test_gb_lex_of_found_qq_ideal_matches_sympy(tmp_path, capsys):
+    # `buchberger_dicts` in lex from these generators overruns any budget;
+    # `gb --order lex` converts the degrevlex basis by FGLM
+    assert main(["gb", str(write_found_ideal(tmp_path, "QQ")), "--order", "lex"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    gens = [ring.parse(t).coeffs for t in FOUND_IDEALS["QQ"]]
+    assert header == "order: lex"
+    assert {ring.parse(t) for t in rows} == sympy_monic_basis(ring, gens, "lex")
