@@ -67,12 +67,6 @@ class _SelfcheckFailed(Exception):
         super().__init__(self.lines[0])
 
 
-def _order_for(ring, spec: str | None):
-    if spec is None:
-        return ring.default_order()
-    return parse_order(spec, ring.nvars)
-
-
 def _listing(key: str, rows: list[str]):
     """A payload holding one list of strings, printed one per line."""
     return {key: rows}, rows
@@ -129,7 +123,8 @@ def cmd_fan(args):
 
 def cmd_points(args):
     pts = load_points(args.points, args.field, args.vars)
-    gb, quotient = ideal_of_points(pts, _order_for(pts.ring, args.order))
+    order = None if args.order is None else parse_order(args.order, pts.ring.nvars)
+    gb, quotient = ideal_of_points(pts, order)
     payload = {
         **_basis(gb),
         "quotient_basis": [term_str(t, pts.ring.vars) for t in quotient],

@@ -9,12 +9,12 @@ Two independent routes compute the fan:
   whose second row points across the facet, converted from the start basis
   by `ReducedGB.change_order` (FGLM when the ideal is zero-dimensional).
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
-  ideals whose normal-form matrix is invertible) with the exact echelon
-  kernel of `linalg` (the same one that Buchberger-Möller uses).  The
-  basic-set walk's echelon rows carry term representations, so each corner
-  term's normal form reduces through the rows of its basic set to the
-  candidate reduced basis element; the oracle keeps the candidates
-  realizable by a strictly positive weight vector.
+  ideals whose normal-form matrix is invertible) by a walk that adds one
+  candidate term at a time while the normal forms stay independent under
+  the exact echelon kernel of `linalg` (the same one Buchberger-Möller
+  uses).  Its echelon rows carry term representations, so each corner
+  term's normal form reduces to its candidate reduced basis element; the
+  oracle keeps the candidates realizable by a strictly positive weight.
 
 Both routes read the normal forms of the ideal's one cached degrevlex basis
 (`ReducedGB.nf_coords`), so each monomial is reduced once for both.
@@ -212,21 +212,55 @@ def minimal_models(f: Polynomial, ideal: Ideal) -> set[Polynomial]:
 def _candidate_terms(n: int, s: int) -> list[tuple[int, ...]]:
     """Exponents whose divisor closure fits inside an order ideal of size
     s: divisor count <= s (which also caps each exponent at s - 1)."""
-    out: list[tuple[int, ...]] = []
+    terms = [((), 1)]  # (prefix, divisor count of the prefix)
+    for _ in range(n):
+        longer = []
+        for prefix, count in terms:
+            e = 0
+            while count * (e + 1) <= s:
+                longer.append((prefix + (e,), count * (e + 1)))
+                e += 1
+        terms = longer
+    return sorted((t for t, _ in terms), key=lambda t: (sum(t), t))
 
-    def rec(prefix, count):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        e = 0
-        while count * (e + 1) <= s:
-            rec(prefix + [e], count * (e + 1))
-            e += 1
 
-    rec([], 1)
-    del rec  # a recursive closure is a reference cycle; break it
-    out.sort(key=lambda t: (sum(t), t))
-    return out
+def _divisors_present(t, chosen) -> bool:
+    """True when every t / x_i, for x_i dividing t, is in chosen."""
+    for i, e in enumerate(t):
+        if e and t[:i] + (e - 1,) + t[i + 1 :] not in chosen:
+            return False
+    return True
+
+
+def _corners(chosen, nvars: int) -> list[tuple[int, ...]]:
+    """The minimal terms outside the order ideal chosen, ascending."""
+    border = {(0,) * nvars}
+    for t in chosen:
+        for i in range(nvars):
+            border.add(t[:i] + (t[i] + 1,) + t[i + 1 :])
+    return sorted(u for u in border - chosen if _divisors_present(u, chosen))
+
+
+def _walk(gb: ReducedGB, candidates, s: int, represent: bool, start, chosen, rows):
+    """Extend the order ideal chosen, with echelon rows `rows`, by the
+    candidates from index start on, and yield each basic set completed."""
+    if len(chosen) == s:
+        yield sorted(chosen), _corners(chosen, gb.ring.nvars), rows
+        return
+    p = gb.ring.field.characteristic
+    # stop where fewer candidates remain than the basic set still needs
+    for idx in range(start, len(candidates) - (s - len(chosen)) + 1):
+        t = candidates[idx]
+        if not _divisors_present(t, chosen):
+            continue
+        term = t if represent else None
+        pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), p, term)
+        if pivot is None:
+            continue
+        chosen.add(t)
+        extended = rows + [(pivot, vec, rep)]
+        yield from _walk(gb, candidates, s, represent, idx + 1, chosen, extended)
+        chosen.remove(t)
 
 
 def _basic_sets_data(gb: ReducedGB, bound: int, represent: bool):
@@ -241,48 +275,7 @@ def _basic_sets_data(gb: ReducedGB, bound: int, represent: bool):
     s = len(gb.quotient_basis())
     if s > bound:
         raise BoundExceeded(f"multiplicity {s} exceeds the bound {bound}")
-    nvars = gb.ring.nvars
-    p = gb.ring.field.characteristic
-    origin = (0,) * nvars
-    candidates = _candidate_terms(nvars, s)
-
-    def divisors_present(t, chosen):
-        for i in range(nvars):
-            if t[i]:
-                below = t[:i] + (t[i] - 1,) + t[i + 1 :]
-                if below not in chosen:
-                    return False
-        return True
-
-    def corners(chosen):
-        border = {origin}
-        for t in chosen:
-            for i in range(nvars):
-                border.add(t[:i] + (t[i] + 1,) + t[i + 1 :])
-        return sorted(u for u in border - chosen if divisors_present(u, chosen))
-
-    def walk(start, chosen, rows):
-        if len(chosen) == s:
-            yield sorted(chosen), corners(chosen), rows
-            return
-        for idx in range(start, len(candidates)):
-            t = candidates[idx]
-            if len(candidates) - idx < s - len(chosen):
-                break
-            if not divisors_present(t, chosen):
-                continue
-            term = t if represent else None
-            pivot, vec, rep = echelon_reduce(rows, gb.nf_coords(t), p, term)
-            if pivot is None:
-                continue
-            chosen.add(t)
-            yield from walk(idx + 1, chosen, rows + [(pivot, vec, rep)])
-            chosen.remove(t)
-
-    yield from walk(0, set(), [])
-    # break walk's cycle through its own closure cell, so the basis and its
-    # normal forms are freed at once rather than by the cycle collector
-    del walk
+    yield from _walk(gb, _candidate_terms(gb.ring.nvars, s), s, represent, 0, set(), [])
 
 
 def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, ...]]]:

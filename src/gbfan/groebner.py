@@ -25,13 +25,12 @@ from operator import add, le, neg, sub
 from .errors import (
     InvariantViolation,
     NotZeroDimensional,
-    RingMismatch,
     ZeroIdealDivisor,
 )
 from .linalg import basis_from_functionals, clear_denominators
 from .monomials import MonomialIdeal, minimalize
 from .orderings import TermOrder, elimination_order, lex
-from .ring import Polynomial, PolyRing
+from .ring import Polynomial, PolyRing, same_ring
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
 
@@ -238,7 +237,7 @@ class ReducedGB:
     by `kernel_poly`.  A zero-dimensional basis fills its quotient basis
     and normal forms on first use, deterministically."""
 
-    __slots__ = ("ring", "order", "elements", "lt_exps", "_kernel", "_index", "_nf", "_zero_dim")
+    __slots__ = ("ring", "order", "elements", "lt_exps", "_kernel", "_index", "_nf")
 
     def __init__(self, ring: PolyRing, order: TermOrder, pairs):
         self.ring = ring
@@ -248,7 +247,6 @@ class ReducedGB:
         self._kernel: tuple | None = None
         self._index: dict[tuple, int] | None = None
         self._nf: dict[tuple, tuple] = {}
-        self._zero_dim: bool | None = None
 
     def lt_key(self) -> tuple:
         """Canonical identity of the leading-term ideal."""
@@ -260,8 +258,7 @@ class ReducedGB:
     def reduce(self, f: Polynomial) -> Polynomial:
         """Full normal form of f against this basis, the unique remainder:
         no remainder term is divisible by any basis leading term."""
-        if f.ring != self.ring:
-            raise RingMismatch(f"{f.ring} vs {self.ring}")
+        same_ring(f.ring, self.ring)
         field = self.ring.field
         p = field.characteristic
         coeffs, d = _integral(f.coeffs, field)
@@ -315,11 +312,11 @@ class ReducedGB:
 
     def change_order(self, order: TermOrder) -> "ReducedGB":
         """A new reduced basis of the same ideal, labelled `order`: by FGLM
-        over this one's normal-form coordinates when it is zero-dimensional
-        (read once per basis), else by Buchberger from its elements."""
-        if self._zero_dim is None:
-            self._zero_dim = self.lt_ideal().is_zero_dimensional()
-        if not self._zero_dim:
+        over this one's normal-form coordinates when it has a
+        `quotient_basis`, else by Buchberger from its elements."""
+        try:
+            self.quotient_basis()
+        except NotZeroDimensional:
             return Ideal(self.ring, self.elements).groebner(order)
         ring = self.ring
         pairs, _ = basis_from_functionals(
@@ -356,8 +353,7 @@ class Ideal:
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens if not g.is_zero())
         for g in gens:
-            if g.ring != ring:
-                raise RingMismatch(f"{g.ring} vs {ring}")
+            same_ring(g.ring, ring)
         self.ring = ring
         self.gens = gens
         self._cache: dict[TermOrder, ReducedGB] = {}
@@ -403,8 +399,7 @@ class Ideal:
 
     def equals(self, other: "Ideal") -> bool:
         """Ideal equality: the reduced monic basis of an ideal is unique."""
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        same_ring(self.ring, other.ring)
         return self.groebner() == other.groebner()
 
     def is_zero_dimensional(self) -> bool:
@@ -421,13 +416,11 @@ class Ideal:
         return len(self.quotient_basis())
 
     def __add__(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        same_ring(self.ring, other.ring)
         return Ideal(self.ring, self.gens + other.gens)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        same_ring(self.ring, other.ring)
         return Ideal(self.ring, [f * g for f in self.gens for g in other.gens])
 
     def eliminate(self, var_indices) -> "Ideal":
@@ -446,8 +439,7 @@ class Ideal:
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Tag-variable intersection: eliminate t from t*I + (1-t)*J."""
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        same_ring(self.ring, other.ring)
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, [])
         ring = self.ring
@@ -472,8 +464,7 @@ class Ideal:
 
     def colon(self, other: "Ideal") -> "Ideal":
         """The ideal quotient {g : g * other ⊆ self}."""
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        same_ring(self.ring, other.ring)
         if other.is_zero():
             raise ZeroIdealDivisor("colon by the zero ideal")
         result: Ideal | None = None
@@ -516,8 +507,7 @@ class Ideal:
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f / g; raises when the division leaves a remainder."""
-    if f.ring != g.ring:
-        raise RingMismatch(f"{f.ring} vs {g.ring}")
+    same_ring(f.ring, g.ring)
     if g.is_zero():
         raise ZeroIdealDivisor("division by the zero polynomial")
     ring = f.ring

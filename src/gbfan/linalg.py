@@ -34,6 +34,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
+from .terms import tdivides
+
 
 def echelon_reduce(rows, vec, p, term=None):
     """Reduce vec against echelon rows ``(pivot, row, row_rep)`` over the
@@ -149,7 +151,7 @@ def basis_from_functionals(order, p, vec_of):
     while heap:
         _, t = heappop(heap)
         vec = pending.pop(t)
-        if any(all(a <= b for a, b in zip(lt, t)) for lt, _ in elements):
+        if any(tdivides(lt, t) for lt, _ in elements):
             continue
         pivot, reduced, rep = echelon_reduce(echelon, vec, p, t)
         if pivot is None:

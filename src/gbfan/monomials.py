@@ -82,13 +82,11 @@ class MonomialIdeal:
             raise InfiniteOrderIdeal(
                 "complement is infinite: some variable has no pure power"
             )
-        out = [
+        return [
             exp
             for exp in product(*(range(d) for d in degrees))
             if not self.contains(exp)
         ]
-        out.sort()
-        return out
 
     def to_str(self, varnames) -> str:
         return ", ".join(term_str(g, varnames) for g in self.sorted_gens())

@@ -18,8 +18,11 @@ import re
 
 from .errors import ParseError
 
+# A variable name; `PolyRing` accepts exactly the names the tokenizer reads.
+VAR_NAME = re.compile(r"[^\W\d]\w*")
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    rf"\s*(?:(?P<int>\d+)|(?P<name>{VAR_NAME.pattern})|(?P<op>[-+*/^()]))"
 )
 
 

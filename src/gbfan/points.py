@@ -29,7 +29,6 @@ from .errors import (
     RationalsNotFinite,
     RepeatedConstant,
     RepeatedRoot,
-    RingMismatch,
     SpecTooShort,
 )
 from .field import PrimeField, nat_embed
@@ -37,7 +36,7 @@ from .groebner import Ideal, ReducedGB
 from .linalg import basis_from_functionals
 from .monomials import MonomialIdeal
 from .orderings import TermOrder
-from .ring import LinearShift, Polynomial, PolyRing
+from .ring import LinearShift, Polynomial, PolyRing, same_ring
 
 
 @dataclass(frozen=True)
@@ -353,8 +352,7 @@ def complementary_pair(spec: GridSpec, first: Ideal):
     components of the grid ideal.
     """
     grid = spec.ideal()
-    if first.ring != grid.ring:
-        raise RingMismatch(f"{first.ring} vs {grid.ring}")
+    same_ring(first.ring, grid.ring)
     if not all(first.contains(g) for g in grid.gens):
         raise NotContaining("the grid ideal must be contained in the input ideal")
     second = grid.colon(first)
@@ -375,8 +373,7 @@ def complementary_pair(spec: GridSpec, first: Ideal):
 
 def subset_complement_ideals(grid_points: PointSet, subset: PointSet):
     """Vanishing ideals of a subset of a full grid and of its complement."""
-    if grid_points.ring != subset.ring:
-        raise RingMismatch(f"{subset.ring} vs {grid_points.ring}")
+    same_ring(subset.ring, grid_points.ring)
     if prod(len(set(c)) for c in zip(*grid_points.points)) != len(grid_points):
         raise NotGrid("points do not form a full Cartesian grid")
     if not subset.points:

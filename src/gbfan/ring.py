@@ -16,7 +16,14 @@ from .errors import (
     ZeroPolynomial,
 )
 from .orderings import TermOrder, degrevlex
+from .parse import VAR_NAME, parse_polynomial
 from .terms import term_str
+
+
+def same_ring(a: "PolyRing", b: "PolyRing") -> None:
+    """Raise `RingMismatch` unless the rings a and b are equal."""
+    if a != b:
+        raise RingMismatch(f"{a} vs {b}")
 
 
 class PolyRing:
@@ -31,7 +38,7 @@ class PolyRing:
         if len(set(varnames)) != len(varnames):
             raise ParseError(f"duplicate variable names in {varnames}")
         for v in varnames:
-            if not v.isidentifier():
+            if not VAR_NAME.fullmatch(v):
                 raise ParseError(f"bad variable name {v!r}")
         self.field = field
         self.vars = varnames
@@ -92,8 +99,6 @@ class PolyRing:
         return Polynomial(self, {exp: self.field.one()})
 
     def parse(self, text: str) -> "Polynomial":
-        from .parse import parse_polynomial
-
         return parse_polynomial(self, text)
 
     def extend(self, extra_names) -> "PolyRing":
@@ -124,10 +129,6 @@ class Polynomial:
     def __init__(self, ring: PolyRing, coeffs: dict):
         self.ring = ring
         self.coeffs = coeffs
-
-    def _check(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -170,7 +171,7 @@ class Polynomial:
         return Polynomial(self.ring, {e: v / c for e, v in self.coeffs.items()})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
+        same_ring(self.ring, other.ring)
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
             cur = out.get(e)
@@ -188,7 +189,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
+        same_ring(self.ring, other.ring)
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

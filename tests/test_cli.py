@@ -101,6 +101,58 @@ def test_gb_lex_of_found_ideals_is_pinned(tmp_path, capsys, field, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The ideal files of the CI "Installed package" step, by their file names there
+CI_IDEALS = {
+    "cyclic4": "# field: GF(32003)\n# vars: x, y, z, w\n"
+    "x + y + z + w\nx*y + y*z + z*w + w*x\n"
+    "x*y*z + y*z*w + z*w*x + w*x*y\nx*y*z*w - 1\n",
+    "katsura3": "# field: QQ\n# vars: x, y, z, w\n"
+    "x + 2*y + 2*z + 2*w - 1\nx^2 + 2*y^2 + 2*z^2 + 2*w^2 - x\n"
+    "2*x*y + 2*y*z + 2*z*w - y\n2*x*z + y^2 + 2*y*w - z\n",
+    "fracs": "# field: QQ\n# vars: x, y, z\n"
+    "2/3*x^2*y + 1/3*y*z - 4\n5/7*x*y^2 + 11/6*x - 7/2*z\n"
+    "-9/4*z^2 + 3/5*x*y + 1/3*x\n",
+    "posdim": "# field: QQ\n# vars: x, y, z\nx^2 - y^3\nx*y - z\n",
+}
+
+BASIC_SETS_FRACS = "dca9f8f1da4c48b0b5f0e86220ac83255be0bc6fce360f74e3826800606cf91a"
+
+
+@pytest.mark.parametrize(
+    "command, name, flags, digest",
+    [
+        ("gb", "cyclic4", [], "7e00f23f3129114b991db433cfee970a3e38924602484379d9f20e1a92fe4841"),
+        ("gb", "katsura3", [], "7a477dd0ec30bbc8502e38858269bbf30d4b2b5c9ef69d5c857ed5d77e804ff3"),
+        ("fan", "fracs", [], "eac43592945870b5155e7eb607e14a5e9d57c5c24c1652f5cf95a89dacf0cb97"),
+        (
+            "fan",
+            "fracs",
+            ["--field", "GF(32003)"],
+            "8695401962f40f9b5d52904682ed89b90efb60ee8946330e095833bc3879f8ec",
+        ),
+        ("mgrid", "fracs", [], "f3898f95ff9da0174c3c2b39c1acc5dea7d2faeeff3599fbd4e5b067b67cb127"),
+        ("fan", "posdim", [], "e43b010aaf6f17806734258ccc8508f89f5c81e5ffe58887f396635d00a5db22"),
+        # 80 basic sets, in the walk's order, the same over both fields
+        ("basic-sets", "fracs", [], BASIC_SETS_FRACS),
+        ("basic-sets", "fracs", ["--field", "GF(32003)"], BASIC_SETS_FRACS),
+    ],
+)
+def test_ci_stdout_digests(tmp_path, capsys, command, name, flags, digest):
+    path = tmp_path / f"{name}.ideal"
+    path.write_text(CI_IDEALS[name])
+    code, out, _ = run(capsys, command, str(path), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gb_reads_non_ascii_variable_names(tmp_path, capsys):
+    path = tmp_path / "greek.ideal"
+    path.write_text("# field: QQ\n# vars: α, β\nα^2 - β\nβ^2 - 1\n")
+    code, out, err = run(capsys, "gb", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["order: degrevlex", "β^2 - 1", "α^2 - β"]
+
+
 def test_fan_text_and_json(demo, capsys):
     code, out, _ = run(capsys, "fan", str(demo["ideal"]))
     assert code == 0

@@ -202,9 +202,9 @@ def test_walk_and_oracle_share_normal_forms(record_calls):
 
 
 def test_oracle_leaves_no_reference_cycles():
-    # the oracle's recursive helpers drop their self-references, so its
-    # data is freed by reference counting and peak memory does not wait on
-    # the cycle collector
+    # the oracle's walk is module-level, with no closure to hold a cycle,
+    # so its data is freed by reference counting and peak memory does not
+    # wait on the cycle collector
     import gc
 
     I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")

@@ -75,6 +75,20 @@ def test_parse_rejects_implicit_products(rxy):
         rxy.parse("x / y")
 
 
+def test_every_ring_variable_name_parses():
+    # PolyRing and the tokenizer share one name rule, so the names a ring
+    # accepts are the names its polynomials' text is read back with
+    R = PolyRing(QQ, ["α", "β", "x_1"])
+    f = R.parse("α^2 - 3/2*α*β + x_1 - β")
+    assert f.coeffs == {(2, 0, 0): 1, (1, 1, 0): Fraction(-3, 2), (0, 0, 1): 1, (0, 1, 0): -1}
+    assert R.parse(f.to_str()) == f
+    for bad in ["1x", "x-y", "x y", ""]:
+        with pytest.raises(ParseError, match="bad variable name|at least one"):
+            PolyRing(QQ, [bad])
+    with pytest.raises(ParseError, match="unexpected character '·'"):
+        R.parse("α·β")
+
+
 def test_parse_parenthesized_products(rxy):
     f = rxy.parse("(x - 1)*(x - 2)")
     assert f == rxy.parse("x^2 - 3*x + 2")
