@@ -41,6 +41,7 @@ from .points import (
     ideal_of_points,
     maximal_grid,
     natural_distraction,
+    point_row,
     shift_ideal,
     staircase,
     vanishing_ideal,
@@ -77,10 +78,6 @@ def _basis(gb) -> dict:
         "order": repr(gb.order),
         "basis": [g.to_str(gb.order) for g in gb.elements],
     }
-
-
-def _point_rows(pts) -> list[str]:
-    return [",".join(map(str, p)) for p in pts]
 
 
 def cmd_gb(args):
@@ -173,7 +170,7 @@ def cmd_natural(args):
 
 def cmd_staircase(args):
     ring, mono = load_monomial_ideal(args.ideal, args.field, args.vars)
-    rows = _point_rows(staircase(ring, mono))
+    rows = list(map(point_row, staircase(ring, mono)))
     diagram = _staircase_diagram(ring, mono) if args.diagram else []
     return {"points": rows}, rows + diagram
 
@@ -210,7 +207,7 @@ def cmd_mgrid(args):
 def cmd_grid(args):
     spec = load_grid(args.grid, args.field, args.vars)
     if args.points:
-        return _listing("points", _point_rows(spec.points()))
+        return _listing("points", list(map(point_row, spec.points())))
     return _generators(spec.generators())
 
 

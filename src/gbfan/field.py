@@ -12,11 +12,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import CharacteristicTooSmall, DivisionByZero, FieldMismatch, ParseError
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# an integer, or a ratio of integers in the shape `Fraction` accepts for one
+# the literal syntax of every field: an integer or a ratio a/b of integers,
+# with outer spaces and `_` digit groups; no decimal point, no exponent
 _INT_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
 
 
@@ -132,10 +133,15 @@ class RationalField:
         return Fraction(n)
 
     def parse(self, text: str) -> Fraction:
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {text!r}") from exc
+        """An integer or a ratio a/b with b nonzero."""
+        m = _INT_RATIO.fullmatch(text)
+        if m is not None:
+            num, den = m.groups()
+            if den is None:
+                return Fraction(int(num))
+            if int(den):
+                return Fraction(int(num), int(den))
+        raise ParseError(f"bad rational literal {text!r}")
 
     def kernel(self, c: Fraction) -> int | Fraction:
         """c as the kernels take it: its numerator when c is integral."""
@@ -244,3 +250,14 @@ def nat_embed(n: int, field):
     if n < 0:
         raise ValueError("nat_embed takes a natural number")
     return field.from_int(n)
+
+
+def nat_images(d: int, field) -> tuple:
+    """Images of the naturals 0..d-1, which are distinct unless the
+    characteristic is below d; then `CharacteristicTooSmall`."""
+    p = field.characteristic
+    if p and p < d:
+        raise CharacteristicTooSmall(
+            f"naturals 0..{d - 1} collide in characteristic {p}"
+        )
+    return tuple(map(field.from_int, range(d)))

@@ -13,7 +13,7 @@ tuple files use per-variable lines like ``x: 0, 1/5, 2, -1`` or
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import DomainError, DuplicatePoint, ParseError
 from .field import parse_field
 from .monomials import MonomialIdeal
 from .groebner import Ideal
@@ -79,19 +79,11 @@ def load_monomial_ideal(path: str, field_flag=None, vars_flag=None):
 
 def load_points(path: str, field_flag=None, vars_flag=None):
     ring, body = resolve_ring(path, field_flag, vars_flag)
-    field = ring.field
-    pts = []
-    for line in body:
-        coords = [c.strip() for c in line.split(",")]
-        if len(coords) != ring.nvars:
-            raise ParseError(
-                f"{path}: row {line!r} has {len(coords)} coordinates, "
-                f"expected {ring.nvars}"
-            )
-        pts.append(tuple(field.parse(c) for c in coords))
-    if len(set(pts)) != len(pts):
-        raise ParseError(f"{path}: duplicate points")
-    return PointSet(ring, pts)
+    rows = [tuple(map(ring.field.parse, line.split(","))) for line in body]
+    try:
+        return PointSet(ring, rows)
+    except (ParseError, DuplicatePoint) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _per_variable_lines(ring: PolyRing, body, path: str):
@@ -156,6 +148,7 @@ def load_shift(path: str, ring: PolyRing) -> LinearShift:
             raise ParseError(f"{path}: {name} needs 'scale, offset'")
         scales.append(ring.field.parse(parts[0]))
         offsets.append(ring.field.parse(parts[1]))
-    if any(not a for a in scales):
-        raise ParseError(f"{path}: shift scales must be nonzero")
-    return LinearShift(tuple(scales), tuple(offsets))
+    try:
+        return LinearShift(scales, offsets)
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import InfiniteOrderIdeal, ParseError
-from .terms import is_one, tdivides, tlcm, term_str
+from .terms import is_one, tdivides, tlcm
 
 
 def minimalize(exps) -> frozenset:
@@ -36,9 +36,6 @@ class MonomialIdeal:
 
     def sorted_gens(self) -> list[tuple[int, ...]]:
         return sorted(self.gens)
-
-    def is_zero(self) -> bool:
-        return not self.gens
 
     def is_unit(self) -> bool:
         return any(is_one(g) for g in self.gens)
@@ -87,9 +84,6 @@ class MonomialIdeal:
             for exp in product(*(range(d) for d in degrees))
             if not self.contains(exp)
         ]
-
-    def to_str(self, varnames) -> str:
-        return ", ".join(term_str(g, varnames) for g in self.sorted_gens())
 
     def __eq__(self, other):
         return (

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from operator import mul
 
-from .errors import DimensionMismatch, InvalidOrdering
+from .errors import DimensionMismatch, InvalidOrdering, ParseError
 from .linalg import echelon_reduce
 
 
@@ -115,8 +115,6 @@ def weight_order(weights) -> TermOrder:
 def elimination_order(n: int, block) -> TermOrder:
     """Block ordering that eliminates the given variable indices first."""
     block = set(block)
-    if not block:
-        return degrevlex(n)
     head = [[1 if i in block else 0 for i in range(n)]]
     return TermOrder(head + [list(r) for r in degrevlex(n).rows], "elim")
 
@@ -131,34 +129,25 @@ _NAMED = {"lex": lex, "deglex": deglex, "degrevlex": degrevlex}
 def parse_order(spec: str, n: int) -> TermOrder:
     """Parse an ordering spec: a preset name, ``weight:w1,...``, or
     ``matrix:r11,r12;r21,r22;...`` (rows separated by semicolons)."""
-    from .errors import ParseError
-
     s = spec.strip()
     if s in _NAMED:
         return _NAMED[s](n)
-    if s.startswith("weight:"):
+
+    def row(text: str, kind: str, what: str) -> list[int]:
         try:
-            w = [int(x) for x in s[len("weight:"):].split(",")]
+            r = [int(x) for x in text.split(",")]
         except ValueError as exc:
-            raise ParseError(f"bad weight spec {spec!r}") from exc
-        if len(w) != n:
-            raise ParseError(f"weight vector length {len(w)} != {n} variables")
-        try:
-            return weight_order(w)
-        except InvalidOrdering as exc:
-            raise ParseError(str(exc)) from exc
-    if s.startswith("matrix:"):
-        try:
-            rows = [
-                [int(x) for x in row.split(",")]
-                for row in s[len("matrix:"):].split(";")
-            ]
-        except ValueError as exc:
-            raise ParseError(f"bad matrix spec {spec!r}") from exc
-        if len(rows[0]) != n:
-            raise ParseError(f"matrix row length {len(rows[0])} != {n} variables")
-        try:
-            return matrix_order(rows)
-        except InvalidOrdering as exc:
-            raise ParseError(str(exc)) from exc
+            raise ParseError(f"bad {kind} spec {spec!r}") from exc
+        if len(r) != n:
+            raise ParseError(f"{what} length {len(r)} != {n} variables")
+        return r
+
+    try:
+        if s.startswith("weight:"):
+            return weight_order(row(s[len("weight:"):], "weight", "weight vector"))
+        if s.startswith("matrix:"):
+            rows = s[len("matrix:"):].split(";")
+            return matrix_order([row(r, "matrix", "matrix row") for r in rows])
+    except InvalidOrdering as exc:
+        raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown ordering {spec!r}")

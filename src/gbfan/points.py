@@ -15,7 +15,6 @@ from itertools import product
 from math import prod
 
 from .errors import (
-    CharacteristicTooSmall,
     ComplementarityCertificateFailed,
     DomainError,
     DuplicatePoint,
@@ -31,7 +30,7 @@ from .errors import (
     RepeatedRoot,
     SpecTooShort,
 )
-from .field import PrimeField, nat_embed
+from .field import PrimeField, nat_images
 from .groebner import Ideal, ReducedGB
 from .linalg import basis_from_functionals
 from .monomials import MonomialIdeal
@@ -52,11 +51,16 @@ class PointSet:
         n = ring.nvars
         for p in pts:
             if len(p) != n:
-                raise ParseError(f"point {p} has {len(p)} coordinates, expected {n}")
+                raise ParseError(
+                    f"point {point_row(p)} has {len(p)} coordinates, expected {n}"
+                )
         # not a field, so eq, hash and repr see only ring and points
         object.__setattr__(self, "_members", frozenset(pts))
         if len(self._members) != len(pts):
-            raise DuplicatePoint("points must be pairwise distinct")
+            p = next(p for i, p in enumerate(pts) if p in pts[:i])
+            raise DuplicatePoint(
+                f"duplicate points: {point_row(p)} is listed more than once"
+            )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "points", pts)
 
@@ -71,6 +75,12 @@ class PointSet:
 
     def subset_of(self, other: "PointSet") -> bool:
         return self._members <= other._members
+
+
+def point_row(point) -> str:
+    """A point as a row of a point file, coordinates printed with `str`:
+    `1/2,0,-3`."""
+    return ",".join(map(str, point))
 
 
 def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
@@ -282,32 +292,17 @@ def distraction_ideal(ring: PolyRing, mono: MonomialIdeal, pi) -> Ideal:
 
 def natural_distraction(ring: PolyRing, mono: MonomialIdeal) -> Ideal:
     """Distraction by consecutive naturals 0, 1, 2, ... per variable."""
-    degrees = [0] * ring.nvars
-    for g in mono.gens:
-        for i, e in enumerate(g):
-            degrees[i] = max(degrees[i], e)
-    p = ring.field.characteristic
-    if p and p < max(degrees, default=0):
-        raise CharacteristicTooSmall(
-            f"naturals 0..{max(degrees) - 1} collide in characteristic {p}"
-        )
-    pi = [tuple(nat_embed(k, ring.field) for k in range(d)) for d in degrees]
-    return distraction_ideal(ring, mono, pi)
+    degrees = [max((g[i] for g in mono.gens), default=0) for i in range(ring.nvars)]
+    nats = nat_images(max(degrees, default=0), ring.field)
+    return distraction_ideal(ring, mono, [nats[:d] for d in degrees])
 
 
 def staircase(ring: PolyRing, mono: MonomialIdeal) -> PointSet:
     """The points whose coordinates are the exponent vectors of the order
     ideal, embedded through the natural map into the field."""
     terms = mono.order_ideal()
-    p = ring.field.characteristic
-    if p:
-        top = max((max(t) for t in terms), default=0)
-        if p <= top:
-            raise CharacteristicTooSmall(
-                f"exponent {top} does not embed distinctly in characteristic {p}"
-            )
-    pts = [tuple(nat_embed(e, ring.field) for e in t) for t in terms]
-    return PointSet(ring, pts)
+    nats = nat_images(max(map(max, terms), default=0) + 1, ring.field)
+    return PointSet(ring, [tuple(nats[e] for e in t) for t in terms])
 
 
 def shift_ideal(ideal: Ideal, shift: LinearShift) -> Ideal:

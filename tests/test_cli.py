@@ -407,6 +407,28 @@ QQ_X = "# field: QQ\n# vars: x\n"
             "shift", QQ_X + "x^2\n", "# field: GF(3)\nx: 1, 1\n",
             "field header disagrees", id="shift-field-header",
         ),
+        pytest.param(
+            "points", QQ_XY + "1.5,2\n", None, "bad rational literal",
+            id="qq-decimal-point",
+        ),
+        pytest.param(
+            "grid", QQ_XY + "x: 0.5\ny: 1\n", None, "bad rational literal",
+            id="qq-decimal-root",
+        ),
+        # PointSet and LinearShift make these checks; the loaders name the file
+        pytest.param(
+            "points", QQ_XY + "1/2,2,3\n", None,
+            "input.txt: point 1/2,2,3 has 3 coordinates", id="row-length-in-file",
+        ),
+        pytest.param(
+            "points", QQ_XY + "1/2,2\n0,0\n1/2, 2\n", None,
+            "input.txt: duplicate points: 1/2,2 ", id="duplicate-point-in-file",
+        ),
+        pytest.param(
+            "shift", QQ_XY + "x*y\n", "x: 1, 1\ny: 0, 1/2\n",
+            "second.txt: linear shift scales must be nonzero",
+            id="zero-shift-scale-in-file",
+        ),
     ],
 )
 def test_loader_errors_exit_2(tmp_path, capsys, command, text, aux_text, message):

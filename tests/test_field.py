@@ -84,6 +84,11 @@ def test_rational_parse_and_print():
     assert PolyRing(QQ, ("x",)).const(Fraction(-8, 3)).to_str() == "-8/3"
     with pytest.raises(ParseError):
         QQ.parse("1/0")
+    assert QQ.parse(" -3/4 ") == Fraction(-3, 4) and QQ.parse("1_0/3") == Fraction(10, 3)
+    # the literal syntax of GF(p): no decimal point, no exponent
+    for text in ("1.5", "1e1", ".5", "1.", "1/-2", "1 /2", "1/", "/2", "x", ""):
+        with pytest.raises(ParseError, match="bad rational literal"):
+            QQ.parse(text)
 
 
 def test_prime_field_parses_ratios():

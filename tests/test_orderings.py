@@ -100,6 +100,13 @@ def test_parse_order():
     for spec in ("matrix:1;2", "matrix:1,1,1;0,1,0;0,0,1"):
         with pytest.raises(ParseError, match="2 variables"):
             parse_order(spec, 2)
+    # every row of a matrix, the second too
+    with pytest.raises(ParseError, match="matrix row length 1 != 2 variables"):
+        parse_order("matrix:1,1;1", 2)
+    with pytest.raises(ParseError, match="bad weight spec"):
+        parse_order("weight:1,2;3,4", 2)
+    with pytest.raises(ParseError, match="bad matrix spec"):
+        parse_order("matrix:1,a", 2)
 
 
 def test_key_is_consistent_with_compare():

@@ -732,6 +732,9 @@ def test_staircase_characteristic_guard():
     R = fring(3, "x", "y")
     with pytest.raises(CharacteristicTooSmall):
         staircase(R, MonomialIdeal(2, [(4, 0), (0, 1)]))
+    # exponents 0..2 embed distinctly in GF(3), as natural_distraction's 0..2 do
+    pts = staircase(R, MonomialIdeal(2, [(3, 0), (0, 1)]))
+    assert [tuple(map(str, p)) for p in pts] == [("0", "0"), ("1", "0"), ("2", "0")]
 
 
 def test_staircase_vanishing_equals_natural_distraction():
