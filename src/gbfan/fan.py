@@ -271,6 +271,7 @@ def _basic_sets_data(gb: ReducedGB, bound: int, represent: bool):
     `rows` are the basic set's echelon rows.  With `represent`, each
     candidate is reduced with its term as representation, so each row knows
     the combination of terms it stands for; without it, rows carry None.
+    `gb.quotient_basis` is both callers' zero-dimensionality check.
     """
     s = len(gb.quotient_basis())
     if s > bound:
@@ -281,8 +282,6 @@ def _basic_sets_data(gb: ReducedGB, bound: int, represent: bool):
 def enumerate_basic_sets(ideal: Ideal, bound: int = 12) -> list[list[tuple[int, ...]]]:
     """All order ideals whose residue classes form a vector-space basis of
     the quotient ring."""
-    if not ideal.is_zero_dimensional():
-        raise NotZeroDimensional("basic sets require a zero-dimensional ideal")
     sets = _basic_sets_data(ideal.groebner(), bound, represent=False)
     return [terms for terms, _, _ in sets]
 
@@ -298,8 +297,6 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
-    if not ideal.is_zero_dimensional():
-        raise NotZeroDimensional("the oracle requires a zero-dimensional ideal")
     ring = ideal.ring
     p = ring.field.characteristic
     start = ideal.groebner()

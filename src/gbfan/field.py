@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 
 from .errors import CharacteristicTooSmall, DivisionByZero, FieldMismatch, ParseError
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# a natural number with `_` digit groups, in literals and polynomials alike
+DIGITS = r"\d+(?:_\d+)*"
 # the literal syntax of every field: an integer or a ratio a/b of integers,
 # with outer spaces and `_` digit groups; no decimal point, no exponent
-_INT_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
+_INT_RATIO = re.compile(rf"\s*([-+]?{DIGITS})(?:/({DIGITS}))?\s*")
 
 
 def is_prime(p: int) -> bool:
@@ -221,15 +224,11 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache: dict[int, PrimeField] = {}
 
-
+@cache
 def GF(p: int) -> PrimeField:
     """Return the (cached) prime field with p elements."""
-    field = _gf_cache.get(p)
-    if field is None:
-        field = _gf_cache.setdefault(p, PrimeField(p))
-    return field
+    return PrimeField(p)
 
 
 def parse_field(text: str):

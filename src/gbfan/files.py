@@ -17,7 +17,7 @@ from .errors import DomainError, DuplicatePoint, ParseError
 from .field import parse_field
 from .monomials import MonomialIdeal
 from .groebner import Ideal
-from .points import GridSpec, PointSet, distraction_spec
+from .points import GridSpec, PointSet
 from .ring import LinearShift, PolyRing
 
 
@@ -77,9 +77,16 @@ def load_monomial_ideal(path: str, field_flag=None, vars_flag=None):
     return ring, MonomialIdeal(ring.nvars, exps)
 
 
+def _literals(field, text: str) -> tuple:
+    """A comma list of field literals, for point rows, grid roots, tuples
+    and shift pairs alike: an empty entry is a parse error, an empty
+    (stripped) text lists none."""
+    return tuple(map(field.parse, text.split(","))) if text else ()
+
+
 def load_points(path: str, field_flag=None, vars_flag=None):
     ring, body = resolve_ring(path, field_flag, vars_flag)
-    rows = [tuple(map(ring.field.parse, line.split(","))) for line in body]
+    rows = [_literals(ring.field, line) for line in body]
     try:
         return PointSet(ring, rows)
     except (ParseError, DuplicatePoint) as exc:
@@ -111,8 +118,7 @@ def load_grid(path: str, field_flag=None, vars_flag=None):
         if payload.startswith("poly "):
             entries.append(("poly", ring.parse(payload[len("poly "):])))
         else:
-            roots = [ring.field.parse(c) for c in payload.split(",") if c.strip()]
-            entries.append(("roots", roots))
+            entries.append(("roots", _literals(ring.field, payload)))
     try:
         return GridSpec(ring, tuple(entries))
     except ParseError as exc:
@@ -130,24 +136,20 @@ def _aux_lines(path: str, ring: PolyRing):
 
 
 def load_tuples(path: str, ring: PolyRing):
-    """Per-variable constant tuples (distraction spec) for a known ring."""
-    tuples = []
-    for payload in _aux_lines(path, ring):
-        tuples.append(
-            tuple(ring.field.parse(c) for c in payload.split(",") if c.strip())
-        )
-    return distraction_spec(ring, tuples)
+    """Per-variable constant tuples (distraction spec) for a known ring;
+    `distraction_ideal` checks them."""
+    return [_literals(ring.field, p) for p in _aux_lines(path, ring)]
 
 
 def load_shift(path: str, ring: PolyRing) -> LinearShift:
     """Per-variable 'x: scale, offset' lines."""
     scales, offsets = [], []
     for name, payload in zip(ring.vars, _aux_lines(path, ring)):
-        parts = [c.strip() for c in payload.split(",")]
-        if len(parts) != 2:
+        pair = _literals(ring.field, payload)
+        if len(pair) != 2:
             raise ParseError(f"{path}: {name} needs 'scale, offset'")
-        scales.append(ring.field.parse(parts[0]))
-        offsets.append(ring.field.parse(parts[1]))
+        scales.append(pair[0])
+        offsets.append(pair[1])
     try:
         return LinearShift(scales, offsets)
     except DomainError as exc:

@@ -290,7 +290,7 @@ class ReducedGB:
         if self._index is None:
             lt = self.lt_ideal()
             if not lt.is_zero_dimensional():
-                raise NotZeroDimensional("quotient basis requires a zero-dimensional ideal")
+                raise NotZeroDimensional("the ideal is not zero-dimensional")
             terms = sorted(lt.order_ideal(), key=self.order.key)
             self._index = {t: i for i, t in enumerate(terms)}
         return tuple(self._index)
@@ -395,7 +395,8 @@ class Ideal:
         return self.groebner().reduce(f).is_zero()
 
     def contains_one(self) -> bool:
-        return self.contains(self.ring.one())
+        """The unit ideal's reduced basis is 1 alone, for every ordering."""
+        return self.groebner().lt_exps == ((0,) * self.ring.nvars,)
 
     def equals(self, other: "Ideal") -> bool:
         """Ideal equality: the reduced monic basis of an ideal is unique."""

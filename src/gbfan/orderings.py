@@ -30,18 +30,28 @@ class TermOrder:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise InvalidOrdering("ragged weight matrix")
-        self.rows = rows
-        self.tag = tag
-        self.nvars = n
-        self._canon = None
         for col in range(n):
             lead = next((r[col] for r in rows if r[col]), 0)
             if lead <= 0:
                 raise InvalidOrdering(
                     f"column {col}: first nonzero weight must be positive"
                 )
-        if len(self.canonical()) != n:
+        # the canonical form (see `canonical`) is also the rank check
+        echelon: list = []
+        canon: list[tuple[int, ...]] = []
+        for row in rows:
+            pivot, vec, _ = echelon_reduce(echelon, row, 0)
+            if pivot is not None:
+                echelon.append((pivot, vec, None))
+                canon.append(tuple(vec))
+                if len(canon) == n:
+                    break
+        if len(canon) != n:
             raise InvalidOrdering("weight matrix must have full column rank")
+        self.rows = rows
+        self.tag = tag
+        self.nvars = n
+        self._canon = tuple(canon)
 
     def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key: the weighted image of an exponent vector."""
@@ -61,17 +71,6 @@ class TermOrder:
         in the earlier pivot columns.  Rows in the earlier span are dropped,
         so a valid ordering has exactly nvars canonical rows.
         """
-        if self._canon is None:
-            echelon: list = []
-            out: list[tuple[int, ...]] = []
-            for row in self.rows:
-                pivot, vec, _ = echelon_reduce(echelon, row, 0)
-                if pivot is not None:
-                    echelon.append((pivot, vec, None))
-                    out.append(tuple(vec))
-                    if len(out) == self.nvars:
-                        break
-            self._canon = tuple(out)
         return self._canon
 
     def __eq__(self, other):

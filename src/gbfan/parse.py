@@ -7,6 +7,7 @@ Grammar (a superset of the canonical printed form):
     factor := ('+' | '-') factor | atom ('^' INT)?
     atom   := INT | VAR | '(' expr ')'
 
+INT takes `_` digit groups as field literals do (``1_000``).
 Division is only allowed by a constant.  Monomials require an explicit
 '*' between factors (``x*y^2``); multi-character variable names make the
 implicit form ambiguous, so ``xy^2`` is rejected as an unknown variable.
@@ -17,12 +18,13 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
+from .field import DIGITS
 
 # A variable name; `PolyRing` accepts exactly the names the tokenizer reads.
 VAR_NAME = re.compile(r"[^\W\d]\w*")
 
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<int>\d+)|(?P<name>{VAR_NAME.pattern})|(?P<op>[-+*/^()]))"
+    rf"\s*(?:(?P<int>{DIGITS})|(?P<name>{VAR_NAME.pattern})|(?P<op>[-+*/^()]))"
 )
 
 

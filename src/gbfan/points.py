@@ -23,7 +23,6 @@ from .errors import (
     NotContaining,
     NotGrid,
     NotSubset,
-    NotZeroDimensional,
     ParseError,
     RationalsNotFinite,
     RepeatedConstant,
@@ -209,10 +208,9 @@ def maximal_grid(ideal: Ideal) -> GridSpec:
 
     Zero-dimensional proper ideals only: each generator is read from the
     normal forms of the cached degrevlex basis (`Ideal.univariate_in`), so
-    Buchberger runs once.
+    Buchberger runs once; that basis's `quotient_basis` is the
+    zero-dimensionality check.
     """
-    if not ideal.is_zero_dimensional():
-        raise NotZeroDimensional("maximal grid requires a zero-dimensional ideal")
     if ideal.contains_one():
         raise DomainError("the unit ideal contains no grid ideal")
     ring = ideal.ring
@@ -253,17 +251,6 @@ def grid_primary_components(spec: GridSpec, factors_per_var) -> list[Ideal]:
 # distractions and staircases
 
 
-def distraction_spec(ring: PolyRing, tuples) -> tuple:
-    """Validate per-variable constant tuples: entries pairwise distinct."""
-    tuples = tuple(tuple(t) for t in tuples)
-    if len(tuples) != ring.nvars:
-        raise ParseError("need one constant tuple per variable")
-    for t in tuples:
-        if len(set(t)) != len(t):
-            raise RepeatedConstant("distraction tuple entries must be distinct")
-    return tuples
-
-
 def distraction_term(ring: PolyRing, exp, pi) -> Polynomial:
     """Product over i of (x_i - c_i1)...(x_i - c_i,e_i)."""
     exp = tuple(exp)
@@ -280,12 +267,17 @@ def distraction_term(ring: PolyRing, exp, pi) -> Polynomial:
 
 
 def distraction_ideal(ring: PolyRing, mono: MonomialIdeal, pi) -> Ideal:
-    """Distraction of a monomial ideal: distract each minimal generator.
+    """Distraction of a monomial ideal: distract each minimal generator by
+    pi, one tuple of pairwise distinct constants per variable.
 
     The generators are the reduced basis for every term ordering, so the
     resulting ideal has a one-cone fan.
     """
-    pi = distraction_spec(ring, pi)
+    pi = tuple(map(tuple, pi))
+    if len(pi) != ring.nvars:
+        raise ParseError("need one constant tuple per variable")
+    if any(len(set(t)) != len(t) for t in pi):
+        raise RepeatedConstant("distraction tuple entries must be distinct")
     gens = [distraction_term(ring, t, pi) for t in mono.sorted_gens()]
     return Ideal(ring, gens)
 

@@ -232,6 +232,12 @@ def test_staircase_three_variables(tmp_path, capsys):
     assert rows[0] == "0,0,0" and rows[-1] == "1,1,1"
 
 
+def test_unique_needs_an_ideal_or_points(capsys):
+    code, out, err = run(capsys, "unique")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unique needs an ideal file or --points")
+
+
 def test_unique_true_for_factor_closed_points(tmp_path, capsys):
     pts = tmp_path / "four.csv"
     pts.write_text("# field: QQ\n# vars: x, y, z\n0,0,0\n1,0,0\n1,1,0\n1,1,1\n")
@@ -428,6 +434,41 @@ QQ_X = "# field: QQ\n# vars: x\n"
             "shift", QQ_XY + "x*y\n", "x: 1, 1\ny: 0, 1/2\n",
             "second.txt: linear shift scales must be nonzero",
             id="zero-shift-scale-in-file",
+        ),
+        # every comma list reads its entries alike: an empty one is an error
+        pytest.param(
+            "grid", QQ_XY + "x: 0,,1\ny: 1\n", None, "bad rational literal ''",
+            id="grid-empty-root",
+        ),
+        pytest.param(
+            "distract", QQ_X + "x^2\n", "x: 3,,5\n", "bad rational literal ''",
+            id="tuples-empty-entry",
+        ),
+        pytest.param(
+            "gb", "# vars: x\nx\n", None, "no field given", id="no-field"
+        ),
+        pytest.param(
+            "gb", "# field: QQ\nx\n", None, "no variables given", id="no-vars"
+        ),
+        pytest.param(
+            "natural", QQ_X + "x^2 + x\n", None, "'x^2 + x' is not a monomial",
+            id="not-a-monomial",
+        ),
+        pytest.param(
+            "grid", QQ_XY + "x 0, 1\ny: 1\n", None, "expected 'var: ...'",
+            id="no-colon",
+        ),
+        pytest.param(
+            "grid", QQ_XY + "x: 0\nx: 1\ny: 1\n", None, "duplicate line for 'x'",
+            id="duplicate-line",
+        ),
+        pytest.param(
+            "grid", QQ_XY + "x: 0, 1\n", None, "missing lines for y",
+            id="missing-line",
+        ),
+        pytest.param(
+            "shift", QQ_XY + "x*y\n", "x: 1\ny: 1, 0\n",
+            "second.txt: x needs 'scale, offset'", id="shift-pair-length",
         ),
     ],
 )

@@ -125,6 +125,11 @@ def test_zero_ideal_rejected(rxy):
         gfan_number(Ideal(rxy, []))
 
 
+def test_oracle_rejects_zero_ideal_before_reading_its_basis(rxy):
+    with pytest.raises(ZeroIdeal):
+        fan_oracle_zerodim(Ideal(rxy, []))
+
+
 def test_unit_ideal_single_cone(rxy):
     I = ideal(rxy, "1")
     fan = enumerate_fan(I)

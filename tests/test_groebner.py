@@ -23,7 +23,12 @@ from gbfan import (
     matrix_order,
     weight_order,
 )
-from gbfan.errors import NotZeroDimensional, RingMismatch, ZeroIdealDivisor
+from gbfan.errors import (
+    InvariantViolation,
+    NotZeroDimensional,
+    RingMismatch,
+    ZeroIdealDivisor,
+)
 from gbfan.groebner import ReducedGB, _reduce_dict, buchberger_dicts, kernel_poly
 from gbfan.random_ideals import random_point_set, random_zero_dim_ideal
 from gbfan.points import vanishing_ideal
@@ -597,6 +602,30 @@ def test_membership_and_equality(rxy):
 def test_divide_exact(rxy):
     f = rxy.parse("(x - 1)*(x^2 + y)")
     assert divide_exact(f, rxy.parse("x - 1")) == rxy.parse("x^2 + y")
+
+
+def test_divide_exact_rejects_zero_and_inexact_divisors(rxy):
+    with pytest.raises(ZeroIdealDivisor):
+        divide_exact(rxy.parse("x^2 - 1"), rxy.zero())
+    with pytest.raises(InvariantViolation, match="inexact"):
+        divide_exact(rxy.parse("x^2 + 1"), rxy.parse("x - 1"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize(
+    "texts, unit",
+    [
+        ([], False),
+        (["x - y"], False),
+        (["x^2 - y", "y^2 - 1"], False),
+        (["x*y - 1", "x"], True),
+        (["3"], True),
+    ],
+)
+def test_contains_one_agrees_with_reducing_one(field, texts, unit):
+    R = PolyRing(field, ["x", "y"])
+    I = Ideal(R, [R.parse(t) for t in texts])
+    assert I.contains_one() == I.contains(R.one()) == unit
 
 
 def test_divide_exact_checks_rings(rxy):

@@ -89,6 +89,16 @@ def test_every_ring_variable_name_parses():
         R.parse("α·β")
 
 
+def test_integers_take_the_digit_groups_of_field_literals(rxy):
+    # the tokenizer reads integers as field literals read them
+    assert rxy.parse("1_000*x - y") == rxy.parse("1000*x - y")
+    assert rxy.parse("x^1_0 + 2_5/1_0") == rxy.parse("x^10 + 5/2")
+    assert rxy.parse("1_000") == rxy.const(QQ.parse("1_000"))
+    for bad in ["1__0*x", "1_*x", "x^1_"]:
+        with pytest.raises(ParseError, match="trailing input"):
+            rxy.parse(bad)
+
+
 def test_parse_parenthesized_products(rxy):
     f = rxy.parse("(x - 1)*(x - 2)")
     assert f == rxy.parse("x^2 - 3*x + 2")
