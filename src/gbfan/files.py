@@ -77,16 +77,19 @@ def load_monomial_ideal(path: str, field_flag=None, vars_flag=None):
     return ring, MonomialIdeal(ring.nvars, exps)
 
 
-def _literals(field, text: str) -> tuple:
+def _literals(field, text: str, path: str) -> tuple:
     """A comma list of field literals, for point rows, grid roots, tuples
-    and shift pairs alike: an empty entry is a parse error, an empty
-    (stripped) text lists none."""
-    return tuple(map(field.parse, text.split(","))) if text else ()
+    and shift pairs alike: an empty entry is a parse error, naming the
+    file, and an empty (stripped) text lists none."""
+    try:
+        return tuple(map(field.parse, text.split(","))) if text else ()
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_points(path: str, field_flag=None, vars_flag=None):
     ring, body = resolve_ring(path, field_flag, vars_flag)
-    rows = [_literals(ring.field, line) for line in body]
+    rows = [_literals(ring.field, line, path) for line in body]
     try:
         return PointSet(ring, rows)
     except (ParseError, DuplicatePoint) as exc:
@@ -118,7 +121,7 @@ def load_grid(path: str, field_flag=None, vars_flag=None):
         if payload.startswith("poly "):
             entries.append(("poly", ring.parse(payload[len("poly "):])))
         else:
-            entries.append(("roots", _literals(ring.field, payload)))
+            entries.append(("roots", _literals(ring.field, payload, path)))
     try:
         return GridSpec(ring, tuple(entries))
     except ParseError as exc:
@@ -138,14 +141,14 @@ def _aux_lines(path: str, ring: PolyRing):
 def load_tuples(path: str, ring: PolyRing):
     """Per-variable constant tuples (distraction spec) for a known ring;
     `distraction_ideal` checks them."""
-    return [_literals(ring.field, p) for p in _aux_lines(path, ring)]
+    return [_literals(ring.field, p, path) for p in _aux_lines(path, ring)]
 
 
 def load_shift(path: str, ring: PolyRing) -> LinearShift:
     """Per-variable 'x: scale, offset' lines."""
     scales, offsets = [], []
     for name, payload in zip(ring.vars, _aux_lines(path, ring)):
-        pair = _literals(ring.field, payload)
+        pair = _literals(ring.field, payload, path)
         if len(pair) != 2:
             raise ParseError(f"{path}: {name} needs 'scale, offset'")
         scales.append(pair[0])

@@ -11,16 +11,23 @@ field's `kernel` and `linalg.clear_denominators`; on the way out,
 `ReducedGB` wraps any builder's pairs.  S-polynomials are only
 top-reduced; full tail reduction happens once, in the final
 interreduction pass, so the output is the unique reduced monic basis.
+
+Inside `_reduce_dict` and `buchberger_dicts` a term is one int, packed
+by `orderings.Packing`: guarded slots holding M'·t above t's exponents,
+M' the ordering's rows made nonnegative, so packed ints compare as their
+terms do, multiply by addition and test divisibility by one subtraction.
+No order key is computed for a term.  A term that could outgrow its
+slots raises `SlotOverflow`, and the run, or a `ReducedGB`'s reducers,
+start again on slots twice as wide; nothing is ever truncated.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, neg, sub
+from operator import add
 
 from .errors import (
     InvariantViolation,
@@ -29,27 +36,41 @@ from .errors import (
 )
 from .linalg import basis_from_functionals, clear_denominators
 from .monomials import MonomialIdeal, minimalize
-from .orderings import TermOrder, elimination_order, lex
+from .orderings import (
+    Packing,
+    SlotOverflow,
+    TermOrder,
+    elimination_order,
+    lex,
+    packing,
+)
 from .ring import Polynomial, PolyRing, same_ring
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
 
 def _reduce_dict(
-    f: dict, reducers, divisors: dict, okey, p: int, tail: bool = True
+    f: dict, reducers, divisors: dict, guard: int, p: int, tail: bool = True
 ) -> tuple[dict, int]:
     """Remainder of f modulo reducers, as `(r, s)` with s*f - r in the
-    ideal they generate.  A reducer `(lt, a, rest)` stands for
-    a*x^lt + rest, `rest` the (exp, coeff) pairs below lt.  Over GF(p)
-    coefficients are residues, ints in [0, p), every a is 1 and s is 1.
-    Over QQ (p = 0) they are ints, a > 0, and a step on a term with
-    coefficient c first multiplies the work and the remainder so far by
-    a / gcd(a, c); s is the product of those factors, so r / s is the
-    remainder by the monic reducers, along the same path.
+    ideal they generate.  Terms are ints packed by one `Packing`, whose
+    guard bits are `guard`.  A reducer `(lt, a, rest, hull)` stands for
+    a*x^lt + rest, `rest` the (term, coeff) pairs below lt, and `hull` is
+    the slotwise maximum of rest's terms.  Over GF(p) coefficients are
+    residues, ints in [0, p), every a is 1 and s is 1.  Over QQ (p = 0)
+    they are ints, a > 0, and a step on a term with coefficient c first
+    multiplies the work and the remainder so far by a / gcd(a, c); s is the
+    product of those factors, so r / s is the remainder by the monic
+    reducers, along the same path.
 
-    The work's terms sit in a heap on their negated order keys.  A term
-    is pushed when it first appears; one cancelled and met again still
-    has its entry, since every new term lies below the one reduced.
-    With tail=False, stop as soon as the leading term is irreducible.
+    The work's terms sit in a heap as negated packed ints, which order
+    them as the ordering does.  A term is pushed when it first appears;
+    one cancelled and met again still has its entry, since every new term
+    lies below the one reduced.  With tail=False, stop as soon as the
+    leading term is irreducible.  A reducer divides t when subtracting its
+    lt from t with every guard set keeps every guard, and a step shifts
+    its tail by adding t - lt to each term.  The step raises
+    `SlotOverflow` first if hull + (t - lt) sets a guard, that is if some
+    shifted term would outgrow its slots; the caller then packs wider.
 
     `divisors` maps a term to the index of the first reducer whose leading
     term divides it; a scan fills it on a hit, and a term found there is
@@ -62,19 +83,20 @@ def _reduce_dict(
     """
     work = dict(f)
     seen = set(work)
-    heap = [(tuple(map(neg, okey(t))), t) for t in work]
+    heap = [-t for t in work]
     heapify(heap)
     out: dict = {}
     scale = 1
     while heap:
-        t = heappop(heap)[1]
+        t = -heappop(heap)
         c = work.pop(t, None)
         if c is None:  # cancelled
             continue
         i = divisors.get(t)
         if i is None:
-            for i, (lt, _, _) in enumerate(reducers):
-                if all(map(le, lt, t)):
+            guarded = t | guard
+            for i, (lt, _, _, _) in enumerate(reducers):
+                if (guarded - lt) & guard == guard:
                     divisors[t] = i
                     break
             else:
@@ -83,7 +105,10 @@ def _reduce_dict(
                     out.update(work)
                     return out, scale
                 continue
-        lt, a, rest = reducers[i]
+        lt, a, rest, hull = reducers[i]
+        shift = t - lt
+        if (hull + shift) & guard:
+            raise SlotOverflow("a reduction step outgrew its slots")
         if a != 1:
             g = gcd(a, c)
             if g != a:
@@ -94,16 +119,15 @@ def _reduce_dict(
                 for e in out:
                     out[e] *= k
             c //= g
-        shift = tuple(map(sub, t, lt))
         m = p - c if p else -c
         for e2, c2 in rest:
-            key = tuple(map(add, e2, shift))
+            key = e2 + shift
             cur = work.get(key)
             if cur is None:
                 work[key] = m * c2 % p if p else m * c2
                 if key not in seen:
                     seen.add(key)
-                    heappush(heap, (tuple(map(neg, okey(key))), key))
+                    heappush(heap, -key)
             else:
                 val = (cur + m * c2) % p if p else cur + m * c2
                 if val:
@@ -121,17 +145,23 @@ def _integral(f: dict, field) -> tuple[dict, int]:
     return dict(zip(f, ints)), d
 
 
-def _reducer(f: dict, lt: tuple, p: int) -> tuple:
-    """f, ints with leading term lt, in `_reduce_dict`'s reducer form
-    `(lt, a, rest)`: monic residues over GF(p); over QQ, f divided by its
-    content, with a > 0."""
+def _reducer(f: dict, lt: tuple, pk: Packing, p: int) -> tuple:
+    """f, ints on terms packed by pk, with leading term lt, in
+    `_reduce_dict`'s reducer form `(lt, a, rest, hull)`, lt packed: monic
+    residues over GF(p); over QQ, f divided by its content, with a > 0."""
+    lt = pk.pack(lt)
     if p:
         inv = pow(f[lt], -1, p)
-        return lt, 1, tuple([(e, c * inv % p) for e, c in f.items() if e != lt])
-    g = gcd(*f.values())
-    if f[lt] < 0:
-        g = -g
-    return lt, f[lt] // g, tuple([(e, c // g) for e, c in f.items() if e != lt])
+        a, rest = 1, tuple([(e, c * inv % p) for e, c in f.items() if e != lt])
+    else:
+        g = gcd(*f.values())
+        if f[lt] < 0:
+            g = -g
+        a, rest = f[lt] // g, tuple([(e, c // g) for e, c in f.items() if e != lt])
+    hull = 0
+    for e, _ in rest:
+        hull = pk.smax(hull, e)
+    return lt, a, rest, hull
 
 
 def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
@@ -148,50 +178,65 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
     its pairs with the two are done (the chain criterion).  The first
     element found for each divisibility-minimal leading term is kept, with
     its tail fully reduced.  The work runs on `_reduce_dict`'s raw
-    coefficients: each element is put in reducer form once, when it is
-    added, and made monic only at the end.  Order keys are memoised for
-    the run, and first divisors beside each reducer list.
+    coefficients and packed terms: each element is put in reducer form
+    once, when it is added, and made monic only at the end.  The leading
+    terms stay exponent tuples too, for the pair rule and the criteria.
+    A term that outgrows its slots restarts the run on slots twice as wide,
+    which gives the same basis.
     """
-    okey = cache(order.key)
-    basis: list[tuple] = []  # (lt, a, rest), the one reducer list
+    pk = packing(order)
+    while True:
+        try:
+            return _buchberger(gens, pk, p, use_criteria)
+        except SlotOverflow:
+            pk = packing(order, 2 * pk.bits)
+
+
+def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
+    """`buchberger_dicts` on terms packed by pk; raises `SlotOverflow`."""
+    pack, unpack, guard = pk.pack, pk.unpack, pk.guard
+    basis: list[tuple] = []  # (lt, a, rest, hull), the one reducer list
+    lts: list[tuple] = []  # the leading terms of basis, unpacked
     divisors: dict = {}  # first divisors in basis, which only grows
     queue: list = []
 
     def insert(f: dict) -> None:
-        lt = max(f, key=okey)
-        for old, (old_lt, _, _) in enumerate(basis):
+        lt = unpack(max(f))
+        for old, old_lt in enumerate(lts):
             l = tlcm(old_lt, lt)
-            heappush(queue, ((tdeg(l), okey(l)), len(basis), old, l))
-        basis.append(_reducer(f, lt, p))
+            heappush(queue, ((tdeg(l), pack(l)), len(basis), old, l))
+        basis.append(_reducer(f, lt, pk, p))
+        lts.append(lt)
 
     for g in gens:
         if g:
-            insert(g)
+            insert({pack(e): c for e, c in g.items()})
     done: set[tuple[int, int]] = set()
     while queue:
-        _, j, i, l = heappop(queue)
+        (_, packed_l), j, i, l = heappop(queue)
         done.add((i, j))
-        (i_lt, i_a, i_rest), (j_lt, j_a, j_rest) = basis[i], basis[j]
         if use_criteria and (
-            tcoprime(i_lt, j_lt)
+            tcoprime(lts[i], lts[j])
             or any(
                 k not in (i, j)
                 and tdivides(lt, l)
                 and (min(i, k), max(i, k)) in done
                 and (min(j, k), max(j, k)) in done
-                for k, (lt, _, _) in enumerate(basis)
+                for k, lt in enumerate(lts)
             )
         ):
             continue
         # the S-polynomial, scaled so that the leading terms cancel at l
         # on ints: (j_a/g)*x^(l-i_lt)*f_i - (i_a/g)*x^(l-j_lt)*f_j
+        (i_lt, i_a, i_rest, i_hull), (j_lt, j_a, j_rest, j_hull) = basis[i], basis[j]
         g = gcd(i_a, j_a)
         i_m, j_m = j_a // g, i_a // g
-        shift = tdiv(l, i_lt)
-        spoly = {tuple(map(add, e, shift)): i_m * c for e, c in i_rest}
-        shift = tdiv(l, j_lt)
+        i_shift, j_shift = packed_l - i_lt, packed_l - j_lt
+        if (i_hull + i_shift) & guard or (j_hull + j_shift) & guard:
+            raise SlotOverflow("an S-polynomial outgrew its slots")
+        spoly = {e + i_shift: i_m * c for e, c in i_rest}
         for e, c in j_rest:
-            key = tuple(map(add, e, shift))
+            key = e + j_shift
             val = spoly.get(key, 0) - j_m * c
             if p:
                 val %= p
@@ -199,22 +244,25 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
                 spoly[key] = val
             else:
                 del spoly[key]
-        r, _ = _reduce_dict(spoly, basis, divisors, okey, p, tail=False)
+        r, _ = _reduce_dict(spoly, basis, divisors, guard, p, tail=False)
         if r:
             insert(r)
     # the first element found for each divisibility-minimal leading term
     first: dict = {}
-    for element in basis:
-        first.setdefault(element[0], element)
+    for lt, element in zip(lts, basis):
+        first.setdefault(lt, element)
     minimal = minimalize(first)
     kept = [element for lt, element in first.items() if lt in minimal]
     # no element reduces its own tail: every term met lies below its lt
     divisors = {}  # first divisors in kept, which is fixed
     out = []
-    for lt, a, rest in sorted(kept, key=lambda element: okey(element[0])):
-        r, s = _reduce_dict(dict(rest), kept, divisors, okey, p)
-        if not p:
-            r = {e: Fraction(c, s * a) for e, c in r.items()}
+    for lt, a, rest, _ in sorted(kept):  # by lt, which no two share
+        r, s = _reduce_dict(dict(rest), kept, divisors, guard, p)
+        if p:
+            r = {unpack(e): c for e, c in r.items()}
+        else:
+            r = {unpack(e): Fraction(c, s * a) for e, c in r.items()}
+        lt = unpack(lt)
         r[lt] = 1 if p else Fraction(1)
         out.append((lt, r))
     return out
@@ -260,29 +308,46 @@ class ReducedGB:
         no remainder term is divisible by any basis leading term."""
         same_ring(f.ring, self.ring)
         field = self.ring.field
-        p = field.characteristic
         coeffs, d = _integral(f.coeffs, field)
-        r, s = _reduce_dict(coeffs, *self._reduction_kernel(), p)
-        if not p:
+        r, s = self._reduce(coeffs)
+        if not field.characteristic:
             r = {e: Fraction(c, s * d) for e, c in r.items()}
         return kernel_poly(self.ring, r)
 
-    def _reduction_kernel(self) -> tuple:
-        """`(reducers, divisors, okey)` for `_reduce_dict`, shared by every
-        `reduce` and `nf_coords`: the elements in reducer form, a list that
-        is fixed, with its first-divisor dict and `order.key` memoised for
-        this basis, not on the ordering, whose presets live for the whole
-        process.  Built on first use, so the bases that never reduce, such
-        as a flip's or an ideal of points', keep no memo."""
-        if self._kernel is None:
+    def _reduce(self, coeffs: dict) -> tuple[dict, int]:
+        """`_reduce_dict` of coeffs, ints on exponent tuples, by this basis,
+        with the remainder back on exponent tuples.  The reducers and their
+        first-divisor dict, a list that is fixed, are built on first use
+        and shared by every `reduce` and `nf_coords`, so the bases that
+        never reduce, such as a flip's or an ideal of points', build none.
+        A term that outgrows its slots rebuilds them twice as wide."""
+        p = self.ring.field.characteristic
+        kernel = self._kernel
+        pk = kernel[0] if kernel else packing(self.order)
+        while True:
+            try:
+                reducers, divisors = self._packed(pk)
+                f = {pk.pack(e): c for e, c in coeffs.items()}
+                r, s = _reduce_dict(f, reducers, divisors, pk.guard, p)
+                break
+            except SlotOverflow:
+                pk = packing(self.order, 2 * pk.bits)
+        return {pk.unpack(t): c for t, c in r.items()}, s
+
+    def _packed(self, pk: Packing) -> tuple[list, dict]:
+        """`(reducers, divisors)`: this basis in reducer form on terms
+        packed by pk, with its first-divisor dict, kept beside pk until a
+        wider packing replaces them."""
+        kernel = self._kernel
+        if kernel is None or kernel[0] is not pk:
             field = self.ring.field
             p = field.characteristic
-            reducers = [
-                _reducer(_integral(g.coeffs, field)[0], lt, p)
-                for lt, g in zip(self.lt_exps, self.elements)
-            ]
-            self._kernel = (reducers, {}, cache(self.order.key))
-        return self._kernel
+            reducers = []
+            for lt, g in zip(self.lt_exps, self.elements):
+                f, _ = _integral(g.coeffs, field)
+                reducers.append(_reducer({pk.pack(e): c for e, c in f.items()}, lt, pk, p))
+            kernel = self._kernel = (pk, reducers, {})
+        return kernel[1:]
 
     def quotient_basis(self) -> tuple[tuple[int, ...], ...]:
         """The power products outside the leading-term ideal, ascending in
@@ -304,7 +369,7 @@ class ReducedGB:
             field = self.ring.field
             p = field.characteristic
             row = [0 if p else field.zero()] * len(self.quotient_basis())
-            nf, s = _reduce_dict({exp: 1}, *self._reduction_kernel(), p)
+            nf, s = self._reduce({exp: 1})
             for e, c in nf.items():
                 row[self._index[e]] = c if p else Fraction(c, s)
             vec = self._nf.setdefault(exp, tuple(row))

@@ -8,7 +8,7 @@ that the first nonzero entry of every column (read top-down) is positive.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
+from operator import add, mul
 
 from .errors import DimensionMismatch, InvalidOrdering, ParseError
 from .linalg import echelon_reduce
@@ -83,6 +83,77 @@ class TermOrder:
         if self.tag in ("lex", "deglex", "degrevlex"):
             return self.tag
         return f"{self.tag}{list(map(list, self.rows))}"
+
+
+class SlotOverflow(Exception):
+    """A packed term outgrew its slots; the run restarts on wider ones."""
+
+
+class Packing:
+    """Terms of one ordering as single ints (Bachmann–Schönemann), for
+    Buchberger's reduction kernel.
+
+    A term t packs into slots of `bits` bits, each with a guard bit at its
+    top: the high slots hold M'·t, one per weight row, the first row
+    highest, and the low slots hold t's exponents.  M' is the ordering's
+    rows made nonnegative: each row gains λ times the sum of the rows
+    before it, with the smallest λ that clears its negatives, which never
+    changes the ordering (Robbiano 1985).  While every guard is clear:
+
+    - T < S exactly when t < s, so no order key is computed for a term;
+    - T + S packs t·s, so a shift is one addition;
+    - t divides s when ((S | G) - T) & G == G, G the guard bits; since
+      M' ≥ 0 the key slots pass whenever the exponent slots do.
+
+    `pack` refuses, with `SlotOverflow`, a term whose degree could fill a
+    slot; a sum that sets a guard is the caller's to test.
+    """
+
+    __slots__ = ("bits", "guard", "_units", "_refused", "_mask", "_shifts")
+
+    def __init__(self, order: TermOrder, bits: int):
+        rows: list[list[int]] = []
+        above = [0] * order.nvars  # the sum of the rows made so far
+        for row in order.rows:
+            lam = max((-(w // s) for w, s in zip(row, above) if w < 0), default=0)
+            rows.append([w + lam * s for w, s in zip(row, above)])
+            above = list(map(add, above, rows[-1]))
+        n, high = order.nvars, len(rows)
+        self.bits = bits
+        self.guard = sum(1 << (k * bits + bits - 1) for k in range(n + high))
+        self._units = tuple(
+            (1 << (j * bits))
+            + sum(row[j] << ((n + high - 1 - i) * bits) for i, row in enumerate(rows))
+            for j in range(n)
+        )
+        # the least degree d with d * (max entry of M' + 1) >= 2^(bits - 1)
+        top = max(map(max, rows)) + 1
+        self._refused = -(-(1 << (bits - 1)) // top)
+        self._mask = (1 << bits) - 1
+        self._shifts = tuple(j * bits for j in range(n))
+
+    def pack(self, t: tuple[int, ...]) -> int:
+        if sum(t) >= self._refused:
+            raise SlotOverflow(f"a term of degree {sum(t)} in {self.bits}-bit slots")
+        return sum(map(mul, t, self._units))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        mask = self._mask
+        return tuple([(packed >> s) & mask for s in self._shifts])
+
+    def smax(self, a: int, b: int) -> int:
+        """The slotwise maximum of two packed terms."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # the guard of each slot where a >= b
+        keep = ge - (ge >> (self.bits - 1))
+        return (a & keep) | (b & ~keep)
+
+
+@cache
+def packing(order: TermOrder, bits: int = 32) -> Packing:
+    """The packing of `order` in slots of `bits` bits, built once for every
+    equal ordering: a fan walk's many bases share it."""
+    return Packing(order, bits)
 
 
 @cache

@@ -268,12 +268,13 @@ def distraction_term(ring: PolyRing, exp, pi) -> Polynomial:
 
 def distraction_ideal(ring: PolyRing, mono: MonomialIdeal, pi) -> Ideal:
     """Distraction of a monomial ideal: distract each minimal generator by
-    pi, one tuple of pairwise distinct constants per variable.
+    pi, one tuple of pairwise distinct constants per variable, each entry
+    an int or an element of the ring's field, compared in the field.
 
     The generators are the reduced basis for every term ordering, so the
     resulting ideal has a one-cone fan.
     """
-    pi = tuple(map(tuple, pi))
+    pi = tuple(tuple(map(ring.element, t)) for t in pi)
     if len(pi) != ring.nvars:
         raise ParseError("need one constant tuple per variable")
     if any(len(set(t)) != len(t) for t in pi):

@@ -444,6 +444,23 @@ QQ_X = "# field: QQ\n# vars: x\n"
             "distract", QQ_X + "x^2\n", "x: 3,,5\n", "bad rational literal ''",
             id="tuples-empty-entry",
         ),
+        # a bad literal names its file too, in every loader
+        pytest.param(
+            "grid", "# field: GF(7)\n# vars: x\nx: 0,,1\n", None,
+            "input.txt: bad GF(7) literal ''", id="bad-root-in-file",
+        ),
+        pytest.param(
+            "points", QQ_XY + "1.5,2\n", None,
+            "input.txt: bad rational literal '1.5'", id="bad-coordinate-in-file",
+        ),
+        pytest.param(
+            "distract", QQ_X + "x^2\n", "x: 3,,5\n",
+            "second.txt: bad rational literal ''", id="bad-tuple-entry-in-file",
+        ),
+        pytest.param(
+            "shift", QQ_X + "x^2\n", "x: 1,a\n",
+            "second.txt: bad rational literal 'a'", id="bad-shift-entry-in-file",
+        ),
         pytest.param(
             "gb", "# vars: x\nx\n", None, "no field given", id="no-field"
         ),

@@ -23,6 +23,7 @@ from gbfan import (
     matrix_order,
     weight_order,
 )
+from gbfan.orderings import packing
 from gbfan.errors import (
     InvariantViolation,
     NotZeroDimensional,
@@ -231,15 +232,87 @@ def test_buchberger_kernel_runs_modulo_any_prime(names, texts, m):
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_buchberger_keys_each_term_once(record_calls, field):
-    # one run memoises its order keys: the pair queue, each new leading
-    # term, every reduction and the final sort key a term once between them
+    # a run compares packed terms, so it computes no order key at all: not
+    # for the pair queue, a new leading term, a reduction or the final sort
     R = PolyRing(field, list("xyzwv"))
     gens = kernel_gens(R, [R.parse(t) for t in KATSURA4])
     calls = record_calls(TermOrder, "key")
     basis = buchberger_dicts(gens, degrevlex(5), field.characteristic)
-    keyed = [call["exp"] for call in calls]
-    assert len(basis) > 5 and keyed
-    assert len(keyed) == len(set(keyed))
+    assert len(basis) > 5
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_exponents_past_the_first_slot_width_restart_wider(record_calls, field):
+    # gcd(x^(5k) - 1, x^(3k) - 1) = x^(gcd(5k, 3k)) - 1 = x^k - 1, with k
+    # the first slot width's range: packing refuses the generators, so the
+    # run and the basis's reductions each restart on slots twice as wide
+    import gbfan.groebner
+
+    R = PolyRing(field, ["x"])
+    bits = packing(R.default_order()).bits
+    k = 2**bits
+    widths = record_calls(gbfan.groebner, "packing")
+    gb = ideal(R, f"x^{5 * k} - 1", f"x^{3 * k} - 1").groebner()
+    assert gb.elements == (R.parse(f"x^{k} - 1"),)
+    assert gb.reduce(R.parse(f"x^{3 * k} + 2*x")) == R.parse("2*x + 1")
+    assert [call["bits"] for call in widths] == [bits, 2 * bits] * 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_lex_reductions_that_grow_exponents_restart_wider(record_calls, monkeypatch, field):
+    # in lex, x - y^3, y - z^3 and x^2 - z reduce x^2 to z^18: a reduction
+    # step outgrows 4-bit slots, and the restarts on wider slots give the
+    # basis that the default width gives; so does a reduction by the basis
+    import gbfan.groebner
+    import gbfan.orderings
+
+    R = PolyRing(field, ["x", "y", "z"])
+    gens = ["x - y^3", "y - z^3", "x^2 - z"]
+    want = Ideal.from_strings(R, gens).groebner(lex(3))
+    assert want.elements == tuple(map(R.parse, ["z^18 - z", "y - z^3", "x - z^9"]))
+    monkeypatch.setattr(
+        gbfan.groebner, "packing", lambda order, bits=4: gbfan.orderings.packing(order, bits)
+    )
+    steps = record_calls(gbfan.groebner, "_reduce_dict")
+    narrow = Ideal.from_strings(R, gens).groebner(lex(3))
+    assert narrow == want and narrow.lt_exps == want.lt_exps
+    assert any("return" not in call for call in steps)  # a step raised
+    assert {call["guard"] for call in steps} == {
+        gbfan.orderings.packing(lex(3), bits).guard for bits in (4, 8)
+    }
+    # reducing x^40 by x - z^4 reaches z^160, past the 8-bit slots that
+    # the basis itself fits in
+    gb = Ideal.from_strings(R, ["x - z^4", "y - z^2"]).groebner(lex(3))
+    steps.clear()
+    assert gb.reduce(R.parse("x^40 + y")) == R.parse("z^160 + z^2")
+    assert any("return" not in call for call in steps)
+
+
+@pytest.mark.parametrize("texts", [("x - y^7", "x*y^4 - 1"), ("x*y^4 - 1", "x - y^7")])
+def test_an_s_polynomial_past_its_slots_restarts_before_reducing(
+    record_calls, monkeypatch, texts
+):
+    # lex as the matrix [[1, 0], [0, 3]]: 6-bit slots hold up to 31 and take
+    # x - y^7, x*y^4 - 1 and their lcm x*y^4 (degree < 8), but their
+    # S-polynomial's term y^11 weighs 33 in the second key slot, whichever
+    # element of the pair it comes from; the run stops at that
+    # S-polynomial, before any reduction, and restarts wider
+    import gbfan.groebner
+    import gbfan.orderings
+
+    R = PolyRing(GF(32003), ["x", "y"])
+    order = matrix_order([[1, 0], [0, 3]])
+    gens = kernel_gens(R, map(R.parse, texts))
+    steps = record_calls(gbfan.groebner, "_reduce_dict")
+    with pytest.raises(gbfan.orderings.SlotOverflow):
+        gbfan.groebner._buchberger(gens, packing(order, 6), 32003, True)
+    assert steps == []
+    monkeypatch.setattr(
+        gbfan.groebner, "packing", lambda order, bits=6: gbfan.orderings.packing(order, bits)
+    )
+    want = kernel_gens(R, [R.parse("y^11 - 1"), R.parse("x - y^7")])
+    assert buchberger_dicts(gens, order, 32003) == [(max(g), g) for g in want]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
@@ -261,9 +334,11 @@ def test_first_divisors_match_a_fresh_scan(record_calls, field):
     basis = spolys[0]["reducers"]  # the run's own list, as it ended
     reducers = basis[: len(basis) - sum(1 for call in spolys if call["return"][0])]
     divisors: dict = {}
+    guard = packing(order).guard
+    assert {call["guard"] for call in calls} == {guard}
     for call in spolys:
-        got = _reduce_dict(call["f"], reducers, divisors, order.key, p, tail=False)
-        assert got == _reduce_dict(call["f"], reducers, {}, order.key, p, tail=False)
+        got = _reduce_dict(call["f"], reducers, divisors, guard, p, tail=False)
+        assert got == _reduce_dict(call["f"], reducers, {}, guard, p, tail=False)
         assert got == call["return"]
         if got[0]:
             reducers.append(basis[len(reducers)])
@@ -272,16 +347,17 @@ def test_first_divisors_match_a_fresh_scan(record_calls, field):
     divisors = {}
     for call in tails:
         assert call["reducers"] is kept
-        got = _reduce_dict(call["f"], kept, divisors, order.key, p)
-        assert got == _reduce_dict(call["f"], kept, {}, order.key, p)
+        got = _reduce_dict(call["f"], kept, divisors, guard, p)
+        assert got == _reduce_dict(call["f"], kept, {}, guard, p)
     assert divisors
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
 def test_buchberger_kernel_holds_residues(record_calls, field):
-    # Buchberger, ReducedGB.reduce and nf_coords reduce raw ints by
-    # reducers (lt, a, rest): residues in [0, p) with a == 1 over GF(p),
-    # and over QQ ints with a > 0 and content 1, fraction-free
+    # Buchberger, ReducedGB.reduce and nf_coords reduce raw ints on packed
+    # terms by reducers (lt, a, rest, hull): residues in [0, p) with a == 1
+    # over GF(p), and over QQ ints with a > 0 and content 1, fraction-free;
+    # each hull is the slotwise maximum of its tail's terms
     import gbfan.groebner
 
     R = PolyRing(field, ("x", "y", "z"))
@@ -296,21 +372,33 @@ def test_buchberger_kernel_holds_residues(record_calls, field):
     assert gb.nf_coords((3, 2, 1)) and gb.nf_coords((0, 0, 0))
     assert 0 < built < reduced < len(calls)
 
+    guard = packing(gb.order).guard
+    bits = (guard & -guard).bit_length()
+
+    def slots(term):
+        return [(term >> k) & ((1 << bits) - 1) for k in range(0, guard.bit_length(), bits)]
+
     for call in calls:
         r, scale = call["return"]
+        assert call["guard"] == guard
         values = list(call["f"].values()) + list(r.values())
-        for lt, a, rest in call["reducers"]:
+        terms = list(call["f"]) + list(r)
+        for lt, a, rest, hull in call["reducers"]:
             assert lt not in dict(rest)
+            terms += [lt, hull] + [e for e, _ in rest]
+            tails = [slots(e) for e, _ in rest]
+            assert slots(hull) == [max(column) for column in zip(slots(0), *tails)]
             assert type(a) is int and a > 0
             assert gcd(a, *(c for _, c in rest)) == 1
             assert a == 1 or not p
             values += [c for _, c in rest]
         assert all(type(c) is int for c in values)
+        assert all(type(t) is int and t >= 0 and not t & guard for t in terms)
         assert type(scale) is int and scale > 0 and (scale == 1 or not p)
         if p:
             assert all(0 <= c < p for c in values)
     if not p:
-        assert any(a > 1 for call in calls for _, a, _ in call["reducers"])
+        assert any(a > 1 for call in calls for _, a, _, _ in call["reducers"])
 
 
 def test_reducers_are_built_on_first_use(record_calls):

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gbfan import QQ, Ideal, PolyRing, deglex, degrevlex, lex, matrix_order, parse_order, weight_order
 from gbfan.errors import DimensionMismatch, InvalidOrdering, ParseError
-from gbfan.orderings import TermOrder, elimination_order
+from gbfan.orderings import SlotOverflow, TermOrder, elimination_order, packing
+from gbfan.terms import tdivides
 
 
 def test_lex_compare():
@@ -197,3 +198,60 @@ def test_canonical_separates_orders_that_sort_a_box_differently(pair):
     box = list(itertools.product(range(4), repeat=a.nvars))
     if sorted(box, key=a.key) != sorted(box, key=b.key):
         assert a != b
+
+
+# one of each kind of ordering, and a matrix order whose negative entries
+# the packing has to lift
+_PACKED_ORDERS = [
+    lex(3),
+    deglex(3),
+    degrevlex(3),
+    degrevlex(4),
+    weight_order([3, 1, 2]),
+    elimination_order(3, [1]),
+    matrix_order([[1, 1, 1], [2, -1, 0], [-3, 0, 1]]),
+]
+
+
+@st.composite
+def _order_and_terms(draw):
+    order = draw(st.sampled_from(_PACKED_ORDERS))
+    term = st.tuples(*[st.integers(min_value=0, max_value=40)] * order.nvars)
+    return order, draw(term), draw(term)
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    _order_and_terms(),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            _matrices(n).map(_valid_order),
+            *[st.tuples(*[st.integers(min_value=0, max_value=40)] * n)] * 2,
+        )
+    ),
+))
+def test_packed_terms_compare_multiply_and_divide_as_terms(case):
+    # packed ints order as TermOrder.key does, add as terms multiply, and
+    # test divisibility with their guards; unpack inverts pack
+    order, s, t = case
+    pk = packing(order)
+    S, T = pk.pack(s), pk.pack(t)
+    assert pk.unpack(S) == s and pk.unpack(T) == t
+    assert (S < T) == (order.key(s) < order.key(t))
+    assert (S == T) == (s == t)
+    assert S + T == pk.pack(tuple(a + b for a, b in zip(s, t)))
+    assert (((T | pk.guard) - S) & pk.guard == pk.guard) == tdivides(s, t)
+    assert pk.unpack(pk.smax(S, T)) == tuple(map(max, s, t))
+    assert not (S | T | pk.smax(S, T)) & pk.guard
+
+
+def test_pack_refuses_a_term_that_could_fill_a_slot():
+    # lex(1) packs x^d as d twice, in 8-bit slots with 7 value bits each:
+    # d * (1 + 1) >= 2^7 is refused, the largest degree below is packed
+    pk = packing(lex(1), 8)
+    assert pk.unpack(pk.pack((63,))) == (63,)
+    with pytest.raises(SlotOverflow):
+        pk.pack((64,))
+    wider = packing(lex(1), 16)
+    assert wider.unpack(wider.pack((64,))) == (64,)
+    assert packing(lex(1), 8) is pk

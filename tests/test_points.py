@@ -631,6 +631,16 @@ def test_distraction_spec_validation(rxy):
         )
 
 
+def test_distraction_constants_repeat_by_their_field_values():
+    # 1 and 6 are one constant of GF(5), so the tuple repeats it; 1 and 7
+    # are two, taken into the field as x - 1 and x - 2
+    R = fring(5, "x")
+    mono = MonomialIdeal(1, [(2,)])
+    with pytest.raises(RepeatedConstant):
+        distraction_ideal(R, mono, [(1, 6)])
+    assert distraction_ideal(R, mono, [(1, 7)]).gens == (R.parse("(x - 1)*(x - 2)"),)
+
+
 def test_distraction_ideal_is_vanishing_ideal_of_design(rxy):
     mono = MonomialIdeal(2, [(4, 0), (0, 3), (2, 1), (1, 2)])
     pi = (
