@@ -289,7 +289,7 @@ class ReducedGB:
 
     def __init__(self, ring: PolyRing, order: TermOrder, pairs):
         self.ring = ring
-        self.order = order
+        self.order = ring.term_order(order)
         self.lt_exps = tuple(lt for lt, _ in pairs)
         self.elements = tuple(kernel_poly(ring, coeffs) for _, coeffs in pairs)
         self._kernel: tuple | None = None
@@ -379,6 +379,7 @@ class ReducedGB:
         """A new reduced basis of the same ideal, labelled `order`: by FGLM
         over this one's normal-form coordinates when it has a
         `quotient_basis`, else by Buchberger from its elements."""
+        self.ring.term_order(order)
         try:
             self.quotient_basis()
         except NotZeroDimensional:
@@ -433,8 +434,7 @@ class Ideal:
 
     def groebner(self, order: TermOrder | None = None) -> ReducedGB:
         """The reduced monic basis for the ordering, cached per ordering."""
-        if order is None:
-            order = self.ring.default_order()
+        order = self.ring.term_order(order)
         with self._lock:
             hit = self._cache.get(order)
         if hit is not None:

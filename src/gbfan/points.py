@@ -93,11 +93,10 @@ def ideal_of_points(pts: PointSet, order: TermOrder | None = None):
     coordinate and a `Fraction` otherwise, so the vectors of a set of
     integer points hold only ints, and the kernel eliminates fraction-free.
     """
+    ring = pts.ring
+    order = ring.term_order(order)
     if not pts.points:
         raise EmptyPointSet("ideal of points needs at least one point")
-    ring = pts.ring
-    if order is None:
-        order = ring.default_order()
     field = ring.field
     p = field.characteristic
     coord_vecs = [tuple(map(field.kernel, column)) for column in zip(*pts.points)]

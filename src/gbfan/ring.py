@@ -107,6 +107,18 @@ class PolyRing:
     def default_order(self) -> TermOrder:
         return degrevlex(self.nvars)
 
+    def term_order(self, order: TermOrder | None = None) -> TermOrder:
+        """order, checked to rank terms in this ring's nvars variables, or
+        the default ordering when None.  Every entry that takes a
+        `TermOrder` calls it before any work."""
+        if order is None:
+            return self.default_order()
+        if order.nvars != self.nvars:
+            raise DimensionMismatch(
+                f"ordering of {order.nvars} variables for a ring of {self.nvars}"
+            )
+        return order
+
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
@@ -159,6 +171,7 @@ class Polynomial:
 
     def leading_term(self, order: TermOrder):
         """The order-maximal support term with its coefficient."""
+        order = self.ring.term_order(order)
         if not self.coeffs:
             raise ZeroPolynomial("the zero polynomial has no leading term")
         exp = max(self.coeffs, key=order.key)
@@ -246,10 +259,9 @@ class Polynomial:
     def to_str(self, order: TermOrder | None = None) -> str:
         """Canonical text form: terms strictly decreasing in the active
         ordering, signs absorbed into the +/- separators."""
+        order = self.ring.term_order(order)
         if not self.coeffs:
             return "0"
-        if order is None:
-            order = self.ring.default_order()
         field = self.ring.field
         parts = []
         for i, exp in enumerate(sorted(self.coeffs, key=order.key, reverse=True)):

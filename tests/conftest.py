@@ -25,6 +25,7 @@ from gbfan import (
 )
 from gbfan.cones import strict_positive_solution
 from gbfan.groebner import _integral
+from gbfan.linalg import slot_width
 
 
 def qring(*names) -> PolyRing:
@@ -43,6 +44,15 @@ def kernel_gens(ring, polys) -> list[dict]:
     """Polynomials as `buchberger_dicts` takes them: dicts of ints,
     residues over GF(p) and integer multiples over QQ."""
     return [_integral(f.coeffs, ring.field)[0] for f in polys]
+
+
+def packed_slots(packed: int, count: int, n: int, p: int) -> list[int]:
+    """The first `count` slots of a packed GF(p) echelon row of length n,
+    by the layout `linalg.echelon_reduce` documents; no bit of the int may
+    lie above them."""
+    w, mask = slot_width(n, p)
+    assert type(packed) is int and packed >= 0 and packed >> w * count == 0
+    return [packed >> w * i & mask for i in range(count)]
 
 
 def points(ring, coords) -> PointSet:

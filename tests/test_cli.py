@@ -101,8 +101,9 @@ def test_gb_lex_of_found_ideals_is_pinned(tmp_path, capsys, field, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# The ideal files of the CI "Installed package" step, by their file names there
-CI_IDEALS = {
+# The input files of the CI "Installed package" step, by their file names
+# there less the extension: ideal files, and the point file pts.csv
+CI_FILES = {
     "cyclic4": "# field: GF(32003)\n# vars: x, y, z, w\n"
     "x + y + z + w\nx*y + y*z + z*w + w*x\n"
     "x*y*z + y*z*w + z*w*x + w*x*y\nx*y*z*w - 1\n",
@@ -113,6 +114,7 @@ CI_IDEALS = {
     "2/3*x^2*y + 1/3*y*z - 4\n5/7*x*y^2 + 11/6*x - 7/2*z\n"
     "-9/4*z^2 + 3/5*x*y + 1/3*x\n",
     "posdim": "# field: QQ\n# vars: x, y, z\nx^2 - y^3\nx*y - z\n",
+    "pts": "1,2,3\n5,7,11\n-1,4,9\n13,0,2\n",
 }
 
 BASIC_SETS_FRACS = "dca9f8f1da4c48b0b5f0e86220ac83255be0bc6fce360f74e3826800606cf91a"
@@ -135,11 +137,17 @@ BASIC_SETS_FRACS = "dca9f8f1da4c48b0b5f0e86220ac83255be0bc6fce360f74e3826800606c
         # 80 basic sets, in the walk's order, the same over both fields
         ("basic-sets", "fracs", [], BASIC_SETS_FRACS),
         ("basic-sets", "fracs", ["--field", "GF(32003)"], BASIC_SETS_FRACS),
+        (
+            "points",
+            "pts",
+            ["--field", "GF(2305843009213693951)", "--vars", "x,y,z"],
+            "5642ee81894f11373637432f403dcb024a5968ab261e60af4855401e5a7ee062",
+        ),
     ],
 )
 def test_ci_stdout_digests(tmp_path, capsys, command, name, flags, digest):
-    path = tmp_path / f"{name}.ideal"
-    path.write_text(CI_IDEALS[name])
+    path = tmp_path / name
+    path.write_text(CI_FILES[name])
     code, out, _ = run(capsys, command, str(path), *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Fan enumeration, the basic-set oracle, and model selection."""
 
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -36,7 +37,15 @@ from gbfan.errors import (
 from gbfan.random_ideals import random_zero_dim_ideal, random_zero_dim_monomial_ideal
 from gbfan.terms import term_str
 
-from conftest import fring, ideal, kernel_gens, points, qring, weight_refinement
+from conftest import (
+    fring,
+    ideal,
+    kernel_gens,
+    packed_slots,
+    points,
+    qring,
+    weight_refinement,
+)
 
 
 def test_principal_binomial_two_cones(rxy):
@@ -337,19 +346,53 @@ def test_enumerate_basic_sets_bound(rxy):
 def test_basic_sets_carry_representations_only_for_the_oracle(record_calls):
     # enumerate_basic_sets keeps only the terms, so its reductions track no
     # combination; the oracle's walk finds the same sets with each row's
-    # combination, which its corner reductions need
+    # combination, which its corner reductions need.  Over QQ rows and
+    # their combinations are ints, and the corners' relations Fractions.
+    # Over GF(32003) a row is packed: n vector slots, then, when it is
+    # represented, the coefficients of the terms of the rows up to its own;
+    # every slot is a residue, the pivot's is 1, and relations hold residues
     import gbfan.fan
 
-    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    gens = ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
     calls = record_calls(gbfan.fan, "echelon_reduce")
-    sets = enumerate_basic_sets(I)
-    bare = len(calls)
-    assert len(sets) > 1 and bare > 0
-    assert all(call["term"] is None for call in calls)
-    represented = gbfan.fan._basic_sets_data(I.groebner(), 12, represent=True)
-    assert [terms for terms, _, _ in represented] == sets
-    assert len(calls) == 2 * bare
-    assert all(call["term"] is not None for call in calls[bare:])
+    found = []
+    for R in (qring("x", "y", "z"), fring(32003, "x", "y", "z")):
+        I = ideal(R, *gens)
+        p = R.field.characteristic
+        n = I.multiplicity()
+        calls.clear()
+        sets = enumerate_basic_sets(I)
+        bare = len(calls)
+        assert len(sets) > 1 and bare > 0
+        assert all(call["term"] is None for call in calls)
+        represented = list(gbfan.fan._basic_sets_data(I.groebner(), 12, represent=True))
+        assert [terms for terms, _, _ in represented] == sets
+        assert len(calls) == 2 * bare
+        assert all(call["term"] is not None for call in calls[bare:])
+        for call in calls[:bare]:
+            pivot, row, rep = call["return"]
+            assert rep is None
+            if p and pivot is not None:
+                assert packed_slots(row, n, n, p)[pivot] == 1
+        for _, _, rows in represented:
+            for j, (pivot, row, rep) in enumerate(rows):
+                if p:
+                    slots = packed_slots(row, n + j + 1, n, p)
+                    assert all(0 <= a < p for a in slots)
+                    assert slots[pivot] == 1 and slots[n + j] and rep is not None
+                else:
+                    assert all(type(a) is int for a in row + list(rep.values()))
+        calls.clear()
+        fan_oracle_zerodim(I)
+        zero = [call for call in calls if call["return"][0] is None]
+        assert zero and all(call["return"][2][call["term"]] == 1 for call in zero)
+        values = [c for call in zero for c in call["return"][2].values()]
+        if p:
+            assert all(type(c) is int and 0 <= c < p for c in values)
+        else:
+            assert all(type(c) is Fraction for c in values)
+        found.append(sets)
+    assert found[0] == found[1]
 
 
 def test_walk_solves_only_facet_lps(record_calls):

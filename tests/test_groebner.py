@@ -25,6 +25,7 @@ from gbfan import (
 )
 from gbfan.orderings import packing
 from gbfan.errors import (
+    DimensionMismatch,
     InvariantViolation,
     NotZeroDimensional,
     RingMismatch,
@@ -794,3 +795,39 @@ def test_gb_over_gf5_points():
     assert I.multiplicity() == 6
     for g in I.groebner(lex(2)):
         assert all(not g.evaluate(p) for p in pts)
+
+
+_ORDER_ENTRIES = {
+    "Ideal.groebner": lambda I, pts, order: I.groebner(order),
+    "Ideal.lt_ideal": lambda I, pts, order: I.lt_ideal(order),
+    "Ideal.quotient_basis": lambda I, pts, order: I.quotient_basis(order),
+    "ReducedGB": lambda I, pts, order: ReducedGB(I.ring, order, []),
+    "ReducedGB.change_order": lambda I, pts, order: I.groebner().change_order(order),
+    "ideal_of_points": lambda I, pts, order: ideal_of_points(pts, order),
+    "Polynomial.leading_term": lambda I, pts, order: I.gens[0].leading_term(order),
+    "Polynomial.monic": lambda I, pts, order: I.gens[0].monic(order),
+    "Polynomial.to_str": lambda I, pts, order: I.gens[0].to_str(order),
+}
+
+
+@pytest.mark.parametrize("shift", [-1, 1], ids=["fewer", "more"])
+@pytest.mark.parametrize("entry", sorted(_ORDER_ENTRIES))
+def test_an_ordering_for_another_variable_count_is_refused(record_calls, entry, shift):
+    # I = (x^2 - 1, y - x) in GF(7)[x, y] vanishes at (1, 1) and (6, 6).
+    # Unchecked, lex(1) and lex(3) give wrong bases, an IndexError or a
+    # ParseError; every entry that takes an ordering refuses them before
+    # any basis is computed
+    import gbfan.groebner
+    import gbfan.points
+
+    R = fring(7, "x", "y")
+    I = ideal(R, "x^2 - 1", "y - x")
+    pts = points(R, [(1, 1), (6, 6)])
+    I.groebner()
+    runs = record_calls(gbfan.groebner, "buchberger_dicts")
+    fglm = record_calls(gbfan.groebner, "basis_from_functionals")
+    bm = record_calls(gbfan.points, "basis_from_functionals")
+    with pytest.raises(DimensionMismatch, match=f"ordering of {2 + shift} variables"):
+        _ORDER_ENTRIES[entry](I, pts, lex(2 + shift))
+    assert runs == fglm == bm == []
+    assert list(I._cache) == [degrevlex(2)]

@@ -55,7 +55,7 @@ from gbfan.random_ideals import (
     random_zero_dim_monomial_ideal,
 )
 
-from conftest import fring, ideal, points, qring
+from conftest import fring, ideal, packed_slots, points, qring
 
 
 def test_point_set_validation(rxy):
@@ -152,10 +152,12 @@ def test_three_routes_agree_on_point_ideals(pts):
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
 def test_kernel_holds_residues_over_gf_p_and_ints_over_qq(record_calls, field):
     # Over GF(p) Buchberger-Möller and FGLM run on ints in [0, p) with
-    # pivot-1 rows.  Over QQ both run the exact kernel (p = 0): rows, their
-    # combinations and nonzero results are ints, and relations come back in
-    # Fractions.  The evaluation vectors of integer points hold ints, while
-    # FGLM's input, the cached normal forms, holds Fractions
+    # pivot-1 rows, packed: row j of a call with vectors of length n unpacks
+    # to n vector entries and the coefficients of the terms of rows 0..j.
+    # Over QQ both run the exact kernel (p = 0): rows, their combinations
+    # and nonzero results are ints, and relations come back in Fractions.
+    # The evaluation vectors of integer points hold ints, while FGLM's
+    # input, the cached normal forms, holds Fractions
     R = PolyRing(field, ("x", "y", "z"))
     p = field.characteristic
     calls = record_calls(gbfan.linalg, "echelon_reduce")
@@ -167,16 +169,30 @@ def test_kernel_holds_residues_over_gf_p_and_ints_over_qq(record_calls, field):
     def entries(calls):
         # (input vectors, int entries, relation coefficients)
         vecs, ints, relations = [], [], []
+        unpacked = set()  # each caller's rows, once they are all in
         for call in calls:
             pivot, reduced, rep = call["return"]
-            if call["p"] and pivot is not None:
-                assert reduced[pivot] == 1
             vecs += call["vec"]
-            ints += reduced
-            for _, row, row_rep in call["rows"]:
-                ints += row
-                ints += row_rep.values()
-            (ints if pivot is not None else relations).extend(rep.values())
+            n, rows = len(call["vec"]), call["rows"]
+            if not call["p"]:
+                ints += reduced
+                for _, row, row_rep in rows:
+                    ints += row
+                    ints += row_rep.values()
+                (ints if pivot is not None else relations).extend(rep.values())
+                continue
+            if pivot is None:
+                assert reduced == 0 and rep[call["term"]] == 1
+                relations += rep.values()
+            else:
+                # the caller appends the new row to the list it passed
+                assert rep == call["term"] and (pivot, reduced, rep) in rows
+            if id(rows) not in unpacked:
+                unpacked.add(id(rows))
+                for j, (row_pivot, row, _) in enumerate(rows):
+                    slots = packed_slots(row, n + j + 1, n, p)
+                    assert slots[row_pivot] == 1 and slots[n + j]
+                    ints += slots
         return vecs, ints, relations
 
     assert {call["p"] for call in calls} == {p}
