@@ -126,7 +126,8 @@ def vanishing_ideal(pts: PointSet) -> Ideal:
 @dataclass(frozen=True)
 class GridSpec:
     """One univariate generator per variable, factored (roots) or opaque.
-    Every constructor checks the entries here, and stores poly entries monic."""
+    Every constructor checks the entries here; it stores roots as field
+    elements, through `PolyRing.element`, and poly entries monic."""
 
     ring: PolyRing
     entries: tuple  # per variable: ("roots", tuple) | ("poly", Polynomial)
@@ -138,7 +139,7 @@ class GridSpec:
         entries = []
         for i, (kind, data) in enumerate(self.entries):
             if kind == "roots":
-                data = tuple(data)
+                data = tuple(map(ring.element, data))
                 if not data:
                     raise ParseError(f"no roots for {ring.vars[i]}")
             elif data.variables_used() != {i}:

@@ -229,6 +229,8 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
+        """c times the polynomial, c taken through `PolyRing.element`."""
+        c = self.ring.element(c)
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {e: v * c for e, v in self.coeffs.items()})

@@ -85,12 +85,15 @@ FOUND_IDEALS = {
 }
 
 
+def found_ideal_text(field) -> str:
+    """The FOUND_IDEALS entry for `field` as the text of an ideal file."""
+    return f"# field: {field}\n# vars: x, y, z\n" + "\n".join(FOUND_IDEALS[field]) + "\n"
+
+
 def write_found_ideal(tmp_path, field) -> Path:
     """The FOUND_IDEALS entry for `field` as an ideal file in tmp_path."""
     path = tmp_path / "found.ideal"
-    path.write_text(
-        f"# field: {field}\n# vars: x, y, z\n" + "\n".join(FOUND_IDEALS[field]) + "\n"
-    )
+    path.write_text(found_ideal_text(field))
     return path
 
 

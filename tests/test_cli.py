@@ -11,7 +11,7 @@ from gbfan.cli import main
 from gbfan.fan import GroebnerFan
 from gbfan.files import load_ideal
 
-from conftest import write_found_ideal
+from conftest import found_ideal_text
 
 
 def run(capsys, *argv):
@@ -86,69 +86,193 @@ def test_gb_order_converts_the_degrevlex_basis(demo, capsys, record_calls, spec,
     assert [call["order"] for call in runs] == [degrevlex(2)]
 
 
-@pytest.mark.parametrize(
-    "field, digest",
-    [
-        ("QQ", "ed8f5af7c38803094ecf885c9a6d6e79f8403bd1d97c17e74118904c6564277e"),
-        ("GF(32003)", "b712e8b52605d0be00d88530bc128b990b0b76a4488c07e472d1e4d939b9f6e0"),
-    ],
-)
-def test_gb_lex_of_found_ideals_is_pinned(tmp_path, capsys, field, digest):
-    # the zero-dimensional QQ ideal goes by FGLM, the positive-dimensional
-    # GF(32003) one by Buchberger in lex from its degrevlex basis
-    code, out, _ = run(capsys, "gb", str(write_found_ideal(tmp_path, field)), "--order", "lex")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# The input files of the CI "Installed package" step, by their file names
-# there less the extension: ideal files, and the point file pts.csv
-CI_FILES = {
-    "cyclic4": "# field: GF(32003)\n# vars: x, y, z, w\n"
+# Every pinned stdout of a `gbfan` command, in one table.  The input files
+# go by name into one directory, the command runs there, and a row holds
+# its argv, those names included, and the SHA-256 of the expected stdout.
+PINNED_INPUTS = {
+    "pts.csv": "1,2,3\n5,7,11\n-1,4,9\n13,0,2\n",
+    "qq.csv": "1,2,3\n1/2,7,-1\n0,0,0\n2,-3,5\n",
+    "cyclic4.ideal": "# field: GF(32003)\n# vars: x, y, z, w\n"
     "x + y + z + w\nx*y + y*z + z*w + w*x\n"
     "x*y*z + y*z*w + z*w*x + w*x*y\nx*y*z*w - 1\n",
-    "katsura3": "# field: QQ\n# vars: x, y, z, w\n"
+    "katsura3.ideal": "# field: QQ\n# vars: x, y, z, w\n"
     "x + 2*y + 2*z + 2*w - 1\nx^2 + 2*y^2 + 2*z^2 + 2*w^2 - x\n"
     "2*x*y + 2*y*z + 2*z*w - y\n2*x*z + y^2 + 2*y*w - z\n",
-    "fracs": "# field: QQ\n# vars: x, y, z\n"
+    "fracs.ideal": "# field: QQ\n# vars: x, y, z\n"
     "2/3*x^2*y + 1/3*y*z - 4\n5/7*x*y^2 + 11/6*x - 7/2*z\n"
     "-9/4*z^2 + 3/5*x*y + 1/3*x\n",
-    "posdim": "# field: QQ\n# vars: x, y, z\nx^2 - y^3\nx*y - z\n",
-    "pts": "1,2,3\n5,7,11\n-1,4,9\n13,0,2\n",
+    "posdim.ideal": "# field: QQ\n# vars: x, y, z\nx^2 - y^3\nx*y - z\n",
+    "found-qq.ideal": found_ideal_text("QQ"),
+    "found-gf.ideal": found_ideal_text("GF(32003)"),
+    "grid7.txt": "# field: GF(7)\n# vars: x, y\nx: 0, 1, 3/2\ny: 2, 5\n",
+    "grid7-ideal.txt": "# field: GF(7)\n# vars: x, y\nx*(x-1)\n(y-2)*(y-5)\n",
+    "mono5.txt": "# field: GF(5)\n# vars: x, y\nx^3\nx*y^2\ny^4\n",
+    "tuples5.txt": "x: 1/2, 2, 4\ny: 0, 3, 1, 2\n",
+    "shift7.txt": "x: 3, 1/2\ny: 1, 4\n",
 }
 
 BASIC_SETS_FRACS = "dca9f8f1da4c48b0b5f0e86220ac83255be0bc6fce360f74e3826800606cf91a"
 
+# One row per pin, after a comment naming the code path it guards.
+PINNED_STDOUT = [
+    # Buchberger-Möller on residues (`ideal_of_points`, GF(32003))
+    pytest.param(
+        ["points", "pts.csv", "--field", "GF(32003)", "--vars", "x,y,z"],
+        "8fb5b621d866345942937b5618897b8877ae3d218b0b225f3c5790dc3cb1a4ad",
+        id="pts-gf",
+    ),
+    # Buchberger-Möller's fraction-free kernel on integer points
+    pytest.param(
+        ["points", "pts.csv", "--field", "QQ", "--vars", "x,y,z"],
+        "f9a261af6bcf69ea7e73ccf7b22263f8351683665e1ab6c1ac3079a7ae99df51",
+        id="pts-qq",
+    ),
+    # Buchberger-Möller on packed residue rows, widest slots
+    # (`echelon_reduce`, GF(2^61 - 1))
+    pytest.param(
+        ["points", "pts.csv", "--field", "GF(2305843009213693951)", "--vars", "x,y,z"],
+        "5642ee81894f11373637432f403dcb024a5968ab261e60af4855401e5a7ee062",
+        id="pts-gf61",
+    ),
+    # Buchberger-Möller on a rational coordinate, Fractions mixed with ints
+    pytest.param(
+        ["points", "qq.csv", "--field", "QQ", "--vars", "x,y,z"],
+        "95beafe4e65a6c66d9519ca61d8a5f52c9948d61aee27f9a5fcc9d1e9524a1e4",
+        id="qq",
+    ),
+    # Buchberger's residue kernel, keys and first divisors memoised per run
+    pytest.param(
+        ["gb", "cyclic4.ideal"],
+        "7e00f23f3129114b991db433cfee970a3e38924602484379d9f20e1a92fe4841",
+        id="cyclic4",
+    ),
+    # Buchberger's fraction-free integer kernel over QQ
+    pytest.param(
+        ["gb", "katsura3.ideal"],
+        "7a477dd0ec30bbc8502e38858269bbf30d4b2b5c9ef69d5c857ed5d77e804ff3",
+        id="katsura3",
+    ),
+    # Buchberger over QQ from fractional, unequal leading coefficients
+    pytest.param(
+        ["gb", "fracs.ideal"],
+        "e16282100139222eac5813aa3c3425dc8e8ae01f06c2dedd5ec502018522e7bd",
+        id="fracs",
+    ),
+    # Buchberger's residue kernel on 61-bit residues, field set by --field
+    pytest.param(
+        ["gb", "fracs.ideal", "--field", "GF(2305843009213693951)"],
+        "9da4cb65baaaf2ebc04aea101d97b0c3e93a57f96c1ac83282686934808c2147",
+        id="fracs-gf",
+    ),
+    # FGLM flips and ordering canonical forms, integer QQ echelon branch
+    pytest.param(
+        ["fan", "fracs.ideal"],
+        "eac43592945870b5155e7eb607e14a5e9d57c5c24c1652f5cf95a89dacf0cb97",
+        id="fracs-fan",
+    ),
+    # the same fan walk on GF(32003) residues
+    pytest.param(
+        ["fan", "fracs.ideal", "--field", "GF(32003)"],
+        "8695401962f40f9b5d52904682ed89b90efb60ee8946330e095833bc3879f8ec",
+        id="fracs-fan-gf",
+    ),
+    # FGLM in one variable (`Ideal.univariate_in`) over QQ
+    pytest.param(
+        ["mgrid", "fracs.ideal"],
+        "f3898f95ff9da0174c3c2b39c1acc5dea7d2faeeff3599fbd4e5b067b67cb127",
+        id="fracs-mgrid",
+    ),
+    # the same eliminants over GF(32003)
+    pytest.param(
+        ["mgrid", "fracs.ideal", "--field", "GF(32003)"],
+        "27c34d0452c740e42b9bddc24a3f76ed7527d9f32c8c2e101ad6645314318c1d",
+        id="fracs-mgrid-gf",
+    ),
+    # the basic-set walk's 80 sets and their order, over QQ
+    pytest.param(["basic-sets", "fracs.ideal"], BASIC_SETS_FRACS, id="fracs-basic-sets"),
+    # the same walk on GF(32003) residues, same digest
+    pytest.param(
+        ["basic-sets", "fracs.ideal", "--field", "GF(32003)"],
+        BASIC_SETS_FRACS,
+        id="fracs-basic-sets-gf",
+    ),
+    # the walk's Buchberger flips on a positive-dimensional ideal
+    pytest.param(
+        ["fan", "posdim.ideal"],
+        "e43b010aaf6f17806734258ccc8508f89f5c81e5ffe58887f396635d00a5db22",
+        id="posdim-fan",
+    ),
+    # `ReducedGB.change_order` to lex by FGLM (the ideal is zero-dimensional)
+    pytest.param(
+        ["gb", "found-qq.ideal", "--order", "lex"],
+        "ed8f5af7c38803094ecf885c9a6d6e79f8403bd1d97c17e74118904c6564277e",
+        id="found-qq",
+    ),
+    # `ReducedGB.change_order` to lex by Buchberger from the basis
+    # (the ideal is positive-dimensional)
+    pytest.param(
+        ["gb", "found-gf.ideal", "--order", "lex"],
+        "b712e8b52605d0be00d88530bc128b990b0b76a4488c07e472d1e4d939b9f6e0",
+        id="found-gf",
+    ),
+    # tag-variable Buchberger on GF(7) residues from `_integral`
+    pytest.param(
+        ["complement", "grid7.txt", "grid7-ideal.txt"],
+        "3523a4cb6a2f1796f28ab8fbf61a7b84638535d99c79832be46a98167ce11dba",
+        id="complement-gf",
+    ),
+    # GF(5) residues printed with `str`
+    pytest.param(
+        ["staircase", "mono5.txt"],
+        "0980b34e36cd31139d2e0de49dd22949eb51634be95f9c14b420eacb8457c523",
+        id="staircase-gf",
+    ),
+    pytest.param(
+        ["natural", "mono5.txt"],
+        "9cceb2119aa8a1c5ce717bd5dd7e118adc49a1896151846a8c2669bafbd4cf80",
+        id="natural-gf",
+    ),
+    # `distraction_ideal`, the one tuples check, on GF(5) tuples from
+    # `files._literals`
+    pytest.param(
+        ["distract", "mono5.txt", "tuples5.txt"],
+        "58b2ec685fcfcdf0123f378a8d78ad19b07c976439432ae698c57d85a054a6af",
+        id="distract-gf",
+    ),
+    # `load_shift`'s scale-offset pairs and `shift_ideal` on GF(7)
+    pytest.param(
+        ["shift", "grid7-ideal.txt", "shift7.txt"],
+        "8a800cb481b3f2569ead8cb3212f584de68fac21d2115cfd2238b0071d374c33",
+        id="shift-gf",
+    ),
+    # `unique_gb_fast_check` on the `vanishing_ideal` of a QQ point file
+    pytest.param(
+        ["unique", "--points", "pts.csv", "--field", "QQ", "--vars", "x,y,z"],
+        "26f27b4805a53903ed4173b93a9e674733c237652aa0d96db6cde0f12b853087",
+        id="unique-points",
+    ),
+    # `minimal_models`, one function's normal forms across a QQ point
+    # set's fan
+    pytest.param(
+        ["models", "qq.csv", "--field", "QQ", "--vars", "x,y,z", "-f", "x^2*y - 3/2*z^2 + 1"],
+        "a88ad2c1e891103d8f48d4963fa8dbca2234cd64ddd8becd36d7a0a58b60aae9",
+        id="models-qq",
+    ),
+    # `GridSpec.points` of a grid whose roots include the GF(7) literal 3/2
+    pytest.param(
+        ["grid", "grid7.txt", "--points"],
+        "b2487a9bd970ce8e428998af9fe5afa20c0f90c81f05507bdb9b622afca25318",
+        id="grid-points-gf",
+    ),
+]
 
-@pytest.mark.parametrize(
-    "command, name, flags, digest",
-    [
-        ("gb", "cyclic4", [], "7e00f23f3129114b991db433cfee970a3e38924602484379d9f20e1a92fe4841"),
-        ("gb", "katsura3", [], "7a477dd0ec30bbc8502e38858269bbf30d4b2b5c9ef69d5c857ed5d77e804ff3"),
-        ("fan", "fracs", [], "eac43592945870b5155e7eb607e14a5e9d57c5c24c1652f5cf95a89dacf0cb97"),
-        (
-            "fan",
-            "fracs",
-            ["--field", "GF(32003)"],
-            "8695401962f40f9b5d52904682ed89b90efb60ee8946330e095833bc3879f8ec",
-        ),
-        ("mgrid", "fracs", [], "f3898f95ff9da0174c3c2b39c1acc5dea7d2faeeff3599fbd4e5b067b67cb127"),
-        ("fan", "posdim", [], "e43b010aaf6f17806734258ccc8508f89f5c81e5ffe58887f396635d00a5db22"),
-        # 80 basic sets, in the walk's order, the same over both fields
-        ("basic-sets", "fracs", [], BASIC_SETS_FRACS),
-        ("basic-sets", "fracs", ["--field", "GF(32003)"], BASIC_SETS_FRACS),
-        (
-            "points",
-            "pts",
-            ["--field", "GF(2305843009213693951)", "--vars", "x,y,z"],
-            "5642ee81894f11373637432f403dcb024a5968ab261e60af4855401e5a7ee062",
-        ),
-    ],
-)
-def test_ci_stdout_digests(tmp_path, capsys, command, name, flags, digest):
-    path = tmp_path / name
-    path.write_text(CI_FILES[name])
-    code, out, _ = run(capsys, command, str(path), *flags)
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT)
+def test_pinned_stdout(tmp_path, monkeypatch, capsys, argv, digest):
+    for name, text in PINNED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -456,6 +580,10 @@ QQ_X = "# field: QQ\n# vars: x\n"
         pytest.param(
             "grid", "# field: GF(7)\n# vars: x\nx: 0,,1\n", None,
             "input.txt: bad GF(7) literal ''", id="bad-root-in-file",
+        ),
+        pytest.param(
+            "grid", "# field: GF(7)\n# vars: x, y\nx: 0,,1\ny: 2, 5\n", None,
+            "bad GF(7) literal ''", id="empty-root",
         ),
         pytest.param(
             "points", QQ_XY + "1.5,2\n", None,

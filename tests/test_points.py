@@ -403,6 +403,19 @@ def test_grid_repeated_root_rejected(rxy):
         spec.points()
 
 
+def test_grid_roots_are_compared_in_the_field(rxy):
+    # 6 is 1 in GF(5): a repeated root, not two points that coincide
+    R = fring(5, "x", "y")
+    F = R.field
+    spec = GridSpec.from_roots(R, [(1, 7), (0,)])
+    assert spec.entries[0] == ("roots", (F.one(), F.from_int(2)))
+    with pytest.raises(RepeatedRoot):
+        GridSpec.from_roots(R, [(1, 6), (0,)]).points()
+    for roots in ([(0.5,), (0,)], [(GF(5).one(),), (0,)]):
+        with pytest.raises(FieldMismatch):
+            GridSpec.from_roots(rxy, roots)
+
+
 def test_unfactored_grid_points_rejected_without_repeated_root(rxy):
     spec = GridSpec.from_polys(rxy, [rxy.parse("x^2 - 2"), rxy.parse("y - 1")])
     with pytest.raises(DomainError, match="factored form") as info:

@@ -215,6 +215,23 @@ def test_linear_shift_field_mismatch(rxy):
         gf_shift.apply(rxy.parse("x + y"))
 
 
+def test_scale_takes_its_factor_through_element(rxy):
+    # an int is mapped into the field; a float or another field's element
+    # is refused, so no coefficient leaves the field
+    f = rxy.parse("x^2 - 2*y")
+    assert f.scale(QQ.parse("1/2")) == rxy.parse("1/2*x^2 - y")
+    assert f.scale(-2) == rxy.parse("-2*x^2 + 4*y")
+    assert f.scale(0) == rxy.zero()
+    for c in (0.5, GF(5).one()):
+        with pytest.raises(FieldMismatch):
+            f.scale(c)
+    with pytest.raises(FieldMismatch):
+        LinearShift((0.5, 1), (0, 0)).apply(f)
+    R = fring(7, "x")
+    assert R.var(0).scale(3) == R.var(0).scale(10) == R.parse("3*x")
+    assert R.var(0).scale(7) == R.zero()
+
+
 def test_evaluate(rxy):
     f = rxy.parse("x^2 - y + 3")
     assert f.evaluate((QQ.from_int(2), QQ.from_int(1))) == QQ.from_int(6)
