@@ -1,16 +1,24 @@
-"""Exact rational halfspace systems and polyhedral cones in the orthant.
+"""Exact integer halfspace systems and polyhedral cones in the orthant.
 
-Everything here rests on one Fourier-Motzkin projection over the rationals,
-`_project`: feasibility is its success, explicit solutions back-substitute
-through its stages, and irredundancy pruning is a feasibility test per
-inequality.  Strict systems over cones reduce to closed ones by scaling:
-{A·w > 0, w > 0} is nonempty exactly when {A·w >= 1, w >= 1} is.
+Everything here rests on one Fourier-Motzkin projection, `_project`, which
+stays on integer rows (Dantzig-Eaves 1973): each row is divided by the gcd
+of its coefficients and right-hand side, and rows combine with positive
+integer multipliers.  Feasibility is the projection's success.  Explicit
+solutions back-substitute through its stages with every value found so far
+an integer over one common denominator, so bounds compare by
+cross-multiplication and one tuple of `Fraction`s is built at the end.
+Irredundancy pruning is a feasibility test per inequality, skipped for an
+inequality that dominates another one (v >= λ·u entrywise, λ > 0), since
+u·w >= 0 then implies v·w >= 0 on the orthant.  Strict systems over cones
+reduce to closed ones by scaling: {A·w > 0, w > 0} is nonempty exactly when
+{A·w >= 1, w >= 1} is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .linalg import clear_denominators, primitive_vector
 
@@ -18,15 +26,19 @@ from .linalg import clear_denominators, primitive_vector
 
 
 def _clean(cons):
-    """Scale to coprime integers, drop dominated duplicates, and surface
+    """Divide each row by the gcd of its coefficients and right-hand side,
+    keep the largest right-hand side of equal coefficient tuples, and surface
     contradictions.
 
-    Returns None when a constraint with zero coefficients is violated.
+    Coefficients are tuples of ints.  Returns None when a constraint with
+    zero coefficients is violated.
     """
-    best: dict[tuple, object] = {}
+    best: dict[tuple, int] = {}
     for coeffs, rhs in cons:
-        ints = primitive_vector((*coeffs, rhs))
-        coeffs, rhs = ints[:-1], ints[-1]
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs = tuple(x // g for x in coeffs)
+            rhs //= g
         if not any(coeffs):
             if rhs > 0:
                 return None
@@ -72,31 +84,45 @@ def _project(cons, n):
 def solve_system(cons, n):
     """A rational point satisfying every constraint, or None.
 
-    Constraints are (coeffs, rhs) pairs over n variables, read as
-    coeffs·x >= rhs with exact rational arithmetic throughout.  The point is
-    found by back-substitution through the stages of `_project`: each
-    variable takes the midpoint of its bounds given the earlier ones.
+    Constraints are (coeffs, rhs) pairs over n variables, with integer
+    coefficients and right-hand sides, read as coeffs·x >= rhs.  The point
+    is found by back-substitution through the stages of `_project`: each
+    variable takes the midpoint of its bounds given the earlier ones, its
+    one bound when it has only one, and 0 when it has none.  The values
+    found so far are integers over one common denominator `den`, and the
+    point is returned as a tuple of `Fraction`s.
     """
     stages = _project(cons, n)
     if stages is None:
         return None
-    values: list[Fraction] = []
+    values: list[int] = []
+    den = 1
     for j in range(n):
+        # a bound (t, a) with a > 0 reads x_j = t / (a·den)
         lo = hi = None
         for coeffs, rhs in stages[n - 1 - j]:
             a = coeffs[j]
             if a == 0:
                 continue
-            bound = Fraction(rhs - sum(c * x for c, x in zip(coeffs, values) if c), a)
+            t = rhs * den - sum(c * x for c, x in zip(coeffs, values) if c)
             if a > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
+                if lo is None or t * lo[1] > lo[0] * a:
+                    lo = (t, a)
+            elif hi is None or t * hi[1] > hi[0] * a:
+                hi = (-t, -a)
         if lo is None:
-            values.append(Fraction(0) if hi is None else hi)
+            t, a = (0, 1) if hi is None else hi
+        elif hi is None:
+            t, a = lo
         else:
-            values.append(lo if hi is None else (lo + hi) / 2)
-    return tuple(values)
+            t, a = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(t, a)
+        t, a = t // g, a // g
+        if a > 1:
+            values = [x * a for x in values]
+            den *= a
+        values.append(t)
+    return tuple(Fraction(x, den) for x in values)
 
 
 def feasible(cons, n) -> bool:
@@ -134,9 +160,34 @@ def _redundant(v, others, n) -> bool:
     return not feasible(cons, n)
 
 
+def _dominates(v, u) -> bool:
+    """Is v >= λ·u entrywise for some λ > 0?
+
+    Each entry bounds λ: by v_k/u_k from above where u_k > 0 and from below
+    where u_k < 0, and where u_k = 0 it needs v_k >= 0.  A bound (p, q)
+    with q >= 0 reads p/q, so (1, 0) is +infinity and (-1, 0) is -infinity,
+    and bounds compare by cross-multiplication.
+    """
+    lo, hi = (-1, 0), (1, 0)
+    for a, b in zip(v, u):
+        if b > 0:
+            if a * hi[1] < hi[0] * b:
+                hi = (a, b)
+        elif b < 0:
+            if a * lo[1] < lo[0] * b:
+                lo = (-a, -b)
+        elif a < 0:
+            return False
+    return hi[0] > 0 and lo[0] * hi[1] <= hi[0] * lo[1]
+
+
 def canonical_inequalities(vectors, n) -> tuple[tuple[int, ...], ...]:
     """Irredundant, primitive, sorted inequality list relative to the
-    orthant; the orthant constraints themselves stay implicit."""
+    orthant; the orthant constraints themselves stay implicit.
+
+    A candidate that dominates another remaining one is implied by it, so
+    it goes without a feasibility test; the test would drop it too.
+    """
     prim = set()
     for v in vectors:
         v = primitive_vector(v)
@@ -146,7 +197,8 @@ def canonical_inequalities(vectors, n) -> tuple[tuple[int, ...], ...]:
     lst = sorted(prim)
     i = 0
     while i < len(lst):
-        if _redundant(lst[i], lst[:i] + lst[i + 1 :], n):
+        v, others = lst[i], lst[:i] + lst[i + 1 :]
+        if any(_dominates(v, u) for u in others) or _redundant(v, others, n):
             lst.pop(i)
         else:
             i += 1

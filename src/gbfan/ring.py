@@ -7,6 +7,8 @@ be viewed under many orderings during fan traversal.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -15,6 +17,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
+from .field import GF, QQ, GFElement
 from .orderings import TermOrder, degrevlex
 from .parse import VAR_NAME, parse_polynomial
 from .terms import term_str
@@ -297,8 +300,23 @@ class Polynomial:
         return self.to_str()
 
 
+def _field_of(c):
+    """The field whose element c is; FieldMismatch for anything else, ints
+    and floats included."""
+    if type(c) is Fraction:
+        return QQ
+    if type(c) is GFElement:
+        return GF(c.p)
+    raise FieldMismatch(f"{c!r} is not a field element")
+
+
 class LinearShift:
-    """An invertible substitution x_i -> a_i * x_i + b_i."""
+    """An invertible substitution x_i -> a_i * x_i + b_i.
+
+    A shift has no ring to map an int into, so its scales and offsets must
+    be elements of one field, or FieldMismatch is raised; `inverse` then
+    stays in that field.
+    """
 
     __slots__ = ("scales", "offsets")
 
@@ -307,6 +325,10 @@ class LinearShift:
         offsets = tuple(offsets)
         if len(scales) != len(offsets):
             raise DimensionMismatch("scales and offsets differ in length")
+        fields = {_field_of(c) for c in scales + offsets}
+        if len(fields) > 1:
+            names = " and ".join(sorted(map(str, fields)))
+            raise FieldMismatch(f"linear shift mixes {names}")
         if any(not a for a in scales):
             raise DomainError("linear shift scales must be nonzero")
         self.scales = scales

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import gbfan.cones
 from gbfan import Cone, cone_of_marked
 from gbfan.cones import (
+    _project,
     canonical_inequalities,
     feasible,
     solve_system,
@@ -15,6 +18,140 @@ from gbfan.errors import InconsistentMarking
 from gbfan.linalg import primitive_vector
 
 from conftest import qring
+
+
+# The reference kernel: the same Fourier-Motzkin projection, with rows made
+# primitive by `primitive_vector`, and back-substitution in `Fraction`s.
+
+
+def _ref_clean(cons):
+    best: dict[tuple, object] = {}
+    for coeffs, rhs in cons:
+        ints = primitive_vector((*coeffs, rhs))
+        coeffs, rhs = ints[:-1], ints[-1]
+        if not any(coeffs):
+            if rhs > 0:
+                return None
+            continue
+        cur = best.get(coeffs)
+        if cur is None or rhs > cur:
+            best[coeffs] = rhs
+    return [(c, r) for c, r in best.items()]
+
+
+def _ref_eliminate(cons, j):
+    zero, pos, neg = [], [], []
+    for c in cons:
+        a = c[0][j]
+        (zero if a == 0 else pos if a > 0 else neg).append(c)
+    out = list(zero)
+    for pc, pr in pos:
+        for nc, nr in neg:
+            ap, an = pc[j], nc[j]
+            coeffs = tuple(-an * x + ap * y for x, y in zip(pc, nc))
+            out.append((coeffs, -an * pr + ap * nr))
+    return out
+
+
+def _ref_project(cons, n):
+    stages = []
+    cur = _ref_clean(cons)
+    for j in range(n - 1, -1, -1):
+        if cur is None:
+            return None
+        stages.append(cur)
+        cur = _ref_clean(_ref_eliminate(cur, j))
+    return None if cur is None else stages
+
+
+def _ref_solve_system(cons, n):
+    stages = _ref_project(cons, n)
+    if stages is None:
+        return None
+    values: list[Fraction] = []
+    for j in range(n):
+        lo = hi = None
+        for coeffs, rhs in stages[n - 1 - j]:
+            a = coeffs[j]
+            if a == 0:
+                continue
+            bound = Fraction(rhs - sum(c * x for c, x in zip(coeffs, values) if c), a)
+            if a > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None:
+            values.append(Fraction(0) if hi is None else hi)
+        else:
+            values.append(lo if hi is None else (lo + hi) / 2)
+    return tuple(values)
+
+
+def _ref_canonical(vectors, n):
+    """`canonical_inequalities` with a Fourier-Motzkin test per candidate."""
+    units = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    lst = sorted({v for v in map(primitive_vector, vectors) if min(v, default=0) < 0})
+    i = 0
+    while i < len(lst):
+        cons = [(u, 0) for u in lst[:i] + lst[i + 1 :]] + units
+        cons.append((tuple(-x for x in lst[i]), 1))
+        if _ref_project(cons, n) is None:
+            lst.pop(i)
+        else:
+            i += 1
+    return tuple(lst)
+
+
+_coeffs = st.integers(-3, 3)
+
+
+@st.composite
+def _systems(draw):
+    """Systems in 1-4 variables with all-zero rows, positive multiples of
+    rows with weaker or stronger right-hand sides, the unit rows x_i >= 1
+    and the equality pairs of `strict_positive_solution(zeros=...)`."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[_coeffs] * n), st.integers(-4, 4))
+    cons = draw(st.lists(row, max_size=6))
+    cons += [((0,) * n, r) for r in draw(st.lists(st.integers(-2, 2), max_size=2))]
+    if cons:
+        for coeffs, rhs in draw(st.lists(st.sampled_from(cons), max_size=3)):
+            k = draw(st.integers(1, 3))
+            cons.append((tuple(k * c for c in coeffs), k * rhs + draw(st.integers(-2, 2))))
+    if draw(st.booleans()):
+        cons += [(tuple(int(i == j) for j in range(n)), 1) for i in range(n)]
+    for z in draw(st.lists(st.tuples(*[_coeffs] * n), max_size=2)):
+        cons += [(z, 0), (tuple(-c for c in z), 0)]
+    return draw(st.permutations(cons)), n
+
+
+@settings(max_examples=250, deadline=None)
+@given(_systems())
+@example(([((1, 1), 4), ((-1, -1), -2)], 2))  # infeasible
+@example(([((0, 0), 1), ((1, 0), 1)], 2))  # 0 >= 1
+@example(([((1,), 1), ((-2,), -5), ((2,), 2)], 1))  # a midpoint, x = 7/4
+def test_integer_kernel_matches_fraction_kernel(system):
+    # the same stages, the same feasibility and the same rational point
+    cons, n = system
+    stages = _project(cons, n)
+    assert stages == _ref_project(cons, n)
+    assert feasible(cons, n) is (stages is not None)
+    point = solve_system(cons, n)
+    assert point == _ref_solve_system(cons, n)
+    assert point is None or all(type(x) is Fraction for x in point)
+
+
+@st.composite
+def _vector_sets(draw):
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.tuples(*[_coeffs] * n), max_size=7)), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vector_sets())
+def test_canonical_inequalities_match_fourier_motzkin_alone(case):
+    vectors, n = case
+    assert canonical_inequalities(vectors, n) == _ref_canonical(vectors, n)
 
 
 def test_feasibility_basic():
@@ -114,3 +251,41 @@ def test_marking_realizable():
     assert strict_positive_solution([(1, -1), (-1, 1)], 2) is None
     with pytest.raises(InconsistentMarking):
         cone_of_marked([f, f], [(1, 0), (0, 1)], 2)
+
+
+@pytest.mark.parametrize(
+    "v, u, dominates",
+    [
+        ((2, -1), (1, -1), True),  # λ = 1
+        ((3, -2), (1, -1), True),  # λ = 2
+        ((-1, 2), (-1, 1), True),  # 1 <= λ <= 2
+        ((1, -1), (2, -1), False),  # λ <= 1/2 and λ >= 1
+        ((-2, 1), (-1, 1), False),  # λ >= 2 and λ <= 1
+        ((0, 1), (1, -1), False),  # only λ <= 0 works
+        ((1, -1, 2), (1, -1, 0), True),  # u_3 = 0 and v_3 >= 0
+        ((2, -1, -1), (1, -1, 0), False),  # u_3 = 0 but v_3 < 0
+    ],
+)
+def test_dominance_needs_a_positive_multiple(v, u, dominates):
+    assert gbfan.cones._dominates(v, u) is dominates
+
+
+def test_a_dominated_candidate_costs_no_lp(record_calls):
+    # (2, -1) >= 1·(1, -1) entrywise, so only (1, -1) reaches Fourier-Motzkin
+    calls = record_calls(gbfan.cones, "feasible")
+    assert canonical_inequalities([(1, -1), (2, -1)], 2) == ((1, -1),)
+    assert [call["cons"][-1] for call in calls] == [((-1, 1), 1)]
+
+
+def test_a_combination_of_two_others_reaches_fourier_motzkin(record_calls):
+    # (2, -1, -1) = (1, -1, 0) + (1, 0, -1) dominates neither, so only the
+    # feasibility test finds it redundant
+    calls = record_calls(gbfan.cones, "feasible")
+    got = canonical_inequalities([(1, -1, 0), (1, 0, -1), (2, -1, -1)], 3)
+    assert got == ((1, -1, 0), (1, 0, -1))
+    assert [call["cons"][-1] for call in calls] == [
+        ((-1, 1, 0), 1),
+        ((-1, 0, 1), 1),
+        ((-2, 1, 1), 1),
+    ]
+    assert [call["return"] for call in calls] == [True, True, False]

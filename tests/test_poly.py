@@ -206,6 +206,34 @@ def test_linear_shift_gf():
     assert shift.inverse().apply(g) == f
 
 
+def test_linear_shift_entries_are_elements_of_one_field(rxy):
+    # a shift has no ring to map an int into, so ints and floats are refused
+    # at construction, as is a mix of fields; a field's shift inverts within
+    # that field
+    for scales, offsets in [
+        ((2, 1), (0, 3)),
+        ((1, 1), (0, 0)),
+        ((0.5, 1.0), (QQ.zero(), QQ.zero())),
+        ((QQ.one(), GF(7).one()), (QQ.zero(), QQ.zero())),
+        ((GF(5).one(),), (GF(7).one(),)),
+    ]:
+        with pytest.raises(FieldMismatch):
+            LinearShift(scales, offsets)
+    shift = LinearShift((QQ.from_int(2), QQ.one()), (QQ.zero(), QQ.from_int(3)))
+    inverse = shift.inverse()
+    assert inverse.scales == (QQ.parse("1/2"), QQ.one())
+    assert inverse.offsets == (QQ.zero(), QQ.from_int(-3))
+    f = rxy.parse("x^2*y - 3*x + 1/2")
+    assert inverse.apply(shift.apply(f)) == f == shift.apply(inverse.apply(f))
+    R = fring(7, "x", "y")
+    F = R.field
+    shift = LinearShift((F.from_int(2), F.from_int(3)), (F.from_int(1), F.from_int(4)))
+    inverse = shift.inverse()
+    assert inverse.scales == (F.from_int(4), F.from_int(5))
+    g = R.parse("x^3 + 2*x*y - y + 6")
+    assert inverse.apply(shift.apply(g)) == g == shift.apply(inverse.apply(g))
+
+
 def test_linear_shift_field_mismatch(rxy):
     from gbfan.errors import FieldMismatch
 
