@@ -6,7 +6,8 @@ of its coefficients and right-hand side, and rows combine with positive
 integer multipliers.  Feasibility is the projection's success.  Explicit
 solutions back-substitute through its stages with every value found so far
 an integer over one common denominator, so bounds compare by
-cross-multiplication and one tuple of `Fraction`s is built at the end.
+cross-multiplication and the point comes back as those integers and that
+denominator.
 Irredundancy pruning is a feasibility test per inequality, skipped for an
 inequality that dominates another one (v >= λ·u entrywise, λ > 0), since
 u·w >= 0 then implies v·w >= 0 on the orthant.  Strict systems over cones
@@ -17,10 +18,9 @@ reduce to closed ones by scaling: {A·w > 0, w > 0} is nonempty exactly when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .linalg import clear_denominators, primitive_vector
+from .linalg import primitive_vector
 
 # One constraint is (coeffs, rhs) and means  sum(coeffs[i] * x_i) >= rhs.
 
@@ -82,15 +82,15 @@ def _project(cons, n):
 
 
 def solve_system(cons, n):
-    """A rational point satisfying every constraint, or None.
+    """A rational point satisfying every constraint, as `(values, den)`,
+    the point's coordinates being values[i] / den with den > 0, or None.
 
     Constraints are (coeffs, rhs) pairs over n variables, with integer
     coefficients and right-hand sides, read as coeffs·x >= rhs.  The point
     is found by back-substitution through the stages of `_project`: each
     variable takes the midpoint of its bounds given the earlier ones, its
     one bound when it has only one, and 0 when it has none.  The values
-    found so far are integers over one common denominator `den`, and the
-    point is returned as a tuple of `Fraction`s.
+    found so far are integers over the one common denominator den.
     """
     stages = _project(cons, n)
     if stages is None:
@@ -122,7 +122,7 @@ def solve_system(cons, n):
             values = [x * a for x in values]
             den *= a
         values.append(t)
-    return tuple(Fraction(x, den) for x in values)
+    return values, den
 
 
 def feasible(cons, n) -> bool:
@@ -138,7 +138,8 @@ def strict_positive_solution(vectors, n, zeros=()):
 
     By scaling, such w exists exactly when some strictly positive w has
     v·w > 0 and z·w = 0.  Returns None when the system is infeasible, and
-    otherwise the primitive integer multiple of `solve_system`'s point.
+    otherwise the primitive integer multiple of `solve_system`'s point:
+    its values over a positive denominator, made coprime.
     """
     cons = [(tuple(v), 1) for v in vectors]
     cons += [(_unit(n, i), 1) for i in range(n)]
@@ -149,7 +150,7 @@ def strict_positive_solution(vectors, n, zeros=()):
     point = solve_system(cons, n)
     if point is None:
         return None
-    return primitive_vector(clear_denominators(point)[0])
+    return primitive_vector(point[0])
 
 
 def _redundant(v, others, n) -> bool:

@@ -16,9 +16,10 @@ Inside `_reduce_dict` and `buchberger_dicts` a term is one int, packed
 by `orderings.Packing`: guarded slots holding M'·t above t's exponents,
 M' the ordering's rows made nonnegative, so packed ints compare as their
 terms do, multiply by addition and test divisibility by one subtraction.
-No order key is computed for a term.  A term that could outgrow its
-slots raises `SlotOverflow`, and the run, or a `ReducedGB`'s reducers,
-start again on slots twice as wide; nothing is ever truncated.
+No order key is computed for a term.  A term that outgrows its slots
+sets a guard bit where it is made and raises `SlotOverflow`, and the run,
+or a `ReducedGB`'s reducers, start again on slots twice as wide; nothing
+is ever truncated.
 """
 
 from __future__ import annotations
@@ -53,24 +54,26 @@ def _reduce_dict(
 ) -> tuple[dict, int]:
     """Remainder of f modulo reducers, as `(r, s)` with s*f - r in the
     ideal they generate.  Terms are ints packed by one `Packing`, whose
-    guard bits are `guard`.  A reducer `(lt, a, rest, hull)` stands for
-    a*x^lt + rest, `rest` the (term, coeff) pairs below lt, and `hull` is
-    the slotwise maximum of rest's terms.  Over GF(p) coefficients are
-    residues, ints in [0, p), every a is 1 and s is 1.  Over QQ (p = 0)
-    they are ints, a > 0, and a step on a term with coefficient c first
-    multiplies the work and the remainder so far by a / gcd(a, c); s is the
-    product of those factors, so r / s is the remainder by the monic
-    reducers, along the same path.
+    guard bits are `guard`.  A reducer `(lt, a, rest)` stands for
+    a*x^lt + rest, `rest` the (term, coeff) pairs below lt.  Over GF(p)
+    coefficients are residues, ints in [0, p), every a is 1 and s is 1.
+    Over QQ (p = 0) they are ints, a > 0, and a step on a term with
+    coefficient c first multiplies the work and the remainder so far by
+    a / gcd(a, c); s is the product of those factors, so r / s is the
+    remainder by the monic reducers, along the same path.
 
     The work's terms sit in a heap as negated packed ints, which order
-    them as the ordering does.  A term is pushed when it first appears;
-    one cancelled and met again still has its entry, since every new term
-    lies below the one reduced.  With tail=False, stop as soon as the
-    leading term is irreducible.  A reducer divides t when subtracting its
-    lt from t with every guard set keeps every guard, and a step shifts
-    its tail by adding t - lt to each term.  The step raises
-    `SlotOverflow` first if hull + (t - lt) sets a guard, that is if some
-    shifted term would outgrow its slots; the caller then packs wider.
+    them as the ordering does.  A term is pushed each time it enters the
+    work; an entry whose term has since left the work, cancelled or
+    reduced, pops with no coefficient and is skipped.  Every new term lies
+    below the one reduced, so a term's entries pop together.  With
+    tail=False, stop as soon as the leading term is irreducible.  A reducer
+    divides t when subtracting its lt from t with every guard set keeps
+    every guard, and a step shifts its tail by adding t - lt to each term.
+    Two valid slots add up to less than 2^bits, so a shifted term has
+    outgrown its slots exactly when one of its guard bits is set; such a
+    term cannot be in the work already, and the step raises `SlotOverflow`
+    when it meets one.  The caller then packs wider.
 
     `divisors` maps a term to the index of the first reducer whose leading
     term divides it; a scan fills it on a hit, and a term found there is
@@ -82,7 +85,6 @@ def _reduce_dict(
     later may divide the term.
     """
     work = dict(f)
-    seen = set(work)
     heap = [-t for t in work]
     heapify(heap)
     out: dict = {}
@@ -90,12 +92,12 @@ def _reduce_dict(
     while heap:
         t = -heappop(heap)
         c = work.pop(t, None)
-        if c is None:  # cancelled
+        if c is None:  # left the work since it was pushed
             continue
         i = divisors.get(t)
         if i is None:
             guarded = t | guard
-            for i, (lt, _, _, _) in enumerate(reducers):
+            for i, (lt, _, _) in enumerate(reducers):
                 if (guarded - lt) & guard == guard:
                     divisors[t] = i
                     break
@@ -105,10 +107,8 @@ def _reduce_dict(
                     out.update(work)
                     return out, scale
                 continue
-        lt, a, rest, hull = reducers[i]
+        lt, a, rest = reducers[i]
         shift = t - lt
-        if (hull + shift) & guard:
-            raise SlotOverflow("a reduction step outgrew its slots")
         if a != 1:
             g = gcd(a, c)
             if g != a:
@@ -124,10 +124,10 @@ def _reduce_dict(
             key = e2 + shift
             cur = work.get(key)
             if cur is None:
+                if key & guard:
+                    raise SlotOverflow("a reduction step outgrew its slots")
                 work[key] = m * c2 % p if p else m * c2
-                if key not in seen:
-                    seen.add(key)
-                    heappush(heap, -key)
+                heappush(heap, -key)
             else:
                 val = (cur + m * c2) % p if p else cur + m * c2
                 if val:
@@ -147,7 +147,7 @@ def _integral(f: dict, field) -> tuple[dict, int]:
 
 def _reducer(f: dict, lt: tuple, pk: Packing, p: int) -> tuple:
     """f, ints on terms packed by pk, with leading term lt, in
-    `_reduce_dict`'s reducer form `(lt, a, rest, hull)`, lt packed: monic
+    `_reduce_dict`'s reducer form `(lt, a, rest)`, lt packed: monic
     residues over GF(p); over QQ, f divided by its content, with a > 0."""
     lt = pk.pack(lt)
     if p:
@@ -158,10 +158,7 @@ def _reducer(f: dict, lt: tuple, pk: Packing, p: int) -> tuple:
         if f[lt] < 0:
             g = -g
         a, rest = f[lt] // g, tuple([(e, c // g) for e, c in f.items() if e != lt])
-    hull = 0
-    for e, _ in rest:
-        hull = pk.smax(hull, e)
-    return lt, a, rest, hull
+    return lt, a, rest
 
 
 def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
@@ -195,7 +192,7 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
 def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
     """`buchberger_dicts` on terms packed by pk; raises `SlotOverflow`."""
     pack, unpack, guard = pk.pack, pk.unpack, pk.guard
-    basis: list[tuple] = []  # (lt, a, rest, hull), the one reducer list
+    basis: list[tuple] = []  # (lt, a, rest), the one reducer list
     lts: list[tuple] = []  # the leading terms of basis, unpacked
     divisors: dict = {}  # first divisors in basis, which only grows
     queue: list = []
@@ -228,22 +225,25 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
             continue
         # the S-polynomial, scaled so that the leading terms cancel at l
         # on ints: (j_a/g)*x^(l-i_lt)*f_i - (i_a/g)*x^(l-j_lt)*f_j
-        (i_lt, i_a, i_rest, i_hull), (j_lt, j_a, j_rest, j_hull) = basis[i], basis[j]
+        (i_lt, i_a, i_rest), (j_lt, j_a, j_rest) = basis[i], basis[j]
         g = gcd(i_a, j_a)
-        i_m, j_m = j_a // g, i_a // g
-        i_shift, j_shift = packed_l - i_lt, packed_l - j_lt
-        if (i_hull + i_shift) & guard or (j_hull + j_shift) & guard:
-            raise SlotOverflow("an S-polynomial outgrew its slots")
-        spoly = {e + i_shift: i_m * c for e, c in i_rest}
-        for e, c in j_rest:
-            key = e + j_shift
-            val = spoly.get(key, 0) - j_m * c
-            if p:
-                val %= p
-            if val:
-                spoly[key] = val
-            else:
-                del spoly[key]
+        # each shifted term is tested as it is made, before it can cancel
+        spoly: dict = {}
+        for rest, shift, m in (
+            (i_rest, packed_l - i_lt, j_a // g),
+            (j_rest, packed_l - j_lt, -(i_a // g)),
+        ):
+            for e, c in rest:
+                key = e + shift
+                if key & guard:
+                    raise SlotOverflow("an S-polynomial outgrew its slots")
+                val = spoly.get(key, 0) + m * c
+                if p:
+                    val %= p
+                if val:
+                    spoly[key] = val
+                else:
+                    del spoly[key]
         r, _ = _reduce_dict(spoly, basis, divisors, guard, p, tail=False)
         if r:
             insert(r)
@@ -256,7 +256,7 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
     # no element reduces its own tail: every term met lies below its lt
     divisors = {}  # first divisors in kept, which is fixed
     out = []
-    for lt, a, rest, _ in sorted(kept):  # by lt, which no two share
+    for lt, a, rest in sorted(kept):  # by lt, which no two share
         r, s = _reduce_dict(dict(rest), kept, divisors, guard, p)
         if p:
             r = {unpack(e): c for e, c in r.items()}

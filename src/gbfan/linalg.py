@@ -97,10 +97,7 @@ def echelon_reduce(rows, vec, p, term=None):
         a, b = abs(r) // g, c // g
         if r < 0:
             b = -b
-        if a == 1:
-            vec = [x - b * y for x, y in zip(vec, row)]
-        else:
-            vec = [a * x - b * y for x, y in zip(vec, row)]
+        vec = [a * x - b * y for x, y in zip(vec, row)]
         if rep is not None:
             if a != 1:
                 rep = {e: a * x for e, x in rep.items()}

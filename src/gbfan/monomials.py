@@ -34,9 +34,6 @@ class MonomialIdeal:
         self.nvars = nvars
         self.gens = minimalize(exps)
 
-    def sorted_gens(self) -> list[tuple[int, ...]]:
-        return sorted(self.gens)
-
     def is_unit(self) -> bool:
         return any(is_one(g) for g in self.gens)
 

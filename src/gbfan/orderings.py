@@ -106,7 +106,10 @@ class Packing:
       M' ≥ 0 the key slots pass whenever the exponent slots do.
 
     `pack` refuses, with `SlotOverflow`, a term whose degree could fill a
-    slot; a sum that sets a guard is the caller's to test.
+    slot.  A slot with its guard clear holds less than 2^(bits - 1), so
+    two such slots add up to less than 2^bits and no carry leaves a slot:
+    a sum of packed terms has outgrown its slots exactly when it sets a
+    guard, which is the caller's to test.
     """
 
     __slots__ = ("bits", "guard", "_units", "_refused", "_mask", "_shifts")
@@ -140,13 +143,6 @@ class Packing:
     def unpack(self, packed: int) -> tuple[int, ...]:
         mask = self._mask
         return tuple([(packed >> s) & mask for s in self._shifts])
-
-    def smax(self, a: int, b: int) -> int:
-        """The slotwise maximum of two packed terms."""
-        guard = self.guard
-        ge = ((a | guard) - b) & guard  # the guard of each slot where a >= b
-        keep = ge - (ge >> (self.bits - 1))
-        return (a & keep) | (b & ~keep)
 
 
 @cache
@@ -189,10 +185,6 @@ def elimination_order(n: int, block) -> TermOrder:
     return TermOrder(head + [list(r) for r in degrevlex(n).rows], "elim")
 
 
-def matrix_order(rows) -> TermOrder:
-    return TermOrder(rows, "matrix")
-
-
 _NAMED = {"lex": lex, "deglex": deglex, "degrevlex": degrevlex}
 
 
@@ -217,7 +209,7 @@ def parse_order(spec: str, n: int) -> TermOrder:
             return weight_order(row(s[len("weight:"):], "weight", "weight vector"))
         if s.startswith("matrix:"):
             rows = s[len("matrix:"):].split(";")
-            return matrix_order([row(r, "matrix", "matrix row") for r in rows])
+            return TermOrder([row(r, "matrix", "matrix row") for r in rows])
     except InvalidOrdering as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown ordering {spec!r}")

@@ -279,7 +279,7 @@ def distraction_ideal(ring: PolyRing, mono: MonomialIdeal, pi) -> Ideal:
         raise ParseError("need one constant tuple per variable")
     if any(len(set(t)) != len(t) for t in pi):
         raise RepeatedConstant("distraction tuple entries must be distinct")
-    gens = [distraction_term(ring, t, pi) for t in mono.sorted_gens()]
+    gens = [distraction_term(ring, t, pi) for t in sorted(mono.gens)]
     return Ideal(ring, gens)
 
 

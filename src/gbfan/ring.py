@@ -151,9 +151,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.coeffs)
-
     def total_degree(self) -> int:
         if not self.coeffs:
             return -1

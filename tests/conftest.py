@@ -69,31 +69,57 @@ def points(ring, coords) -> PointSet:
     return PointSet(ring, pts)
 
 
-# Lex bases that Buchberger from the generators is slow to reach: the QQ one
-# did not finish in minutes, the GF(32003) one took about 15 s.
+# Ideals in x, y, z, by name, with their field, whose lex bases Buchberger
+# from the generators is slow to reach.  found-qq did not finish in
+# minutes, found-gf took about 15 s.  lex-a and lex-b are zero-dimensional,
+# of multiplicities 14 and 11: Buchberger ran past 3 s on each, where FGLM
+# from the degrevlex basis takes milliseconds.
 FOUND_IDEALS = {
-    "QQ": (
-        "4*x*z - x*y*z - y^2*z^2 - 4*x^2*z",
-        "x*y*z^2 + x^2*y^2*z + y*z^2 - x",
-        "4 - x^2 + 3*y*z^2",
+    "found-qq": (
+        "QQ",
+        (
+            "4*x*z - x*y*z - y^2*z^2 - 4*x^2*z",
+            "x*y*z^2 + x^2*y^2*z + y*z^2 - x",
+            "4 - x^2 + 3*y*z^2",
+        ),
     ),
-    "GF(32003)": (
-        "3*x*y - x^2*y^2 + x^2*y*z^2 + 2*y^2*z^2",
-        "-4*y*z - 4*x^2*y*z + 4*x*y^2 - 3*x^2*z",
-        "-x*y + x^2*y^2*z^2 - 3*z^2 + 4*y^2",
+    "found-gf": (
+        "GF(32003)",
+        (
+            "3*x*y - x^2*y^2 + x^2*y*z^2 + 2*y^2*z^2",
+            "-4*y*z - 4*x^2*y*z + 4*x*y^2 - 3*x^2*z",
+            "-x*y + x^2*y^2*z^2 - 3*z^2 + 4*y^2",
+        ),
+    ),
+    "lex-a": (
+        "QQ",
+        (
+            "x^2*y^2*z^2 + 2*x^2*y*z - 2*x*y*z + 3",
+            "-3*x*y^2 + 4*x*y - 2*y^2 - z^2",
+            "2*x^2*y*z^2 - 4*y*z",
+        ),
+    ),
+    "lex-b": (
+        "QQ",
+        (
+            "2*x^2*y + y*z - 4",
+            "-x*y^2*z^2 + 2*x^2*y*z + 2*x*y^2*z - z",
+            "3*x^2*y^2*z - x^2*z + 3*x*y",
+        ),
     ),
 }
 
 
-def found_ideal_text(field) -> str:
-    """The FOUND_IDEALS entry for `field` as the text of an ideal file."""
-    return f"# field: {field}\n# vars: x, y, z\n" + "\n".join(FOUND_IDEALS[field]) + "\n"
+def found_ideal_text(name) -> str:
+    """The FOUND_IDEALS entry `name` as the text of an ideal file."""
+    field, gens = FOUND_IDEALS[name]
+    return f"# field: {field}\n# vars: x, y, z\n" + "\n".join(gens) + "\n"
 
 
-def write_found_ideal(tmp_path, field) -> Path:
-    """The FOUND_IDEALS entry for `field` as an ideal file in tmp_path."""
+def write_found_ideal(tmp_path, name) -> Path:
+    """The FOUND_IDEALS entry `name` as an ideal file in tmp_path."""
     path = tmp_path / "found.ideal"
-    path.write_text(found_ideal_text(field))
+    path.write_text(found_ideal_text(name))
     return path
 
 

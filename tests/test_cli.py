@@ -102,8 +102,10 @@ PINNED_INPUTS = {
     "2/3*x^2*y + 1/3*y*z - 4\n5/7*x*y^2 + 11/6*x - 7/2*z\n"
     "-9/4*z^2 + 3/5*x*y + 1/3*x\n",
     "posdim.ideal": "# field: QQ\n# vars: x, y, z\nx^2 - y^3\nx*y - z\n",
-    "found-qq.ideal": found_ideal_text("QQ"),
-    "found-gf.ideal": found_ideal_text("GF(32003)"),
+    "found-qq.ideal": found_ideal_text("found-qq"),
+    "found-gf.ideal": found_ideal_text("found-gf"),
+    "lex-a.ideal": found_ideal_text("lex-a"),
+    "lex-b.ideal": found_ideal_text("lex-b"),
     "grid7.txt": "# field: GF(7)\n# vars: x, y\nx: 0, 1, 3/2\ny: 2, 5\n",
     "grid7-ideal.txt": "# field: GF(7)\n# vars: x, y\nx*(x-1)\n(y-2)*(y-5)\n",
     "mono5.txt": "# field: GF(5)\n# vars: x, y\nx^3\nx*y^2\ny^4\n",
@@ -214,6 +216,19 @@ PINNED_STDOUT = [
         ["gb", "found-gf.ideal", "--order", "lex"],
         "b712e8b52605d0be00d88530bc128b990b0b76a4488c07e472d1e4d939b9f6e0",
         id="found-gf",
+    ),
+    # `ReducedGB.change_order` to lex by FGLM on two zero-dimensional ideals
+    # whose lex basis Buchberger from the generators is slow to reach
+    pytest.param(
+        ["gb", "lex-a.ideal", "--order", "lex"],
+        "4f99ea6c12e34a265a6384e85e038181310dc0a4c2ecbbdde2723574d9ded8df",
+        id="lex-a",
+    ),
+    # the same FGLM route, the second ideal
+    pytest.param(
+        ["gb", "lex-b.ideal", "--order", "lex"],
+        "4facf36d0247513797f29fbd4d80efb0965a2a300a50e1d61a7bf9ae56af813e",
+        id="lex-b",
     ),
     # tag-variable Buchberger on GF(7) residues from `_integral`
     pytest.param(

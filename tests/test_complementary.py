@@ -7,10 +7,12 @@ import pytest
 from gbfan import (
     QQ,
     GridSpec,
+    PolyRing,
     complementary_pair,
     enumerate_fan,
     fan_equal,
     gfan_number,
+    parse_field,
     subset_complement_ideals,
 )
 from gbfan.errors import (
@@ -74,6 +76,51 @@ def test_colon_duality_on_split(rxy):
     assert grid.colon(second).equals(first)
     assert grid.colon(first).equals(second)
     assert cert.multiplicity_1 == 7 and cert.multiplicity_2 == 17
+
+
+# (field, grid polynomials in x and y, extra generators of I, whether
+# `complementary_pair` certifies I): I is not a union of primary
+# components of the grid ideal C in the uncertified cases
+GRID_GF7 = ("GF(7)", ("x^2*(x-1)*(x-2)", "y*(y-1)*(y-3)"))
+GRID_QQ = ("QQ", ("x^2*(x-1)*(x+2)", "y*(y-1)^2"))
+REFLECTION_CASES = [
+    (*GRID_GF7, ("x + 2*y + 4",), True),
+    (*GRID_GF7, ("5*x + 3*y + 4",), False),
+    (*GRID_GF7, ("3*x + 5*y",), False),
+    (*GRID_GF7, ("4*y",), True),
+    (*GRID_GF7, ("x*y - 1",), True),
+    (*GRID_GF7, ("x^2 - y",), True),
+    (*GRID_QQ, ("x^2*(x-1)", "(y-1)^2"), True),
+    (*GRID_QQ, ("x + y - 1",), False),
+    (*GRID_QQ, ("x*y",), False),
+    (*GRID_QQ, ("x^2 - y",), False),
+]
+
+
+@pytest.mark.parametrize(
+    "field, grid, extra, certified",
+    REFLECTION_CASES,
+    ids=[f"{field}:{','.join(extra)}" for field, _, extra, _ in REFLECTION_CASES],
+)
+def test_colon_complement_reflects_beyond_unions_of_components(field, grid, extra, certified):
+    # J = C : I for an ideal I above the grid ideal C: the socle bijection
+    # holds both ways, I = C : J, and the multiplicities add up to the
+    # grid's, whether or not I is a union of primary components
+    R = PolyRing(parse_field(field), ("x", "y"))
+    spec = GridSpec.from_polys(R, [R.parse(g) for g in grid])
+    C = spec.ideal()
+    I = C + ideal(R, *extra)
+    J = C.colon(I)
+    assert socle_bijection_holds(spec, I, J)
+    assert socle_bijection_holds(spec, J, I)
+    assert I.equals(C.colon(J))
+    assert I.multiplicity() + J.multiplicity() == spec.multiplicity()
+    if certified:
+        second, cert = complementary_pair(spec, I)
+        assert cert.ok and second.equals(J)
+    else:
+        with pytest.raises(ComplementarityCertificateFailed):
+            complementary_pair(spec, I)
 
 
 def test_subset_complement_basic(rxy):

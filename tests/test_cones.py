@@ -136,9 +136,13 @@ def test_integer_kernel_matches_fraction_kernel(system):
     stages = _project(cons, n)
     assert stages == _ref_project(cons, n)
     assert feasible(cons, n) is (stages is not None)
-    point = solve_system(cons, n)
-    assert point == _ref_solve_system(cons, n)
-    assert point is None or all(type(x) is Fraction for x in point)
+    found = solve_system(cons, n)
+    if found is None:
+        assert _ref_solve_system(cons, n) is None
+    else:
+        values, den = found
+        assert all(type(x) is int for x in values) and type(den) is int and den > 0
+        assert tuple(Fraction(v, den) for v in values) == _ref_solve_system(cons, n)
 
 
 @st.composite
@@ -162,8 +166,9 @@ def test_feasibility_basic():
 
 def test_solve_system_produces_valid_point():
     cons = [((1, -1), 0), ((1, 0), 1), ((0, 1), 1), ((-1, -1), -10)]
-    sol = solve_system(cons, 2)
-    assert sol is not None
+    values, den = solve_system(cons, 2)
+    sol = tuple(Fraction(v, den) for v in values)
+    assert sol == _ref_solve_system(cons, 2)
     for coeffs, rhs in cons:
         assert sum(Fraction(c) * x for c, x in zip(coeffs, sol)) >= rhs
 

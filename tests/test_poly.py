@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from gbfan import GF, QQ, Ideal, LinearShift, PolyRing, deglex, degrevlex, lex, matrix_order
+from gbfan import GF, QQ, Ideal, LinearShift, PolyRing, TermOrder, deglex, degrevlex, lex
 from gbfan.errors import FieldMismatch, ParseError, RingMismatch, ZeroPolynomial
 from gbfan.random_ideals import random_linear_shift
 
@@ -110,14 +110,14 @@ def test_leading_term_symmetric_poly(rxy):
     f = rxy.parse("x^2 + x*y + y^2")
     e1, c1 = f.leading_term(lex(2))
     assert e1 == (2, 0) and c1 == QQ.one()
-    ylex = matrix_order([[0, 1], [1, 0]])
+    ylex = TermOrder([[0, 1], [1, 0]])
     e2, _ = f.leading_term(ylex)
     assert e2 == (0, 2)
 
 
 def test_leading_term_linear(rxy):
     f = rxy.parse("x + y")
-    for order in (lex(2), deglex(2), degrevlex(2), matrix_order([[3, 1], [0, 1]])):
+    for order in (lex(2), deglex(2), degrevlex(2), TermOrder([[3, 1], [0, 1]])):
         assert f.leading_term(order)[0] == (1, 0)
     with pytest.raises(ZeroPolynomial):
         rxy.zero().leading_term(lex(2))
@@ -139,7 +139,7 @@ def test_factor_closed_leading_term_is_order_free():
     for _ in range(5):
         first = [rng.randint(1, 6) for _ in range(3)]
         rest = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(2)]
-        orders.append(matrix_order([first] + [r for r in rest] + list(degrevlex(3).rows)))
+        orders.append(TermOrder([first] + [r for r in rest] + list(degrevlex(3).rows)))
     for text in ["y*z - z", "x^2*y + x*y + y + 1", "x^3*y^2*z - x*y*z + z - 2"]:
         f = R.parse(text)
         assert f.is_factor_closed()

@@ -98,12 +98,13 @@ def test_groebner_matches_sympy():
         )
 
 
-def test_gb_lex_of_found_qq_ideal_matches_sympy(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["found-qq", "lex-a", "lex-b"])
+def test_gb_lex_of_found_qq_ideal_matches_sympy(tmp_path, capsys, name):
     # `buchberger_dicts` in lex from these generators overruns any budget;
     # `gb --order lex` converts the degrevlex basis by FGLM
-    assert main(["gb", str(write_found_ideal(tmp_path, "QQ")), "--order", "lex"]) == 0
+    assert main(["gb", str(write_found_ideal(tmp_path, name)), "--order", "lex"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     ring = PolyRing(QQ, ("x", "y", "z"))
-    gens = [ring.parse(t).coeffs for t in FOUND_IDEALS["QQ"]]
+    gens = [ring.parse(t).coeffs for t in FOUND_IDEALS[name][1]]
     assert header == "order: lex"
     assert {ring.parse(t) for t in rows} == sympy_monic_basis(ring, gens, "lex")
