@@ -8,9 +8,10 @@ by fraction-free steps that divide by the accumulated scale once, at the
 end, into `Fraction`s.  The public surface deals in `Polynomial` and
 `ReducedGB`: on the way in, `_integral` takes coefficients through the
 field's `kernel` and `linalg.clear_denominators`; on the way out,
-`ReducedGB` wraps any builder's pairs.  S-polynomials are only
-top-reduced; full tail reduction happens once, in the final
-interreduction pass, so the output is the unique reduced monic basis.
+`ReducedGB` wraps any builder's pairs.  Each nonzero remainder of an
+S-polynomial is reduced in full before it joins the basis, and Gebauer
+and Möller's criteria prune the pairs as each element joins; a final
+interreduction pass then makes the output the unique reduced monic basis.
 
 Inside `_reduce_dict` and `buchberger_dicts` a term is one int, packed
 by `orderings.Packing`: guarded slots holding M'·t above t's exponents,
@@ -49,9 +50,7 @@ from .ring import Polynomial, PolyRing, same_ring
 from .terms import tcoprime, tdeg, tdiv, tdivides, tlcm
 
 
-def _reduce_dict(
-    f: dict, reducers, divisors: dict, guard: int, p: int, tail: bool = True
-) -> tuple[dict, int]:
+def _reduce_dict(f: dict, reducers, divisors: dict, guard: int, p: int) -> tuple[dict, int]:
     """Remainder of f modulo reducers, as `(r, s)` with s*f - r in the
     ideal they generate.  Terms are ints packed by one `Packing`, whose
     guard bits are `guard`.  A reducer `(lt, a, rest)` stands for
@@ -66,10 +65,11 @@ def _reduce_dict(
     them as the ordering does.  A term is pushed each time it enters the
     work; an entry whose term has since left the work, cancelled or
     reduced, pops with no coefficient and is skipped.  Every new term lies
-    below the one reduced, so a term's entries pop together.  With
-    tail=False, stop as soon as the leading term is irreducible.  A reducer
-    divides t when subtracting its lt from t with every guard set keeps
-    every guard, and a step shifts its tail by adding t - lt to each term.
+    below the one reduced, so a term's entries pop together.  Every term is
+    reduced, the leading one and the tail alike, so no term of r is
+    divisible by a reducer's leading term.  A reducer divides t when
+    subtracting its lt from t with every guard set keeps every guard, and
+    a step shifts its tail by adding t - lt to each term.
     Two valid slots add up to less than 2^bits, so a shifted term has
     outgrown its slots exactly when one of its guard bits is set; such a
     term cannot be in the work already, and the step raises `SlotOverflow`
@@ -103,9 +103,6 @@ def _reduce_dict(
                     break
             else:
                 out[t] = c
-                if not tail:
-                    out.update(work)
-                    return out, scale
                 continue
         lt, a, rest = reducers[i]
         shift = t - lt
@@ -168,18 +165,30 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
     over QQ (p = 0).  Returns `(lead_term, coeffs)` pairs by increasing
     lead_term, coeffs residues over GF(p) and `Fraction`s over QQ.
 
-    Each element, input or nonzero remainder, pairs with every earlier one.
     Pairs go by the total degree of their lcm, then by the ordering on it,
-    ties in the order formed.  `use_criteria` skips a pair whose leading
-    terms are coprime, or whose lcm a third leading term divides when both
-    its pairs with the two are done (the chain criterion).  The first
-    element found for each divisibility-minimal leading term is kept, with
-    its tail fully reduced.  The work runs on `_reduce_dict`'s raw
-    coefficients and packed terms: each element is put in reducer form
-    once, when it is added, and made monic only at the end.  The leading
-    terms stay exponent tuples too, for the pair rule and the criteria.
-    A term that outgrows its slots restarts the run on slots twice as wide,
-    which gives the same basis.
+    ties in the order formed.  Each nonzero remainder of an S-polynomial
+    joins the basis fully reduced by the basis so far; its leading term is
+    the one top reduction would give, and its tail brings no reducible term
+    into later reductions.  Without `use_criteria`, each element, input or
+    remainder, pairs with every earlier one.  With it, Gebauer and Möller's
+    update ("On an installation of Buchberger's algorithm", 1988) runs as
+    each element h joins:
+    - B_k: a queued pair with lcm l is dropped when lt(h) divides l and
+      neither of its two elements has lcm l with lt(h);
+    - M: a new pair is not formed when another new pair's lcm strictly
+      divides its own;
+    - F: of the new pairs that share an lcm, only the one whose partner
+      has the least leading term is formed, and none when one of them has
+      coprime leading terms; no pair with coprime leading terms is formed;
+    - an element whose leading term lt(h) divides forms no further pairs,
+      though it stays a reducer, so the reducer list only grows.
+    The first element found for each divisibility-minimal leading term is
+    kept, with its tail reduced again by the others.  The work runs on
+    `_reduce_dict`'s raw coefficients and packed terms: each element is
+    put in reducer form once, when it is added, and made monic only at the
+    end.  The leading terms stay exponent tuples too, for the pair rule
+    and the criteria.  A term that outgrows its slots restarts the run on
+    slots twice as wide, which gives the same basis.
     """
     pk = packing(order)
     while True:
@@ -194,35 +203,53 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
     pack, unpack, guard = pk.pack, pk.unpack, pk.guard
     basis: list[tuple] = []  # (lt, a, rest), the one reducer list
     lts: list[tuple] = []  # the leading terms of basis, unpacked
+    active: list[int] = []  # the elements that still form pairs
     divisors: dict = {}  # first divisors in basis, which only grows
-    queue: list = []
+    queue: list = []  # ((degree, packed lcm), j, i, lcm) for i < j
 
     def insert(f: dict) -> None:
-        lt = unpack(max(f))
-        for old, old_lt in enumerate(lts):
-            l = tlcm(old_lt, lt)
-            heappush(queue, ((tdeg(l), pack(l)), len(basis), old, l))
+        # packed s divides packed t when ((t | guard) - s) & guard == guard
+        top = max(f)
+        lt = unpack(top)
+        if use_criteria:
+            queue[:] = [  # criterion B_k
+                pair
+                for pair in queue
+                if ((pair[0][1] | guard) - top) & guard != guard
+                or tlcm(lts[pair[2]], lt) == pair[3]
+                or tlcm(lts[pair[1]], lt) == pair[3]
+            ]
+            heapify(queue)
+            by_lcm: dict = {}  # packed lcm -> (lcm, element of least lt, coprime)
+            for i in sorted(active, key=lambda i: basis[i][0]):
+                l = tlcm(lts[i], lt)
+                packed_l = pack(l)
+                _, k, coprime = by_lcm.get(packed_l, (l, i, False))
+                by_lcm[packed_l] = l, k, coprime or tcoprime(lts[i], lt)
+            new = [  # criteria F and M
+                (k, l)
+                for packed_l, (l, k, coprime) in by_lcm.items()
+                if not coprime
+                and not any(
+                    ((packed_l | guard) - other) & guard == guard
+                    for other in by_lcm
+                    if other != packed_l
+                )
+            ]
+            active[:] = [i for i in active if ((basis[i][0] | guard) - top) & guard != guard]
+        else:
+            new = [(i, tlcm(old_lt, lt)) for i, old_lt in enumerate(lts)]
+        for i, l in new:
+            heappush(queue, ((tdeg(l), pack(l)), len(basis), i, l))
+        active.append(len(basis))
         basis.append(_reducer(f, lt, pk, p))
         lts.append(lt)
 
     for g in gens:
         if g:
             insert({pack(e): c for e, c in g.items()})
-    done: set[tuple[int, int]] = set()
     while queue:
         (_, packed_l), j, i, l = heappop(queue)
-        done.add((i, j))
-        if use_criteria and (
-            tcoprime(lts[i], lts[j])
-            or any(
-                k not in (i, j)
-                and tdivides(lt, l)
-                and (min(i, k), max(i, k)) in done
-                and (min(j, k), max(j, k)) in done
-                for k, lt in enumerate(lts)
-            )
-        ):
-            continue
         # the S-polynomial, scaled so that the leading terms cancel at l
         # on ints: (j_a/g)*x^(l-i_lt)*f_i - (i_a/g)*x^(l-j_lt)*f_j
         (i_lt, i_a, i_rest), (j_lt, j_a, j_rest) = basis[i], basis[j]
@@ -244,7 +271,7 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
                     spoly[key] = val
                 else:
                     del spoly[key]
-        r, _ = _reduce_dict(spoly, basis, divisors, guard, p, tail=False)
+        r, _ = _reduce_dict(spoly, basis, divisors, guard, p)
         if r:
             insert(r)
     # the first element found for each divisibility-minimal leading term

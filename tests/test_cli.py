@@ -98,6 +98,19 @@ PINNED_INPUTS = {
     "katsura3.ideal": "# field: QQ\n# vars: x, y, z, w\n"
     "x + 2*y + 2*z + 2*w - 1\nx^2 + 2*y^2 + 2*z^2 + 2*w^2 - x\n"
     "2*x*y + 2*y*z + 2*z*w - y\n2*x*z + y^2 + 2*y*w - z\n",
+    "katsura5.ideal": "# field: GF(32003)\n# vars: x0, x1, x2, x3, x4, x5\n"
+    "x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 + 2*x5 - 1\n"
+    "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 + 2*x5^2 - x0\n"
+    "2*x0*x1 + 2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5 - x1\n"
+    "2*x0*x2 + x1^2 + 2*x1*x3 + 2*x2*x4 + 2*x3*x5 - x2\n"
+    "2*x0*x3 + 2*x1*x2 + 2*x1*x4 + 2*x2*x5 - x3\n"
+    "2*x0*x4 + 2*x1*x3 + x2^2 + 2*x1*x5 - x4\n",
+    "cyclic5.ideal": "# field: QQ\n# vars: x0, x1, x2, x3, x4\n"
+    "x0 + x1 + x2 + x3 + x4\n"
+    "x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0\n"
+    "x0*x1*x2 + x1*x2*x3 + x2*x3*x4 + x3*x4*x0 + x4*x0*x1\n"
+    "x0*x1*x2*x3 + x1*x2*x3*x4 + x2*x3*x4*x0 + x3*x4*x0*x1 + x4*x0*x1*x2\n"
+    "x0*x1*x2*x3*x4 - 1\n",
     "fracs.ideal": "# field: QQ\n# vars: x, y, z\n"
     "2/3*x^2*y + 1/3*y*z - 4\n5/7*x*y^2 + 11/6*x - 7/2*z\n"
     "-9/4*z^2 + 3/5*x*y + 1/3*x\n",
@@ -153,6 +166,18 @@ PINNED_STDOUT = [
         ["gb", "katsura3.ideal"],
         "7a477dd0ec30bbc8502e38858269bbf30d4b2b5c9ef69d5c857ed5d77e804ff3",
         id="katsura3",
+    ),
+    # Buchberger's residue kernel on Katsura-5, 22 elements in 6 variables
+    pytest.param(
+        ["gb", "katsura5.ideal"],
+        "370e23954fcff9ac2d0701005a3f871c3b0a99999396cd1bd8804844b36baaae",
+        id="katsura5",
+    ),
+    # the fraction-free kernel on cyclic-5, 20 elements in 5 variables
+    pytest.param(
+        ["gb", "cyclic5.ideal"],
+        "0440d544ffb5619a17b1de05e0c1f644eb806e9884122c886a489425870129a8",
+        id="cyclic5",
     ),
     # Buchberger over QQ from fractional, unequal leading coefficients
     pytest.param(

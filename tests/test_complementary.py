@@ -1,10 +1,13 @@
 """Complementary ideals: certificates, fan equality, socle bijection."""
 
+from math import prod
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbfan import (
+    GF,
     QQ,
     GridSpec,
     PolyRing,
@@ -189,3 +192,36 @@ def test_random_radical_pairs_share_fans():
         assert I1.multiplicity() + I2.multiplicity() == spec.multiplicity()
         assert fan_equal(enumerate_fan(I1), enumerate_fan(I2))
         assert socle_bijection_holds(spec, I1, I2)
+
+
+# Small 3-variable grids, by field and the roots on each axis.
+SMALL_GRIDS = [
+    (GF(3), ((0, 1), (0, 2), (1, 2))),
+    (QQ, ((0, 1, -1), (0, 2), (1, 3))),
+]
+
+
+@st.composite
+def _grid_subsets(draw):
+    field, roots = draw(st.sampled_from(SMALL_GRIDS))
+    size = prod(map(len, roots))
+    chosen = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
+    return field, roots, sorted(chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_subsets())
+def test_subset_complements_reflect_staircases(case):
+    # a proper nonempty subset of a GF(3) 2x2x2 or a QQ 3x2x2 grid and the
+    # rest of the grid: their ideals share a fan, and in every cone each
+    # one's standard monomials are the socle reflections of the grid's box
+    # terms that are not standard for the other
+    field, roots, chosen = case
+    R = PolyRing(field, ["x", "y", "z"])
+    spec = GridSpec.from_roots(R, [[field.from_int(v) for v in axis] for axis in roots])
+    X = spec.points()
+    grid = list(X.points)
+    I1, I2 = subset_complement_ideals(X, PointSet(R, [grid[i] for i in chosen]))
+    assert I1.multiplicity() + I2.multiplicity() == spec.multiplicity()
+    assert socle_bijection_holds(spec, I1, I2)
+    assert socle_bijection_holds(spec, I2, I1)

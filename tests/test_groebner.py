@@ -33,7 +33,7 @@ from gbfan.errors import (
 from gbfan.groebner import ReducedGB, _reduce_dict, buchberger_dicts, kernel_poly
 from gbfan.random_ideals import random_point_set, random_zero_dim_ideal
 from gbfan.points import vanishing_ideal
-from gbfan.terms import term_str
+from gbfan.terms import tdivides, term_str
 
 from conftest import fring, ideal, kernel_gens, points, qring
 
@@ -50,6 +50,12 @@ KATSURA4 = [
     "2*x*y + 2*y*z + 2*z*w + 2*w*v - y",
     "2*x*z + y^2 + 2*y*w + 2*z*v - z",
     "2*x*w + 2*y*z + 2*y*v - w",
+]
+CYCLIC4 = [
+    "x + y + z + w",
+    "x*y + y*z + z*w + w*x",
+    "x*y*z + y*z*w + z*w*x + w*x*y",
+    "x*y*z*w - 1",
 ]
 
 
@@ -150,16 +156,14 @@ def test_criteria_do_not_change_output(rxy):
         pytest.param(
             GF(32003),
             "xyzw",
-            ["x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y",
-             "x*y*z*w - 1"],
+            CYCLIC4,
             {"degrevlex": (11, 5, 7), "lex": (14, 7, 6)},
             id="cyclic4",
         ),
         pytest.param(
             GF(2),
             "xyzw",
-            ["x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y",
-             "x*y*z*w - 1"],
+            CYCLIC4,
             {"degrevlex": (11, 5, 7), "lex": (14, 7, 6)},
             id="cyclic4-gf2",
         ),
@@ -167,14 +171,14 @@ def test_criteria_do_not_change_output(rxy):
             QQ,
             "xyzw",
             KATSURA3,
-            {"degrevlex": (10, 5, 7), "lex": (22, 8, 4)},
+            {"degrevlex": (10, 5, 7), "lex": (16, 2, 4)},
             id="katsura3",
         ),
         pytest.param(
             QQ,
             "xy",
             ["x^2 + y", "x^2 - 1", "x*y - 1", "x^2 + y", None],
-            {"degrevlex": (5, 3, 2), "lex": (5, 3, 2)},
+            {"degrevlex": (4, 2, 2), "lex": (4, 2, 2)},
             id="repeats-and-zero",
         ),
     ],
@@ -191,7 +195,10 @@ def test_buchberger_work_is_pinned(record_calls, field, names, texts, counts):
     for order in (degrevlex(len(names)), lex(len(names))):
         calls.clear()
         basis = buchberger_dicts(gens, order, p)
-        pairs = [call for call in calls if not call["tail"]]
+        # the final interreduction runs against the kept elements, a list of
+        # its own; every other reduction is an S-pair's, against the run's
+        kept = calls[-1]["reducers"]
+        pairs = [call for call in calls if call["reducers"] is not kept]
         zeros = sum(1 for call in pairs if call["return"][0] == {})
         assert (len(pairs), zeros, len(basis)) == counts[order.tag]
         assert basis == buchberger_dicts(gens, order, p, use_criteria=False)
@@ -329,27 +336,51 @@ def test_first_divisors_match_a_fresh_scan(record_calls, field):
     gens = kernel_gens(R, [R.parse(t) for t in KATSURA3])
     calls = record_calls(gbfan.groebner, "_reduce_dict")
     buchberger_dicts(gens, order, p)
-    spolys = [call for call in calls if not call["tail"]]
-    tails = [call for call in calls if call["tail"]]
+    kept = calls[-1]["reducers"]  # the final interreduction's own list
+    spolys = [call for call in calls if call["reducers"] is not kept]
+    tails = [call for call in calls if call["reducers"] is kept]
     basis = spolys[0]["reducers"]  # the run's own list, as it ended
+    assert all(call["reducers"] is basis for call in spolys)
     reducers = basis[: len(basis) - sum(1 for call in spolys if call["return"][0])]
     divisors: dict = {}
     guard = packing(order).guard
     assert {call["guard"] for call in calls} == {guard}
     for call in spolys:
-        got = _reduce_dict(call["f"], reducers, divisors, guard, p, tail=False)
-        assert got == _reduce_dict(call["f"], reducers, {}, guard, p, tail=False)
+        got = _reduce_dict(call["f"], reducers, divisors, guard, p)
+        assert got == _reduce_dict(call["f"], reducers, {}, guard, p)
         assert got == call["return"]
         if got[0]:
             reducers.append(basis[len(reducers)])
     assert reducers == basis and divisors
-    kept = tails[0]["reducers"]
+    assert len(tails) == len(kept)
     divisors = {}
     for call in tails:
-        assert call["reducers"] is kept
         got = _reduce_dict(call["f"], kept, divisors, guard, p)
         assert got == _reduce_dict(call["f"], kept, {}, guard, p)
     assert divisors
+
+
+@pytest.mark.parametrize("texts", [KATSURA3, CYCLIC4], ids=["katsura3", "cyclic4"])
+@pytest.mark.parametrize("order", [degrevlex(4), lex(4)], ids=lambda o: o.tag)
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_remainders_join_the_basis_fully_reduced(record_calls, field, order, texts):
+    # every element a run adds after its inputs is an S-polynomial's
+    # remainder, reduced in full by the elements before it: no term of it,
+    # leading or not, is divisible by an earlier element's leading term
+    import gbfan.groebner
+
+    R = PolyRing(field, list("xyzw"))
+    gens = kernel_gens(R, [R.parse(t) for t in texts])
+    calls = record_calls(gbfan.groebner, "_reduce_dict")
+    buchberger_dicts(gens, order, field.characteristic)
+    basis = calls[0]["reducers"]  # the run's own list, as it ended
+    assert len(basis) > len(gens)
+    unpack = packing(order).unpack
+    lts = [unpack(lt) for lt, _, _ in basis]
+    for k in range(len(gens), len(basis)):
+        lt, _, rest = basis[k]
+        for t in [lt] + [e for e, _ in rest]:
+            assert not any(tdivides(s, unpack(t)) for s in lts[:k])
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
