@@ -8,10 +8,10 @@ by fraction-free steps that divide by the accumulated scale once, at the
 end, into `Fraction`s.  The public surface deals in `Polynomial` and
 `ReducedGB`: on the way in, `_integral` takes coefficients through the
 field's `kernel` and `linalg.clear_denominators`; on the way out,
-`ReducedGB` wraps any builder's pairs.  Each nonzero remainder of an
-S-polynomial is reduced in full before it joins the basis, and Gebauer
-and Möller's criteria prune the pairs as each element joins; a final
-interreduction pass then makes the output the unique reduced monic basis.
+`ReducedGB` wraps any builder's pairs.  Each input and each S-polynomial
+remainder joins the basis fully reduced, if nonzero; Gebauer and Möller's
+criteria prune the pairs, and the elements left active are the minimal
+basis, whose tails a last pass reduces to give the reduced monic basis.
 
 Inside `_reduce_dict` and `buchberger_dicts` a term is one int, packed
 by `orderings.Packing`: guarded slots holding M'·t above t's exponents,
@@ -37,7 +37,7 @@ from .errors import (
     ZeroIdealDivisor,
 )
 from .linalg import basis_from_functionals, clear_denominators
-from .monomials import MonomialIdeal, minimalize
+from .monomials import MonomialIdeal
 from .orderings import (
     Packing,
     SlotOverflow,
@@ -142,11 +142,10 @@ def _integral(f: dict, field) -> tuple[dict, int]:
     return dict(zip(f, ints)), d
 
 
-def _reducer(f: dict, lt: tuple, pk: Packing, p: int) -> tuple:
-    """f, ints on terms packed by pk, with leading term lt, in
-    `_reduce_dict`'s reducer form `(lt, a, rest)`, lt packed: monic
-    residues over GF(p); over QQ, f divided by its content, with a > 0."""
-    lt = pk.pack(lt)
+def _reducer(f: dict, lt: int, p: int) -> tuple:
+    """f, ints on packed terms, with packed leading term lt, in
+    `_reduce_dict`'s reducer form `(lt, a, rest)`: monic residues over
+    GF(p); over QQ, f divided by its content, with a > 0."""
     if p:
         inv = pow(f[lt], -1, p)
         a, rest = 1, tuple([(e, c * inv % p) for e, c in f.items() if e != lt])
@@ -166,13 +165,13 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
     lead_term, coeffs residues over GF(p) and `Fraction`s over QQ.
 
     Pairs go by the total degree of their lcm, then by the ordering on it,
-    ties in the order formed.  Each nonzero remainder of an S-polynomial
-    joins the basis fully reduced by the basis so far; its leading term is
-    the one top reduction would give, and its tail brings no reducible term
-    into later reductions.  Without `use_criteria`, each element, input or
-    remainder, pairs with every earlier one.  With it, Gebauer and Möller's
-    update ("On an installation of Buchberger's algorithm", 1988) runs as
-    each element h joins:
+    ties in the order formed.  Each input, then each remainder of an
+    S-polynomial, is reduced in full by the basis so far and joins it if
+    nonzero: no term of a new element, its leading term included, is
+    divisible by an earlier element's leading term.  Without
+    `use_criteria`, each element pairs with every earlier one.  With it,
+    Gebauer and Möller's update ("On an installation of Buchberger's
+    algorithm", 1988) runs as each element h joins:
     - B_k: a queued pair with lcm l is dropped when lt(h) divides l and
       neither of its two elements has lcm l with lt(h);
     - M: a new pair is not formed when another new pair's lcm strictly
@@ -182,13 +181,14 @@ def buchberger_dicts(gens, order: TermOrder, p: int, use_criteria: bool = True):
       coprime leading terms; no pair with coprime leading terms is formed;
     - an element whose leading term lt(h) divides forms no further pairs,
       though it stays a reducer, so the reducer list only grows.
-    The first element found for each divisibility-minimal leading term is
-    kept, with its tail reduced again by the others.  The work runs on
-    `_reduce_dict`'s raw coefficients and packed terms: each element is
-    put in reducer form once, when it is added, and made monic only at the
-    end.  The leading terms stay exponent tuples too, for the pair rule
-    and the criteria.  A term that outgrows its slots restarts the run on
-    slots twice as wide, which gives the same basis.
+    Both modes retire elements by that rule; the rest have the minimal
+    leading terms, one each, and their tails are reduced once more by the
+    whole list, a Gröbner basis, to the unique remainder.
+    The work runs on `_reduce_dict`'s raw coefficients and packed terms:
+    each element is put in reducer form once, when it is added, and made
+    monic only at the end.  The leading terms stay exponent tuples too,
+    for the pair rule and the criteria.  A term that outgrows its slots
+    restarts the run on slots twice as wide, which gives the same basis.
     """
     pk = packing(order)
     while True:
@@ -203,7 +203,7 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
     pack, unpack, guard = pk.pack, pk.unpack, pk.guard
     basis: list[tuple] = []  # (lt, a, rest), the one reducer list
     lts: list[tuple] = []  # the leading terms of basis, unpacked
-    active: list[int] = []  # the elements that still form pairs
+    active: list[int] = []  # the elements no later leading term divides
     divisors: dict = {}  # first divisors in basis, which only grows
     queue: list = []  # ((degree, packed lcm), j, i, lcm) for i < j
 
@@ -236,18 +236,19 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
                     if other != packed_l
                 )
             ]
-            active[:] = [i for i in active if ((basis[i][0] | guard) - top) & guard != guard]
         else:
             new = [(i, tlcm(old_lt, lt)) for i, old_lt in enumerate(lts)]
         for i, l in new:
             heappush(queue, ((tdeg(l), pack(l)), len(basis), i, l))
+        active[:] = [i for i in active if ((basis[i][0] | guard) - top) & guard != guard]
         active.append(len(basis))
-        basis.append(_reducer(f, lt, pk, p))
+        basis.append(_reducer(f, top, p))
         lts.append(lt)
 
     for g in gens:
-        if g:
-            insert({pack(e): c for e, c in g.items()})
+        r, _ = _reduce_dict({pack(e): c for e, c in g.items()}, basis, divisors, guard, p)
+        if r:
+            insert(r)
     while queue:
         (_, packed_l), j, i, l = heappop(queue)
         # the S-polynomial, scaled so that the leading terms cancel at l
@@ -274,17 +275,11 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
         r, _ = _reduce_dict(spoly, basis, divisors, guard, p)
         if r:
             insert(r)
-    # the first element found for each divisibility-minimal leading term
-    first: dict = {}
-    for lt, element in zip(lts, basis):
-        first.setdefault(lt, element)
-    minimal = minimalize(first)
-    kept = [element for lt, element in first.items() if lt in minimal]
-    # no element reduces its own tail: every term met lies below its lt
-    divisors = {}  # first divisors in kept, which is fixed
+    # the active elements are the minimal basis; no element reduces its
+    # own tail, since every term met lies below its lt
     out = []
-    for lt, a, rest in sorted(kept):  # by lt, which no two share
-        r, s = _reduce_dict(dict(rest), kept, divisors, guard, p)
+    for lt, a, rest in sorted(basis[i] for i in active):  # by lt, which no two share
+        r, s = _reduce_dict(dict(rest), basis, divisors, guard, p)
         if p:
             r = {unpack(e): c for e, c in r.items()}
         else:
@@ -372,7 +367,7 @@ class ReducedGB:
             reducers = []
             for lt, g in zip(self.lt_exps, self.elements):
                 f, _ = _integral(g.coeffs, field)
-                reducers.append(_reducer({pk.pack(e): c for e, c in f.items()}, lt, pk, p))
+                reducers.append(_reducer({pk.pack(e): c for e, c in f.items()}, pk.pack(lt), p))
             kernel = self._kernel = (pk, reducers, {})
         return kernel[1:]
 

@@ -32,7 +32,7 @@ class TermOrder:
             raise InvalidOrdering("ragged weight matrix")
         for col in range(n):
             lead = next((r[col] for r in rows if r[col]), 0)
-            if lead <= 0:
+            if lead < 0:
                 raise InvalidOrdering(
                     f"column {col}: first nonzero weight must be positive"
                 )
@@ -148,7 +148,8 @@ class Packing:
 @cache
 def packing(order: TermOrder, bits: int = 32) -> Packing:
     """The packing of `order` in slots of `bits` bits, built once for every
-    equal ordering: a fan walk's many bases share it."""
+    equal ordering: each Buchberger run and each basis's reducers ask for
+    one, and those of equal orderings, across ideals, share it."""
     return Packing(order, bits)
 
 

@@ -157,28 +157,28 @@ def test_criteria_do_not_change_output(rxy):
             GF(32003),
             "xyzw",
             CYCLIC4,
-            {"degrevlex": (11, 5, 7), "lex": (14, 7, 6)},
+            {"degrevlex": (8, 5, 7), "lex": (11, 7, 6)},
             id="cyclic4",
         ),
         pytest.param(
             GF(2),
             "xyzw",
             CYCLIC4,
-            {"degrevlex": (11, 5, 7), "lex": (14, 7, 6)},
+            {"degrevlex": (8, 5, 7), "lex": (11, 7, 6)},
             id="cyclic4-gf2",
         ),
         pytest.param(
             QQ,
             "xyzw",
             KATSURA3,
-            {"degrevlex": (10, 5, 7), "lex": (16, 2, 4)},
+            {"degrevlex": (8, 5, 7), "lex": (13, 2, 4)},
             id="katsura3",
         ),
         pytest.param(
             QQ,
             "xy",
             ["x^2 + y", "x^2 - 1", "x*y - 1", "x^2 + y", None],
-            {"degrevlex": (4, 2, 2), "lex": (4, 2, 2)},
+            {"degrevlex": (1, 1, 2), "lex": (1, 1, 2)},
             id="repeats-and-zero",
         ),
     ],
@@ -195,10 +195,9 @@ def test_buchberger_work_is_pinned(record_calls, field, names, texts, counts):
     for order in (degrevlex(len(names)), lex(len(names))):
         calls.clear()
         basis = buchberger_dicts(gens, order, p)
-        # the final interreduction runs against the kept elements, a list of
-        # its own; every other reduction is an S-pair's, against the run's
-        kept = calls[-1]["reducers"]
-        pairs = [call for call in calls if call["reducers"] is not kept]
+        # the run reduces each input first and each output element's tail
+        # last; every reduction between is an S-pair's
+        pairs = calls[len(gens) : len(calls) - len(basis)]
         zeros = sum(1 for call in pairs if call["return"][0] == {})
         assert (len(pairs), zeros, len(basis)) == counts[order.tag]
         assert basis == buchberger_dicts(gens, order, p, use_criteria=False)
@@ -296,15 +295,16 @@ def test_lex_reductions_that_grow_exponents_restart_wider(record_calls, monkeypa
     assert any("return" not in call for call in steps)
 
 
-@pytest.mark.parametrize("texts", [("x - y^7", "x*y^4 - 1"), ("x*y^4 - 1", "x - y^7")])
+@pytest.mark.parametrize("texts", [("x^2 - y^7", "x*y^4 - 1"), ("x*y^4 - 1", "x^2 - y^7")])
 def test_an_s_polynomial_past_its_slots_restarts_before_reducing(
     record_calls, monkeypatch, texts
 ):
     # lex as the matrix [[1, 0], [0, 3]]: 6-bit slots hold up to 31 and take
-    # x - y^7, x*y^4 - 1 and their lcm x*y^4 (degree < 8), but their
-    # S-polynomial's term y^11 weighs 33 in the second key slot, whichever
-    # element of the pair it comes from; the run stops at that
-    # S-polynomial, before any reduction, and restarts wider
+    # x^2 - y^7, x*y^4 - 1 and their lcm x^2*y^4 (degree < 8), and neither
+    # input reduces the other; but their S-polynomial's term y^11 weighs 33
+    # in the second key slot, whichever element of the pair it comes from:
+    # the run stops at that S-polynomial, after the two inputs' reductions
+    # and before any other, and restarts wider
     import gbfan.groebner
     import gbfan.orderings
 
@@ -314,20 +314,23 @@ def test_an_s_polynomial_past_its_slots_restarts_before_reducing(
     steps = record_calls(gbfan.groebner, "_reduce_dict")
     with pytest.raises(gbfan.orderings.SlotOverflow):
         gbfan.groebner._buchberger(gens, packing(order, 6), 32003, True)
-    assert steps == []
+    pk = packing(order, 6)
+    assert [call["return"] for call in steps] == [
+        ({pk.pack(e): c for e, c in g.items()}, 1) for g in gens
+    ]
     monkeypatch.setattr(
         gbfan.groebner, "packing", lambda order, bits=6: gbfan.orderings.packing(order, bits)
     )
-    want = kernel_gens(R, [R.parse("y^11 - 1"), R.parse("x - y^7")])
+    want = kernel_gens(R, [R.parse("y^15 - 1"), R.parse("x - y^11")])
     assert buchberger_dicts(gens, order, 32003) == [(max(g), g) for g in want]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_first_divisors_match_a_fresh_scan(record_calls, field):
-    # replay a run's reductions against a reducer list that grows by appends,
-    # as the run's does, with one divisor dict kept beside it: each gives what
-    # a full scan with a fresh dict gives, and so does the interreduction
-    # against its fixed list of kept elements
+    # replay a run's reductions, inputs, S-pairs and the final pass alike,
+    # against a reducer list that grows by appends, as the run's one list
+    # does, with one divisor dict kept beside it: each gives what a full
+    # scan with a fresh dict gives, and what the run's own reduction gave
     import gbfan.groebner
 
     R = PolyRing(field, list("xyzw"))
@@ -335,38 +338,30 @@ def test_first_divisors_match_a_fresh_scan(record_calls, field):
     order = degrevlex(4)
     gens = kernel_gens(R, [R.parse(t) for t in KATSURA3])
     calls = record_calls(gbfan.groebner, "_reduce_dict")
-    buchberger_dicts(gens, order, p)
-    kept = calls[-1]["reducers"]  # the final interreduction's own list
-    spolys = [call for call in calls if call["reducers"] is not kept]
-    tails = [call for call in calls if call["reducers"] is kept]
-    basis = spolys[0]["reducers"]  # the run's own list, as it ended
-    assert all(call["reducers"] is basis for call in spolys)
-    reducers = basis[: len(basis) - sum(1 for call in spolys if call["return"][0])]
+    out = buchberger_dicts(gens, order, p)
+    basis = calls[0]["reducers"]  # the run's one list, as it ended
+    assert all(call["reducers"] is basis for call in calls)
+    assert all(call["divisors"] is calls[0]["divisors"] for call in calls)
+    reducers: list = []
     divisors: dict = {}
     guard = packing(order).guard
     assert {call["guard"] for call in calls} == {guard}
-    for call in spolys:
+    for k, call in enumerate(calls):
         got = _reduce_dict(call["f"], reducers, divisors, guard, p)
         assert got == _reduce_dict(call["f"], reducers, {}, guard, p)
         assert got == call["return"]
-        if got[0]:
+        if got[0] and k < len(calls) - len(out):  # a new element joins
             reducers.append(basis[len(reducers)])
     assert reducers == basis and divisors
-    assert len(tails) == len(kept)
-    divisors = {}
-    for call in tails:
-        got = _reduce_dict(call["f"], kept, divisors, guard, p)
-        assert got == _reduce_dict(call["f"], kept, {}, guard, p)
-    assert divisors
 
 
 @pytest.mark.parametrize("texts", [KATSURA3, CYCLIC4], ids=["katsura3", "cyclic4"])
 @pytest.mark.parametrize("order", [degrevlex(4), lex(4)], ids=lambda o: o.tag)
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_remainders_join_the_basis_fully_reduced(record_calls, field, order, texts):
-    # every element a run adds after its inputs is an S-polynomial's
-    # remainder, reduced in full by the elements before it: no term of it,
-    # leading or not, is divisible by an earlier element's leading term
+    # every element a run adds, an input or an S-polynomial's remainder, is
+    # reduced in full by the elements before it: no term of it, leading or
+    # not, is divisible by an earlier element's leading term
     import gbfan.groebner
 
     R = PolyRing(field, list("xyzw"))
@@ -377,10 +372,36 @@ def test_remainders_join_the_basis_fully_reduced(record_calls, field, order, tex
     assert len(basis) > len(gens)
     unpack = packing(order).unpack
     lts = [unpack(lt) for lt, _, _ in basis]
-    for k in range(len(gens), len(basis)):
-        lt, _, rest = basis[k]
+    for k, (lt, _, rest) in enumerate(basis):
         for t in [lt] + [e for e, _ in rest]:
             assert not any(tdivides(s, unpack(t)) for s in lts[:k])
+
+
+@pytest.mark.parametrize(
+    "texts, want",
+    [
+        (["x", "x^2 + y"], ["y", "x"]),
+        (["x^2 + y", "x"], ["y", "x"]),
+        (["x^2 + y", "x - 1"], ["y + 1", "x - 1"]),
+        (["x^2 + y", "x^2 + y"], ["x^2 + y"]),
+        (["x - 1", "x^2 + y", "x - 1"], ["y + 1", "x - 1"]),
+    ],
+    ids=["x-then-x2", "x2-then-x", "x2-then-x-1", "repeat", "repeat-after-another"],
+)
+@pytest.mark.parametrize("use_criteria", [True, False], ids=["criteria", "plain"])
+@pytest.mark.parametrize("order", [degrevlex(2), lex(2)], ids=lambda o: o.tag)
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_inputs_whose_leading_terms_repeat_or_divide(field, order, use_criteria, texts, want):
+    # an input whose leading term an earlier one divides, or that repeats an
+    # earlier one, joins reduced or not at all; an earlier input whose
+    # leading term a later one divides stops forming pairs and leaves the
+    # output: the run gives the reduced basis either way
+    R = PolyRing(field, ["x", "y"])
+    gens = kernel_gens(R, [R.parse(t) for t in texts])
+    got = buchberger_dicts(gens, order, field.characteristic, use_criteria)
+    want = [R.parse(t) for t in want]
+    lts = [g.leading_term(order)[0] for g in want]
+    assert got == list(zip(lts, kernel_gens(R, want)))
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
@@ -434,11 +455,14 @@ def test_reducers_are_built_on_first_use(record_calls):
     gb, _ = ideal_of_points(points(R, [(1, 2, 3), ("1/2", 7, -1), (0, 0, 0), (2, -3, 5)]))
     assert built == []
     flipped = gb.change_order(lex(3))
-    assert [call["lt"] for call in built] == list(gb.lt_exps)
+    # each reducer is built on its packed leading term
+    pack = packing(gb.order).pack
+    assert [call["lt"] for call in built] == list(map(pack, gb.lt_exps))
     built.clear()
     f = R.parse("x^3*y - 2/3*z^2 + 5")
     r = flipped.reduce(f)
-    assert [call["lt"] for call in built] == list(flipped.lt_exps)
+    pack = packing(flipped.order).pack
+    assert [call["lt"] for call in built] == list(map(pack, flipped.lt_exps))
     assert flipped.reduce(f) == r and flipped.nf_coords((1, 1, 1))
     assert len(built) == len(flipped)
 

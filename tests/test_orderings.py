@@ -49,8 +49,8 @@ def test_matrix_validity():
         TermOrder([[1, -1], [1, -1]])  # 1 not minimal: column 1 leads with -1
     with pytest.raises(InvalidOrdering):
         TermOrder([[-1, 0], [0, 1]])  # 1 not minimal
-    # sign-valid but rank deficient
-    for rows in ([[1, 1], [2, 2]], [[1, 1, 0], [0, 0, 1], [1, 1, 1]]):
+    # sign-valid but rank deficient, [[1, 0]] by a column with no nonzero weight
+    for rows in ([[1, 1], [2, 2]], [[1, 1, 0], [0, 0, 1], [1, 1, 1]], [[1, 0]]):
         with pytest.raises(InvalidOrdering, match="rank"):
             TermOrder(rows)
     with pytest.raises(ParseError):

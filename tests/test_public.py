@@ -1,5 +1,7 @@
-"""The public surface: the exported names and the README quick start."""
+"""The public surface: the exported names, the README quick start, and two
+source rules: every import is used, and every private function is called."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -18,3 +20,49 @@ def test_readme_quick_start_prints_its_comments(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[:2] == ["2 10", "1 1"]
+
+
+def _modules():
+    src = Path(gbfan.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+
+
+def _loaded(tree) -> set:
+    """The names a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__ imports to re-export; every other module reads what it imports
+    unused = []
+    for stem, tree in _modules().items():
+        if stem == "__init__":
+            continue
+        loaded = _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{stem}: {name}")
+    assert unused == []
+
+
+def test_every_private_function_has_a_caller():
+    modules = _modules()
+    loaded = set().union(*map(_loaded, modules.values()))
+    private = [
+        f"{stem}.{node.name}"
+        for stem, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+    assert private and [name for name in private if name.split(".")[1] not in loaded] == []
