@@ -1,25 +1,28 @@
 """Exact integer halfspace systems and polyhedral cones in the orthant.
 
-Everything here rests on one Fourier-Motzkin projection, `_project`, which
-stays on integer rows (Dantzig-Eaves 1973): each row is divided by the gcd
-of its coefficients and right-hand side, and rows combine with positive
-integer multipliers.  Feasibility is the projection's success.  Explicit
-solutions back-substitute through its stages with every value found so far
-an integer over one common denominator, so bounds compare by
-cross-multiplication and the point comes back as those integers and that
-denominator.
-Irredundancy pruning is a feasibility test per inequality, skipped for an
-inequality that dominates another one (v >= λ·u entrywise, λ > 0), since
-u·w >= 0 then implies v·w >= 0 on the orthant.  Strict systems over cones
-reduce to closed ones by scaling: {A·w > 0, w > 0} is nonempty exactly when
-{A·w >= 1, w >= 1} is.
+A cone's facets come from one double-description pass over its candidate
+inequalities (Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996),
+on integer rays with bitmasks of their tight constraints:
+`canonical_inequalities`.  Points come from one Fourier-Motzkin
+projection, `_project`, which stays on integer rows (Dantzig-Eaves 1973):
+each row is divided by the gcd of its coefficients and right-hand side,
+and rows combine with positive integer multipliers.  Feasibility is the
+projection's success.  Explicit solutions back-substitute through its
+stages with every value found so far an integer over one common
+denominator, so bounds compare by cross-multiplication and the point comes
+back as those integers and that denominator.  Strict systems over cones
+reduce to closed ones by scaling: {A·w > 0, w > 0} is nonempty exactly
+when {A·w >= 1, w >= 1} is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import and_
 
+from .errors import InconsistentMarking
 from .linalg import primitive_vector
 
 # One constraint is (coeffs, rhs) and means  sum(coeffs[i] * x_i) >= rhs.
@@ -153,57 +156,53 @@ def strict_positive_solution(vectors, n, zeros=()):
     return primitive_vector(point[0])
 
 
-def _redundant(v, others, n) -> bool:
-    """Is v·w >= 0 implied by the others within the closed orthant?"""
-    cons = [(tuple(u), 0) for u in others]
-    cons += [(_unit(n, i), 0) for i in range(n)]
-    cons.append((tuple(-x for x in v), 1))
-    return not feasible(cons, n)
-
-
-def _dominates(v, u) -> bool:
-    """Is v >= λ·u entrywise for some λ > 0?
-
-    Each entry bounds λ: by v_k/u_k from above where u_k > 0 and from below
-    where u_k < 0, and where u_k = 0 it needs v_k >= 0.  A bound (p, q)
-    with q >= 0 reads p/q, so (1, 0) is +infinity and (-1, 0) is -infinity,
-    and bounds compare by cross-multiplication.
-    """
-    lo, hi = (-1, 0), (1, 0)
-    for a, b in zip(v, u):
-        if b > 0:
-            if a * hi[1] < hi[0] * b:
-                hi = (a, b)
-        elif b < 0:
-            if a * lo[1] < lo[0] * b:
-                lo = (-a, -b)
-        elif a < 0:
-            return False
-    return hi[0] > 0 and lo[0] * hi[1] <= hi[0] * lo[1]
-
-
 def canonical_inequalities(vectors, n) -> tuple[tuple[int, ...], ...]:
-    """Irredundant, primitive, sorted inequality list relative to the
-    orthant; the orthant constraints themselves stay implicit.
+    """Irredundant, primitive, sorted inequality list of a full-dimensional
+    cone relative to the orthant; the orthant constraints stay implicit.
 
-    A candidate that dominates another remaining one is implied by it, so
-    it goes without a feasibility test; the test would drop it too.
+    One double-description pass finds the cone's extreme rays, starting
+    from the orthant's e_1..e_n and adding the candidates v·w >= 0 one at a
+    time.  Each ray keeps a bitmask of the constraints tight on it: bit i
+    for w_i >= 0 and bit n+k for candidate k.  A ray on the positive side of
+    v meets one on the negative side in a new ray exactly when the two are
+    adjacent, that is when no third ray is tight on every constraint both
+    are.  The cone is full-dimensional exactly when no constraint is tight
+    on every ray, and a candidate is a facet exactly when no other
+    constraint is tight on every ray it is tight on.  Raises
+    `InconsistentMarking` when the cone is not full-dimensional.
     """
-    prim = set()
-    for v in vectors:
-        v = primitive_vector(v)
-        if any(x < 0 for x in v):
-            prim.add(v)
-        # all-nonnegative vectors are implied by w >= 0
-    lst = sorted(prim)
-    i = 0
-    while i < len(lst):
-        v, others = lst[i], lst[:i] + lst[i + 1 :]
-        if any(_dominates(v, u) for u in others) or _redundant(v, others, n):
-            lst.pop(i)
-        else:
-            i += 1
-    return tuple(lst)
+    cands = sorted({v for v in map(primitive_vector, vectors) if min(v) < 0})
+    # all-nonnegative vectors are implied by w >= 0
+    rays = [(_unit(n, i), ((1 << n) - 1) ^ (1 << i)) for i in range(n)]
+    for k, v in enumerate(cands):
+        bit = 1 << (n + k)
+        kept, pos, neg = [], [], []
+        for r, m in rays:
+            s = sum(a * b for a, b in zip(v, r))
+            if s > 0:
+                pos.append((s, r, m))
+                kept.append((r, m))
+            elif s < 0:
+                neg.append((s, r, m))
+            else:
+                kept.append((r, m | bit))
+        masks = [m for _, m in rays]
+        for sp, p, mp in pos:
+            for sq, q, mq in neg:
+                both = mp & mq
+                if sum(m & both == both for m in masks) == 2:
+                    ray = primitive_vector([sp * b - sq * a for a, b in zip(p, q)])
+                    kept.append((ray, both | bit))
+        rays = kept
+    masks = [m for _, m in rays]
+    full = (1 << (n + len(cands))) - 1
+    if reduce(and_, masks, full):
+        raise InconsistentMarking("no positive weight realizes this marking")
+    return tuple(
+        v
+        for k, v in enumerate(cands)
+        if reduce(and_, (m for m in masks if m >> (n + k) & 1), full) == 1 << (n + k)
+    )
 
 
 @dataclass(frozen=True)

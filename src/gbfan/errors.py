@@ -54,7 +54,9 @@ class ZeroIdealDivisor(DomainError):
 
 
 class InconsistentMarking(DomainError):
-    """No strictly positive weight vector realizes the requested marking."""
+    """No strictly positive weight vector realizes the requested marking:
+    a marked term is missing from its polynomial, or the marking's cone is
+    not full-dimensional."""
 
 
 class BoundExceeded(DomainError):

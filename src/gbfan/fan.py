@@ -21,10 +21,11 @@ Both routes read the normal forms of the ideal's one cached degrevlex basis
 
 A marked basis fixes its cone.  `MarkedBasis` checks that each marked term
 leads under the basis's ordering, which some positive weight agrees with on
-finitely many terms (Mora-Robbiano 1988), so `MarkedBasis.cone` needs no
-LP and `cone_of_marked` tests only a caller's marking by one.  Cones are
-deduplicated by leading-term ideal, as the fan size counts: one reduced
-basis can span several cones when several of its markings are realizable.
+finitely many terms (Mora-Robbiano 1988), so its cone is full-dimensional.
+A caller's marking passed to `cone_of_marked` may not be; then
+`Cone.from_vectors` rejects it.  Cones are deduplicated by leading-term
+ideal, as the fan size counts: one reduced basis can span several cones
+when several of its markings are realizable.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ def marking_vectors(supports, markings):
 
 
 def cone_of_marked(elements, markings, nvars: int) -> Cone:
-    """Canonical cone of a marked basis; the marking must be achievable by
-    a strictly positive weight vector."""
+    """Canonical cone of a marked basis.  Marking vectors are never zero, so
+    a strictly positive weight realizes the marking exactly when the cone
+    is full-dimensional, and `Cone.from_vectors` raises when it is not."""
     for g, lt in zip(elements, markings):
         if tuple(lt) not in g.coeffs:
             raise InconsistentMarking(f"marked term not in support of {g!r}")
     vecs = marking_vectors([g.coeffs for g in elements], markings)
-    if strict_positive_solution(vecs, nvars) is None:
-        raise InconsistentMarking("no positive weight realizes this marking")
     return Cone.from_vectors(vecs, nvars)
 
 

@@ -238,17 +238,10 @@ def parse_field(text: str):
         return QQ
     if s.startswith("GF(") and s.endswith(")"):
         body = s[3:-1].strip()
-        if not body.isdigit():
+        if not body.isdecimal():
             raise ParseError(f"bad field spec {text!r}")
         return GF(int(body))
     raise ParseError(f"bad field spec {text!r} (expected QQ or GF(p))")
-
-
-def nat_embed(n: int, field):
-    """Image of a natural number under the canonical map into the field."""
-    if n < 0:
-        raise ValueError("nat_embed takes a natural number")
-    return field.from_int(n)
 
 
 def nat_images(d: int, field) -> tuple:

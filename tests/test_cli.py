@@ -538,6 +538,15 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_exit_code_bad_field_digit(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but not to int()
+    f = tmp_path / "f.txt"
+    f.write_text("# field: QQ\n# vars: x, y\nx + y\n")
+    code, out, err = run(capsys, "gb", str(f), "--field", "GF(²)")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad field spec")
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "gb", "/nonexistent/ideal.txt")
     assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gbfan.cones
-from gbfan import Cone, cone_of_marked
+from gbfan import Cone, cone_of_marked, enumerate_fan, fan_oracle_zerodim, vanishing_ideal
 from gbfan.cones import (
     _project,
     canonical_inequalities,
@@ -15,9 +15,10 @@ from gbfan.cones import (
     strict_positive_solution,
 )
 from gbfan.errors import InconsistentMarking
+from gbfan.fan import marking_vectors
 from gbfan.linalg import primitive_vector
 
-from conftest import qring
+from conftest import fring, points, qring
 
 
 # The reference kernel: the same Fourier-Motzkin projection, with rows made
@@ -88,7 +89,8 @@ def _ref_solve_system(cons, n):
 
 
 def _ref_canonical(vectors, n):
-    """`canonical_inequalities` with a Fourier-Motzkin test per candidate."""
+    """The facets by one Fourier-Motzkin redundancy test per candidate,
+    with no double description."""
     units = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
     lst = sorted({v for v in map(primitive_vector, vectors) if min(v, default=0) < 0})
     i = 0
@@ -154,8 +156,14 @@ def _vector_sets(draw):
 @settings(max_examples=100, deadline=None)
 @given(_vector_sets())
 def test_canonical_inequalities_match_fourier_motzkin_alone(case):
+    # Fourier-Motzkin decides full-dimensionality on its own: the cone has
+    # an interior point exactly when some w > 0 makes every nonzero v·w > 0
     vectors, n = case
-    assert canonical_inequalities(vectors, n) == _ref_canonical(vectors, n)
+    if strict_positive_solution([v for v in vectors if any(v)], n) is None:
+        with pytest.raises(InconsistentMarking):
+            canonical_inequalities(vectors, n)
+    else:
+        assert canonical_inequalities(vectors, n) == _ref_canonical(vectors, n)
 
 
 def test_feasibility_basic():
@@ -247,7 +255,8 @@ def test_inconsistent_marking_rejected():
 
 def test_marking_realizable():
     # a marking is realizable when a strictly positive weight makes every
-    # marking vector strictly positive; cone_of_marked decides it by this LP
+    # marking vector strictly positive, that is when its cone is
+    # full-dimensional; Cone.from_vectors decides it with no LP
     assert strict_positive_solution([(1, -1), (0, 1)], 2) is not None
     R = qring("x", "y")
     f, g = R.parse("x + y"), R.parse("y + 1")
@@ -256,6 +265,18 @@ def test_marking_realizable():
     assert strict_positive_solution([(1, -1), (-1, 1)], 2) is None
     with pytest.raises(InconsistentMarking):
         cone_of_marked([f, f], [(1, 0), (0, 1)], 2)
+
+
+@pytest.mark.parametrize(
+    "vectors, n",
+    [
+        ([(1, -1), (-1, 1)], 2),  # the line w_x = w_y
+        ([(-1,)], 1),  # the origin
+    ],
+)
+def test_a_cone_that_is_not_full_dimensional_raises(vectors, n):
+    with pytest.raises(InconsistentMarking):
+        Cone.from_vectors(vectors, n)
 
 
 @pytest.mark.parametrize(
@@ -272,25 +293,54 @@ def test_marking_realizable():
     ],
 )
 def test_dominance_needs_a_positive_multiple(v, u, dominates):
-    assert gbfan.cones._dominates(v, u) is dominates
+    # v >= λ·u entrywise with λ > 0 makes u·w >= 0 imply v·w >= 0 on the
+    # orthant, so a dominating v is never a facet
+    got = canonical_inequalities([v, u], len(v))
+    assert got == _ref_canonical([v, u], len(v))
+    if dominates:
+        assert v not in got
 
 
 def test_a_dominated_candidate_costs_no_lp(record_calls):
-    # (2, -1) >= 1·(1, -1) entrywise, so only (1, -1) reaches Fourier-Motzkin
-    calls = record_calls(gbfan.cones, "feasible")
+    # (2, -1) >= 1·(1, -1) entrywise, so (1, -1) alone is a facet
+    feasible_calls = record_calls(gbfan.cones, "feasible")
+    solve_calls = record_calls(gbfan.cones, "solve_system")
     assert canonical_inequalities([(1, -1), (2, -1)], 2) == ((1, -1),)
-    assert [call["cons"][-1] for call in calls] == [((-1, 1), 1)]
+    assert feasible_calls == solve_calls == []
 
 
 def test_a_combination_of_two_others_reaches_fourier_motzkin(record_calls):
-    # (2, -1, -1) = (1, -1, 0) + (1, 0, -1) dominates neither, so only the
-    # feasibility test finds it redundant
-    calls = record_calls(gbfan.cones, "feasible")
+    # (2, -1, -1) = (1, -1, 0) + (1, 0, -1) dominates neither, yet the
+    # rays show it tight only on (1, 1, 1), where both others are tight too
+    feasible_calls = record_calls(gbfan.cones, "feasible")
+    solve_calls = record_calls(gbfan.cones, "solve_system")
     got = canonical_inequalities([(1, -1, 0), (1, 0, -1), (2, -1, -1)], 3)
     assert got == ((1, -1, 0), (1, 0, -1))
-    assert [call["cons"][-1] for call in calls] == [
-        ((-1, 1, 0), 1),
-        ((-1, 0, 1), 1),
-        ((-2, 1, 1), 1),
-    ]
-    assert [call["return"] for call in calls] == [True, True, False]
+    assert feasible_calls == solve_calls == []
+
+
+def test_a_four_variable_point_fan_matches_fourier_motzkin():
+    # 4-variable cones are where double description replaces the most
+    # Fourier-Motzkin work: every cone of this walk, and the walk itself
+    # against the oracle
+    R = fring(32003, "x", "y", "z", "t")
+    I = vanishing_ideal(
+        points(
+            R,
+            [
+                (-19, 9, -5, -17),
+                (-10, -13, 3, 10),
+                (-5, 4, 14, -14),
+                (6, -3, -9, 4),
+                (16, -5, -20, -7),
+                (19, -4, 2, 13),
+            ],
+        )
+    )
+    fan = enumerate_fan(I)
+    assert fan.size == 74
+    assert fan == fan_oracle_zerodim(I)
+    for mb in fan:
+        gb = mb.basis
+        vectors = marking_vectors([g.coeffs for g in gb.elements], gb.lt_exps)
+        assert mb.cone.ineqs == _ref_canonical(vectors, 4)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gbfan import GF, QQ, PolyRing, nat_embed, parse_field
+from gbfan import GF, QQ, PolyRing, parse_field
 from gbfan.errors import DivisionByZero, FieldMismatch, ParseError
 from gbfan.field import GFElement, is_prime
 
@@ -47,10 +47,10 @@ def test_residues_canonical():
     assert str(F5.from_int(12)) == "2"
 
 
-def test_nat_embed_examples():
-    assert nat_embed(4, QQ) == Fraction(4)
-    assert nat_embed(4, GF(3)) == GF(3).from_int(1)
-    assert nat_embed(0, GF(5)) == GF(5).zero()
+def test_from_int_examples():
+    assert QQ.from_int(4) == Fraction(4)
+    assert GF(3).from_int(4) == GF(3).from_int(1)
+    assert GF(5).from_int(0) == GF(5).zero()
 
 
 def test_parse_field():
@@ -60,6 +60,8 @@ def test_parse_field():
         parse_field("GF(6)")
     with pytest.raises(ParseError):
         parse_field("RR")
+    with pytest.raises(ParseError):
+        parse_field("GF(²)")  # a digit that int() does not read
 
 
 def test_primality():
@@ -129,10 +131,10 @@ def test_field_axioms_qq(a, b, d1, d2):
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40), st.sampled_from([2, 5, 0]))
-def test_nat_embed_is_semiring_hom(a, b, p):
+def test_from_int_is_semiring_hom(a, b, p):
     field = GF(p) if p else QQ
-    assert nat_embed(a + b, field) == nat_embed(a, field) + nat_embed(b, field)
-    assert nat_embed(a * b, field) == nat_embed(a, field) * nat_embed(b, field)
+    assert field.from_int(a + b) == field.from_int(a) + field.from_int(b)
+    assert field.from_int(a * b) == field.from_int(a) * field.from_int(b)
 
 
 def test_gf_elements_hashable_and_iterable():

@@ -1,13 +1,17 @@
-"""The public surface: the exported names, the README quick start, and two
-source rules: every import is used, and every private function is called."""
+"""The public surface: the exported names, the README quick start, the
+names the benchmark's tracer wraps, and two source rules: every import is
+used, and every private function is called."""
 
 import ast
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import gbfan
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_all_names_are_attributes_without_duplicates():
@@ -20,6 +24,21 @@ def test_readme_quick_start_prints_its_comments(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[:2] == ["2 10", "1 1"]
+
+
+def test_every_traced_entry_point_resolves():
+    # the traced benchmark run wraps these names; a missing one would fail
+    # only there, minutes into the run
+    spec = importlib.util.spec_from_file_location("_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for owner, attr, *_ in tracing.ENTRY_POINTS:
+        try:
+            inspect.getattr_static(owner, attr)
+        except AttributeError:
+            missing.append(f"{owner.__name__}.{attr}")
+    assert tracing.ENTRY_POINTS and missing == []
 
 
 def _modules():
