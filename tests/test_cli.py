@@ -6,10 +6,11 @@ import json
 import pytest
 
 import gbfan.cli
-from gbfan import degrevlex, parse_field, PolyRing
+from gbfan import degrevlex, enumerate_fan, parse_field, PolyRing
 from gbfan.cli import main
 from gbfan.fan import GroebnerFan
 from gbfan.files import load_ideal
+from gbfan.terms import term_str
 
 from conftest import found_ideal_text
 
@@ -909,20 +910,82 @@ cone 2:
 """
 
 
+SYMMETRIC_IDEAL = "# field: QQ\n# vars: x, y, z\nx^2 - y*z\ny^2 - x*z\nz^2 - x*y\nx*y*z\n"
+GF7_IDEAL = "# field: GF(7)\n# vars: x, y, z\nx^2 - 1\ny^3 - y\nz^2 - x*z\nx*y - y\n"
+
+
 @pytest.mark.parametrize(
     "text, expected",
-    [
-        ("# field: QQ\n# vars: x, y, z\nx^2 - y*z\ny^2 - x*z\nz^2 - x*y\nx*y*z\n",
-         FAN_SYMMETRIC),
-        ("# field: GF(7)\n# vars: x, y, z\nx^2 - 1\ny^3 - y\nz^2 - x*z\nx*y - y\n",
-         FAN_GF7),
-    ],
+    [(SYMMETRIC_IDEAL, FAN_SYMMETRIC), (GF7_IDEAL, FAN_GF7)],
     ids=["symmetric", "gf7"],
 )
 def test_pinned_zero_dimensional_fan_output(tmp_path, capsys, text, expected):
     path = tmp_path / "ideal.txt"
     path.write_text(text)
     assert run(capsys, "fan", str(path)) == (0, expected, "")
+
+
+def _order_free(fan):
+    """A fan's text with nothing of the walk's orderings in it: per cone,
+    its leading terms, its inequalities and its elements printed in
+    degrevlex, the elements sorted and the cones sorted."""
+    order = degrevlex(fan.ring.nvars)
+    cones = sorted(
+        "\n".join(
+            [
+                ", ".join(term_str(t, fan.ring.vars) for t in sorted(mb.basis.lt_exps)),
+                str(mb.cone),
+                *sorted(g.to_str(order) for g in mb.basis),
+            ]
+        )
+        for mb in fan
+    )
+    return "\n\n".join(cones)
+
+
+# The fans of every pinned `gbfan fan` output, pinned as fans: a change of
+# the walk's flip weights may reorder the printed bases, never the fan.
+@pytest.mark.parametrize(
+    "text, field, digest",
+    [
+        pytest.param(
+            PINNED_INPUTS["fracs.ideal"],
+            None,
+            "a56109e876ced1bccc7cc1d839899bb27627cdca03a843394e7d1ba48411995d",
+            id="fracs-fan",
+        ),
+        pytest.param(
+            PINNED_INPUTS["fracs.ideal"],
+            "GF(32003)",
+            "31c47819d9235825c7c1fdb5321ad8dd8f49dbc683a49216db946d96f762e844",
+            id="fracs-fan-gf",
+        ),
+        pytest.param(
+            PINNED_INPUTS["posdim.ideal"],
+            None,
+            "7562359f3f98ff0be87741704225a26ff4d0688f8b733285ef8aa65ccc19e428",
+            id="posdim-fan",
+        ),
+        pytest.param(
+            SYMMETRIC_IDEAL,
+            None,
+            "6234cc97544f640c30a5fb02321d3a41dfb0fb5b1edd632c9a7b31c2bad3abe5",
+            id="symmetric",
+        ),
+        pytest.param(
+            GF7_IDEAL,
+            None,
+            "62578b8f298cbe9597121042d5f8756ccfa83a6e8d5319e5c96992ee7b1199d3",
+            id="gf7",
+        ),
+    ],
+)
+def test_pinned_fans_order_free(tmp_path, text, field, digest):
+    path = tmp_path / "ideal.txt"
+    path.write_text(text)
+    _, ideal = load_ideal(str(path), field)
+    rendered = _order_free(enumerate_fan(ideal))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == digest
 
 
 def test_prime_field_point_files_read_ratios(tmp_path, capsys):
