@@ -1,28 +1,27 @@
 """Exact integer halfspace systems and polyhedral cones in the orthant.
 
-A cone's facets come from one double-description pass over its candidate
-inequalities (Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996),
-on integer rays with bitmasks of their tight constraints:
-`canonical_inequalities`.  Points come from one Fourier-Motzkin
-projection, `_project`, which stays on integer rows (Dantzig-Eaves 1973):
-each row is divided by the gcd of its coefficients and right-hand side,
-and rows combine with positive integer multipliers.  Feasibility is the
-projection's success.  Explicit solutions back-substitute through its
-stages with every value found so far an integer over one common
-denominator, so bounds compare by cross-multiplication and the point comes
-back as those integers and that denominator.  Strict systems over cones
-reduce to closed ones by scaling: {A·w > 0, w > 0} is nonempty exactly
-when {A·w >= 1, w >= 1} is.
+A cone's facets, and a point in each, come from one double-description
+pass over its candidate inequalities (Motzkin-Raiffa-Thompson-Thrall 1953;
+Fukuda-Prodon 1996): `Cone.from_vectors` keeps the extreme rays, and a
+facet's point is the sum of the rays on it.  Fourier-Motzkin serves only
+`strict_positive_solution`, by one projection, `_project`, on integer rows
+(Dantzig-Eaves 1973): each row is divided by the gcd of its coefficients
+and right-hand side, and rows combine with positive integer multipliers.
+Feasibility is the projection's success.  Explicit solutions
+back-substitute through its stages with every value found so far an
+integer over one common denominator, so bounds compare by
+cross-multiplication.  Strict systems over cones reduce to closed ones by
+scaling: {A·w > 0, w > 0} is nonempty exactly when {A·w >= 1, w >= 1} is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from operator import and_
 
-from .errors import InconsistentMarking
+from .errors import DimensionMismatch, DomainError, InconsistentMarking
 from .linalg import primitive_vector
 
 # One constraint is (coeffs, rhs) and means  sum(coeffs[i] * x_i) >= rhs.
@@ -136,86 +135,82 @@ def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def strict_positive_solution(vectors, n, zeros=()):
-    """w with w >= 1, v·w >= 1 for every v, and z·w = 0 for every z.
-
-    By scaling, such w exists exactly when some strictly positive w has
-    v·w > 0 and z·w = 0.  Returns None when the system is infeasible, and
-    otherwise the primitive integer multiple of `solve_system`'s point:
-    its values over a positive denominator, made coprime.
-    """
+def strict_positive_solution(vectors, n):
+    """w with w >= 1 and v·w >= 1 for every v; by scaling, such w exists
+    exactly when some strictly positive w has v·w > 0 for every v.  Returns
+    None when the system is infeasible, and otherwise the primitive integer
+    multiple of `solve_system`'s point: its values over a positive
+    denominator, made coprime."""
     cons = [(tuple(v), 1) for v in vectors]
     cons += [(_unit(n, i), 1) for i in range(n)]
-    for z in zeros:
-        z = tuple(z)
-        cons.append((z, 0))
-        cons.append((tuple(-x for x in z), 0))
     point = solve_system(cons, n)
     if point is None:
         return None
     return primitive_vector(point[0])
 
 
-def canonical_inequalities(vectors, n) -> tuple[tuple[int, ...], ...]:
-    """Irredundant, primitive, sorted inequality list of a full-dimensional
-    cone relative to the orthant; the orthant constraints stay implicit.
-
-    One double-description pass finds the cone's extreme rays, starting
-    from the orthant's e_1..e_n and adding the candidates v·w >= 0 one at a
-    time.  Each ray keeps a bitmask of the constraints tight on it: bit i
-    for w_i >= 0 and bit n+k for candidate k.  A ray on the positive side of
-    v meets one on the negative side in a new ray exactly when the two are
-    adjacent, that is when no third ray is tight on every constraint both
-    are.  The cone is full-dimensional exactly when no constraint is tight
-    on every ray, and a candidate is a facet exactly when no other
-    constraint is tight on every ray it is tight on.  Raises
-    `InconsistentMarking` when the cone is not full-dimensional.
-    """
-    cands = sorted({v for v in map(primitive_vector, vectors) if min(v) < 0})
-    # all-nonnegative vectors are implied by w >= 0
-    rays = [(_unit(n, i), ((1 << n) - 1) ^ (1 << i)) for i in range(n)]
-    for k, v in enumerate(cands):
-        bit = 1 << (n + k)
-        kept, pos, neg = [], [], []
-        for r, m in rays:
-            s = sum(a * b for a, b in zip(v, r))
-            if s > 0:
-                pos.append((s, r, m))
-                kept.append((r, m))
-            elif s < 0:
-                neg.append((s, r, m))
-            else:
-                kept.append((r, m | bit))
-        masks = [m for _, m in rays]
-        for sp, p, mp in pos:
-            for sq, q, mq in neg:
-                both = mp & mq
-                if sum(m & both == both for m in masks) == 2:
-                    ray = primitive_vector([sp * b - sq * a for a, b in zip(p, q)])
-                    kept.append((ray, both | bit))
-        rays = kept
-    masks = [m for _, m in rays]
-    full = (1 << (n + len(cands))) - 1
-    if reduce(and_, masks, full):
-        raise InconsistentMarking("no positive weight realizes this marking")
-    return tuple(
-        v
-        for k, v in enumerate(cands)
-        if reduce(and_, (m for m in masks if m >> (n + k) & 1), full) == 1 << (n + k)
-    )
-
-
 @dataclass(frozen=True)
 class Cone:
     """A full-dimensional cone inside the nonnegative orthant, recorded by
-    its canonical irredundant inequalities (orthant implicit)."""
+    its canonical irredundant inequalities (orthant implicit), built by
+    `from_vectors`, which keeps its extreme rays too."""
 
     nvars: int
     ineqs: tuple[tuple[int, ...], ...]
+    _rays: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_vectors(cls, vectors, n) -> "Cone":
-        return cls(n, canonical_inequalities(vectors, n))
+        """The cone {w >= 0 : v·w >= 0 for every v}, its facets primitive
+        and sorted, by one double-description pass.  It starts from the
+        orthant's rays e_1..e_n and adds the candidates v·w >= 0 one at a
+        time.  Each ray keeps a bitmask of the constraints tight on it: bit
+        i for w_i >= 0 and bit n+k for candidate k.  A ray on the positive
+        side of v meets one on the negative side in a new ray exactly when
+        no third ray is tight on every constraint both are (they are
+        adjacent).  The cone is full-dimensional exactly when no constraint
+        is tight on every ray, or else `InconsistentMarking` is raised, and a
+        candidate is a facet exactly when no other constraint is tight on
+        every ray it is tight on.  A vector not of length n raises
+        `DimensionMismatch`."""
+        for v in vectors:
+            if len(v) != n:
+                raise DimensionMismatch(f"vector {tuple(v)} for a cone in {n} variables")
+        cands = sorted({v for v in map(primitive_vector, vectors) if min(v) < 0})
+        # all-nonnegative vectors are implied by w >= 0
+        rays = [(_unit(n, i), ((1 << n) - 1) ^ (1 << i)) for i in range(n)]
+        for k, v in enumerate(cands):
+            bit = 1 << (n + k)
+            kept, pos, neg = [], [], []
+            for r, m in rays:
+                s = sum(a * b for a, b in zip(v, r))
+                if s > 0:
+                    pos.append((s, r, m))
+                    kept.append((r, m))
+                elif s < 0:
+                    neg.append((s, r, m))
+                else:
+                    kept.append((r, m | bit))
+            masks = [m for _, m in rays]
+            for sp, p, mp in pos:
+                for sq, q, mq in neg:
+                    both = mp & mq
+                    if sum(m & both == both for m in masks) == 2:
+                        ray = primitive_vector([sp * b - sq * a for a, b in zip(p, q)])
+                        kept.append((ray, both | bit))
+            rays = kept
+        masks = [m for _, m in rays]
+        full = (1 << (n + len(cands))) - 1
+        if reduce(and_, masks, full):
+            raise InconsistentMarking("no positive weight realizes this marking")
+        facets = tuple(
+            v
+            for k, v in enumerate(cands)
+            if reduce(and_, (m for m in masks if m >> (n + k) & 1), full) == 1 << (n + k)
+        )
+        cone = cls(n, facets)
+        object.__setattr__(cone, "_rays", tuple(r for r, _ in rays))
+        return cone
 
     def contains(self, w) -> bool:
         if len(w) != self.nvars:
@@ -225,11 +220,15 @@ class Cone:
         return all(sum(a * b for a, b in zip(v, w)) >= 0 for v in self.ineqs)
 
     def facet_interior_point(self, v):
-        """A strictly positive primitive integer point in the relative
-        interior of the facet v·w = 0, or None when that facet avoids the
-        open orthant."""
-        others = [u for u in self.ineqs if u != tuple(v)]
-        return strict_positive_solution(others, self.nvars, zeros=[v])
+        """The primitive sum of the extreme rays on facet v: strictly
+        positive, as the facet's relative interior is, and the same from
+        both cones that share the facet.  Raises `DomainError` for a v that
+        is not a facet."""
+        v = tuple(v)
+        if v not in self.ineqs:
+            raise DomainError(f"{v} is not a facet of this cone")
+        tight = [r for r in self._rays if not sum(a * b for a, b in zip(v, r))]
+        return primitive_vector([sum(col) for col in zip(*tight)])
 
     def __str__(self):
         rows = " ".join("[" + " ".join(map(str, v)) + "]" for v in self.ineqs)

@@ -3,11 +3,12 @@
 Two independent routes compute the fan:
 
 * `enumerate_fan` walks marked reduced bases across shared facets from the
-  degrevlex basis.  A facet already flipped from its other side is matched
-  by that flip's interior point, with no LP; any other facet is flipped to
-  the basis for an ordering whose first row is a facet-interior weight and
-  whose second row points across the facet, converted from the start basis
-  by `ReducedGB.change_order` (FGLM when the ideal is zero-dimensional).
+  degrevlex basis, with no LP.  A facet's weight, the primitive sum of the
+  cone's extreme rays on it, is the same from both its sides, so a facet
+  flipped from its other side is matched by it; any other facet is flipped
+  to the basis for an ordering whose first row is that weight and whose
+  second row points across the facet, converted from the start basis by
+  `ReducedGB.change_order` (FGLM when the ideal is zero-dimensional).
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible) by a walk that adds one
   candidate term at a time while the normal forms stay independent under
@@ -137,13 +138,13 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
     """All distinct leading-term ideals with reduced bases and cones.
 
     Runs on any nonzero ideal.  Every walked cone is full-dimensional, so
-    each of its irredundant facets meets the open orthant and has a flip
-    weight there, which a flipped facet keeps.  Facet v of a new cone is
-    matched, with no LP and no flip, when the cone contains a weight kept
-    for -v: the fan is polyhedral, so the cone that flipped -v is the
-    neighbor.  Each neighbor is converted from the start basis by
-    `ReducedGB.change_order`, so the ideal's cache keeps only that one
-    basis.  Only zero-dimensional fans have `fan_oracle_zerodim` as an
+    each of its irredundant facets meets the open orthant, and its flip
+    weight is `Cone.facet_interior_point`, the primitive sum of its extreme
+    rays, with no LP.  The fan is polyhedral, so the two cones that share a
+    facet share its rays and its weight: a facet is matched, with no flip,
+    when its weight was flipped already.  Each neighbor is converted from
+    the start basis by `ReducedGB.change_order`, so the ideal's cache keeps
+    only that one basis.  Only zero-dimensional fans have `fan_oracle_zerodim` as an
     independent check.
     """
     if ideal.is_zero():
@@ -151,7 +152,7 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
     n = ideal.ring.nvars
     start = ideal.groebner()
     visited: dict[tuple, MarkedBasis] = {}
-    flipped: dict[tuple, list[tuple]] = {}
+    flipped: set[tuple] = set()
     stack: list[ReducedGB] = [start]
     while stack:
         gb = stack.pop()
@@ -161,13 +162,10 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
         visited[key] = MarkedBasis(gb)
         cone = visited[key].cone
         for v in cone.ineqs:
-            across = tuple(-x for x in v)
-            if any(cone.contains(w) for w in flipped.get(across, ())):
-                continue
             w = cone.facet_interior_point(v)
-            if w is None:
-                raise InvariantViolation(f"facet {v} misses the open orthant")
-            flipped.setdefault(v, []).append(w)
+            if w in flipped:
+                continue
+            flipped.add(w)
             neighbor = start.change_order(flip_order(w, v, n))
             if neighbor.lt_key() not in visited:
                 stack.append(neighbor)

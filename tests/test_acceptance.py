@@ -483,10 +483,12 @@ def test_criterion_8vii_walked_facets_have_one_neighbor(corpus):
             for mb in fan:
                 for v in mb.cone.ineqs:
                     w = mb.cone.facet_interior_point(v)
-                    assert w is not None
+                    assert min(w) > 0
                     homes = [other for other in fan if other.cone.contains(w)]
                     assert len(homes) == 2 and any(h is mb for h in homes)
                     (neighbor,) = [h for h in homes if h is not mb]
-                    assert tuple(-x for x in v) in neighbor.cone.ineqs
+                    across = tuple(-x for x in v)
+                    assert across in neighbor.cone.ineqs
+                    assert neighbor.cone.facet_interior_point(across) == w
                     facets += 1
         assert facets > 0

@@ -7,14 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import gbfan.cones
 from gbfan import Cone, cone_of_marked, enumerate_fan, fan_oracle_zerodim, vanishing_ideal
-from gbfan.cones import (
-    _project,
-    canonical_inequalities,
-    feasible,
-    solve_system,
-    strict_positive_solution,
-)
-from gbfan.errors import InconsistentMarking
+from gbfan.cones import _project, feasible, solve_system, strict_positive_solution
+from gbfan.errors import DimensionMismatch, DomainError, InconsistentMarking
 from gbfan.fan import marking_vectors
 from gbfan.linalg import primitive_vector
 
@@ -111,7 +105,7 @@ _coeffs = st.integers(-3, 3)
 def _systems(draw):
     """Systems in 1-4 variables with all-zero rows, positive multiples of
     rows with weaker or stronger right-hand sides, the unit rows x_i >= 1
-    and the equality pairs of `strict_positive_solution(zeros=...)`."""
+    of `strict_positive_solution` and equality pairs."""
     n = draw(st.integers(1, 4))
     row = st.tuples(st.tuples(*[_coeffs] * n), st.integers(-4, 4))
     cons = draw(st.lists(row, max_size=6))
@@ -157,13 +151,24 @@ def _vector_sets(draw):
 @given(_vector_sets())
 def test_canonical_inequalities_match_fourier_motzkin_alone(case):
     # Fourier-Motzkin decides full-dimensionality on its own: the cone has
-    # an interior point exactly when some w > 0 makes every nonzero v·w > 0
+    # an interior point exactly when some w > 0 makes every nonzero v·w > 0.
+    # Each facet's point is then strictly positive, on its facet and strictly
+    # inside every other, and it depends on the cone only, not on the
+    # redundant candidates that built it
     vectors, n = case
     if strict_positive_solution([v for v in vectors if any(v)], n) is None:
         with pytest.raises(InconsistentMarking):
-            canonical_inequalities(vectors, n)
-    else:
-        assert canonical_inequalities(vectors, n) == _ref_canonical(vectors, n)
+            Cone.from_vectors(vectors, n)
+        return
+    cone = Cone.from_vectors(vectors, n)
+    assert cone.ineqs == _ref_canonical(vectors, n)
+    again = Cone.from_vectors(cone.ineqs, n)
+    for v in cone.ineqs:
+        w = cone.facet_interior_point(v)
+        assert primitive_vector(w) == w and min(w) > 0
+        assert sum(a * b for a, b in zip(v, w)) == 0
+        assert all(sum(a * b for a, b in zip(u, w)) > 0 for u in cone.ineqs if u != v)
+        assert again.facet_interior_point(v) == w
 
 
 def test_feasibility_basic():
@@ -192,13 +197,13 @@ def test_strict_positive_solution():
 
 
 def test_canonical_inequalities_drop_orthant_implied():
-    assert canonical_inequalities([(1, 0), (2, 3)], 2) == ()
-    assert canonical_inequalities([(1, -1), (2, -2)], 2) == ((1, -1),)
+    assert Cone.from_vectors([(1, 0), (2, 3)], 2).ineqs == ()
+    assert Cone.from_vectors([(1, -1), (2, -2)], 2).ineqs == ((1, -1),)
 
 
 def test_canonical_inequalities_prune_redundant():
     # within w >= 0: x - y >= 0 makes 2x - y >= 0 redundant
-    got = canonical_inequalities([(1, -1), (2, -1)], 2)
+    got = Cone.from_vectors([(1, -1), (2, -1)], 2).ineqs
     assert got == ((1, -1),)
 
 
@@ -218,6 +223,23 @@ def test_facet_interior_point():
     assert w is not None
     assert w[0] == w[1] and all(x > 0 for x in w) and w[0] > w[2]
     assert all(type(x) is int for x in w) and primitive_vector(w) == w
+
+
+@pytest.mark.parametrize("v", [(2, -1, -1), (-1, 1, 0), (2, -2, 0), [1, -1]])
+def test_facet_interior_point_of_a_non_facet_raises(v):
+    # (2, -1, -1) holds on the cone but is implied, (-1, 1, 0) cuts it,
+    # (2, -2, 0) is a facet's multiple and (1, -1) has too few entries
+    cone = Cone.from_vectors([(1, -1, 0), (1, 0, -1)], 3)
+    with pytest.raises(DomainError, match=r"\(.*\) is not a facet"):
+        cone.facet_interior_point(v)
+
+
+def test_vectors_of_the_wrong_length_raise():
+    with pytest.raises(DimensionMismatch, match=r"\(1, -1, 0, 5\)"):
+        Cone.from_vectors([(1, -1, 0, 5)], 2)
+    R = qring("x", "y")
+    with pytest.raises(DimensionMismatch):
+        cone_of_marked([R.parse("x + y")], [(1, 0)], 3)
 
 
 def test_cone_of_single_binomial():
@@ -295,7 +317,7 @@ def test_a_cone_that_is_not_full_dimensional_raises(vectors, n):
 def test_dominance_needs_a_positive_multiple(v, u, dominates):
     # v >= λ·u entrywise with λ > 0 makes u·w >= 0 imply v·w >= 0 on the
     # orthant, so a dominating v is never a facet
-    got = canonical_inequalities([v, u], len(v))
+    got = Cone.from_vectors([v, u], len(v)).ineqs
     assert got == _ref_canonical([v, u], len(v))
     if dominates:
         assert v not in got
@@ -305,7 +327,7 @@ def test_a_dominated_candidate_costs_no_lp(record_calls):
     # (2, -1) >= 1·(1, -1) entrywise, so (1, -1) alone is a facet
     feasible_calls = record_calls(gbfan.cones, "feasible")
     solve_calls = record_calls(gbfan.cones, "solve_system")
-    assert canonical_inequalities([(1, -1), (2, -1)], 2) == ((1, -1),)
+    assert Cone.from_vectors([(1, -1), (2, -1)], 2).ineqs == ((1, -1),)
     assert feasible_calls == solve_calls == []
 
 
@@ -314,7 +336,7 @@ def test_a_combination_of_two_others_reaches_fourier_motzkin(record_calls):
     # rays show it tight only on (1, 1, 1), where both others are tight too
     feasible_calls = record_calls(gbfan.cones, "feasible")
     solve_calls = record_calls(gbfan.cones, "solve_system")
-    got = canonical_inequalities([(1, -1, 0), (1, 0, -1), (2, -1, -1)], 3)
+    got = Cone.from_vectors([(1, -1, 0), (1, 0, -1), (2, -1, -1)], 3).ineqs
     assert got == ((1, -1, 0), (1, 0, -1))
     assert feasible_calls == solve_calls == []
 
