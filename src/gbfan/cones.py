@@ -152,12 +152,12 @@ def strict_positive_solution(vectors, n):
 @dataclass(frozen=True)
 class Cone:
     """A full-dimensional cone inside the nonnegative orthant, recorded by
-    its canonical irredundant inequalities (orthant implicit), built by
-    `from_vectors`, which keeps its extreme rays too."""
+    its canonical irredundant inequalities (orthant implicit) and its
+    extreme rays, both from `from_vectors`; equality ignores the rays."""
 
     nvars: int
     ineqs: tuple[tuple[int, ...], ...]
-    _rays: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    rays: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @classmethod
     def from_vectors(cls, vectors, n) -> "Cone":
@@ -208,9 +208,7 @@ class Cone:
             for k, v in enumerate(cands)
             if reduce(and_, (m for m in masks if m >> (n + k) & 1), full) == 1 << (n + k)
         )
-        cone = cls(n, facets)
-        object.__setattr__(cone, "_rays", tuple(r for r, _ in rays))
-        return cone
+        return cls(n, facets, tuple(r for r, _ in rays))
 
     def contains(self, w) -> bool:
         if len(w) != self.nvars:
@@ -227,7 +225,7 @@ class Cone:
         v = tuple(v)
         if v not in self.ineqs:
             raise DomainError(f"{v} is not a facet of this cone")
-        tight = [r for r in self._rays if not sum(a * b for a, b in zip(v, r))]
+        tight = [r for r in self.rays if not sum(a * b for a, b in zip(v, r))]
         return primitive_vector([sum(col) for col in zip(*tight)])
 
     def __str__(self):

@@ -4,10 +4,10 @@ Two independent routes compute the fan:
 
 * `enumerate_fan` walks marked reduced bases across shared facets from the
   degrevlex basis, with no LP.  A facet's weight, the primitive sum of the
-  cone's extreme rays on it, is the same from both its sides, so a facet
-  flipped from its other side is matched by it; any other facet is flipped
-  to the basis for an ordering whose first row is that weight and whose
-  second row points across the facet, converted from the start basis by
+  cone's extreme rays on it, is the same from both its sides, so the walk
+  keeps the weights that one found cone owns and flips only those: each to
+  the basis for an ordering whose first row is that weight and whose second
+  row points across the facet, converted from the start basis by
   `ReducedGB.change_order` (FGLM when the ideal is zero-dimensional).
 * `fan_oracle_zerodim` never flips: it enumerates all basic sets (order
   ideals whose normal-form matrix is invertible) by a walk that adds one
@@ -65,6 +65,8 @@ def cone_of_marked(elements, markings, nvars: int) -> Cone:
     a strictly positive weight realizes the marking exactly when the cone
     is full-dimensional, and `Cone.from_vectors` raises when it is not."""
     for g, lt in zip(elements, markings):
+        if g.ring.nvars != nvars:
+            raise DimensionMismatch(f"{g!r} for a cone in {nvars} variables")
         if tuple(lt) not in g.coeffs:
             raise InconsistentMarking(f"marked term not in support of {g!r}")
     vecs = marking_vectors([g.coeffs for g in elements], markings)
@@ -141,35 +143,37 @@ def enumerate_fan(ideal: Ideal) -> GroebnerFan:
     each of its irredundant facets meets the open orthant, and its flip
     weight is `Cone.facet_interior_point`, the primitive sum of its extreme
     rays, with no LP.  The fan is polyhedral, so the two cones that share a
-    facet share its rays and its weight: a facet is matched, with no flip,
-    when its weight was flipped already.  Each neighbor is converted from
-    the start basis by `ReducedGB.change_order`, so the ideal's cache keeps
-    only that one basis.  Only zero-dimensional fans have `fan_oracle_zerodim` as an
+    facet share its rays and its weight.  `unmatched` holds each weight that
+    one found cone owns, in the order found; a cone's weight already there is
+    matched and dropped.  The newest entry is flipped, and stays until the
+    cone across it is added, so every flip reaches a new cone (cones - 1
+    flips; `InvariantViolation` otherwise) and the walk ends with every
+    facet matched.  Each neighbor is converted from the start basis by
+    `ReducedGB.change_order`, so the ideal's cache keeps only that one
+    basis.  Only zero-dimensional fans have `fan_oracle_zerodim` as an
     independent check.
     """
     if ideal.is_zero():
         raise ZeroIdeal("the zero ideal has no Gröbner fan")
     n = ideal.ring.nvars
     start = ideal.groebner()
-    visited: dict[tuple, MarkedBasis] = {}
-    flipped: set[tuple] = set()
-    stack: list[ReducedGB] = [start]
-    while stack:
-        gb = stack.pop()
+    found: dict[tuple, MarkedBasis] = {}
+    unmatched: dict[tuple, tuple] = {}  # facet weight -> its found owner's facet
+    gb = start
+    while True:
         key = gb.lt_key()
-        if key in visited:
-            continue
-        visited[key] = MarkedBasis(gb)
-        cone = visited[key].cone
-        for v in cone.ineqs:
-            w = cone.facet_interior_point(v)
-            if w in flipped:
-                continue
-            flipped.add(w)
-            neighbor = start.change_order(flip_order(w, v, n))
-            if neighbor.lt_key() not in visited:
-                stack.append(neighbor)
-    return GroebnerFan(ideal.ring, visited.values())
+        if key in found:
+            raise InvariantViolation(f"a flip reached the found cone of {gb.lt_ideal()}")
+        found[key] = mb = MarkedBasis(gb)
+        for v in mb.cone.ineqs:
+            w = mb.cone.facet_interior_point(v)
+            if unmatched.pop(w, None) is None:
+                unmatched[w] = v
+        if not unmatched:
+            return GroebnerFan(ideal.ring, found.values())
+        # the newest facet stays unmatched until the cone across it is added
+        w, v = next(reversed(unmatched.items()))
+        gb = start.change_order(flip_order(w, v, n))
 
 
 def unique_gb_fast_check(ideal: Ideal) -> bool:

@@ -240,6 +240,23 @@ def test_vectors_of_the_wrong_length_raise():
     R = qring("x", "y")
     with pytest.raises(DimensionMismatch):
         cone_of_marked([R.parse("x + y")], [(1, 0)], 3)
+    # monomials give no vector at all, so the ring's size is checked first
+    with pytest.raises(DimensionMismatch, match="3 variables"):
+        cone_of_marked([R.parse("x"), R.parse("y^2")], [(1, 0), (0, 2)], 3)
+
+
+def test_a_cone_rebuilt_from_its_fields_is_the_same_cone():
+    # the rays are a constructor field, uncompared and unprinted, so a cone
+    # has one door and every cone knows its facet points
+    cone = Cone.from_vectors([(1, -1, 0), (1, 0, -1), (0, 2, -1)], 3)
+    again = Cone(cone.nvars, cone.ineqs, cone.rays)
+    assert again == cone and hash(again) == hash(cone)
+    assert repr(again) == repr(cone) and "rays" not in repr(cone)
+    assert Cone(cone.nvars, cone.ineqs, ()) == cone
+    points = [cone.facet_interior_point(v) for v in cone.ineqs]
+    assert [again.facet_interior_point(v) for v in again.ineqs] == points
+    with pytest.raises(TypeError):
+        Cone(2, ((1, -1),))
 
 
 def test_cone_of_single_binomial():

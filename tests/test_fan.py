@@ -3,8 +3,10 @@
 import sys
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbfan import (
     Cone,
@@ -27,6 +29,8 @@ from gbfan import (
     weight_order,
 )
 from gbfan.cli import main
+from gbfan.fan import GroebnerFan, flip_order
+from gbfan.files import load_ideal
 from gbfan.errors import (
     BoundExceeded,
     InvariantViolation,
@@ -46,6 +50,7 @@ from conftest import (
     qring,
     weight_refinement,
 )
+from test_cli import GF7_IDEAL, PINNED_INPUTS, SYMMETRIC_IDEAL
 
 
 def test_principal_binomial_two_cones(rxy):
@@ -471,3 +476,109 @@ def test_fan_cones_cover_orthant_by_sampling(rxy):
     for _ in range(25):
         w = (rng.randint(1, 30), rng.randint(1, 30))
         assert any(mb.cone.contains(w) for mb in fan)
+
+
+def _eager_walk(ideal):
+    """The walk as it was before it kept unmatched facets, a reference for
+    `enumerate_fan`'s text: it flips every facet whose weight it has not
+    flipped yet, at once, and drops a flip whose cone it has found."""
+    n = ideal.ring.nvars
+    start = ideal.groebner()
+    visited = {}
+    flipped = set()
+    stack = [start]
+    while stack:
+        gb = stack.pop()
+        key = gb.lt_key()
+        if key in visited:
+            continue
+        visited[key] = MarkedBasis(gb)
+        cone = visited[key].cone
+        for v in cone.ineqs:
+            w = cone.facet_interior_point(v)
+            if w in flipped:
+                continue
+            flipped.add(w)
+            neighbor = start.change_order(flip_order(w, v, n))
+            if neighbor.lt_key() not in visited:
+                stack.append(neighbor)
+    return GroebnerFan(ideal.ring, visited.values())
+
+
+def _fan_text(fan):
+    """Each cone and its basis as `gbfan fan` prints them, in its ordering."""
+    return "\n".join(
+        "\n".join([str(mb.cone), *(g.to_str(mb.basis.order) for g in mb.basis)])
+        for mb in fan
+    )
+
+
+def _check_one_flip_per_cone(ideal):
+    expected = _fan_text(_eager_walk(ideal))
+    real = ReducedGB.change_order
+    with patch.object(ReducedGB, "change_order", autospec=True, side_effect=real) as flips:
+        fan = enumerate_fan(ideal)
+    assert _fan_text(fan) == expected
+    assert flips.call_count == fan.size - 1
+
+
+# the fans that `gbfan fan` prints in tests/test_cli.py, then three more
+# positive-dimensional ones
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        pytest.param(PINNED_INPUTS["fracs.ideal"], None, id="fracs-fan"),
+        pytest.param(PINNED_INPUTS["fracs.ideal"], "GF(32003)", id="fracs-fan-gf"),
+        pytest.param(PINNED_INPUTS["posdim.ideal"], None, id="posdim-fan-and-x2-y3"),
+        pytest.param(SYMMETRIC_IDEAL, None, id="symmetric"),
+        pytest.param(GF7_IDEAL, None, id="gf7"),
+        pytest.param("# field: QQ\n# vars: x, y, z\nx^3 - y*z\ny^2 - x*z^2\n", None, id="x3-yz"),
+        pytest.param(
+            "# field: GF(32003)\n# vars: x, y, z\nx^2*y - z^3 + 1\nx*z - y^2\n",
+            None,
+            id="x2y-z3-gf",
+        ),
+        pytest.param(
+            "# field: QQ\n# vars: x, y, z, w\nx*z - y^2\nx*w - y*z\ny*w - z^2\n",
+            None,
+            id="twisted-cubic",
+        ),
+    ],
+)
+def test_walk_flips_once_per_cone_and_prints_the_eager_walks_text(tmp_path, text, field):
+    path = tmp_path / "ideal.txt"
+    path.write_text(text)
+    _check_one_flip_per_cone(load_ideal(str(path), field)[1])
+
+
+@st.composite
+def _point_ideals(draw):
+    """Vanishing ideals of up to 10 points in 3 variables, or 6 in 4."""
+    n = draw(st.sampled_from([3, 4]))
+    names = ("x", "y", "z", "w")[:n]
+    R = draw(st.sampled_from([qring(*names), fring(32003, *names)]))
+    coords = st.tuples(*[st.integers(-9, 9)] * n)
+    pts = draw(st.sets(coords, min_size=1, max_size=10 if n == 3 else 6))
+    return vanishing_ideal(points(R, sorted(pts)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_ideals())
+def test_point_fans_flip_once_per_cone_and_print_the_eager_walks_text(I):
+    _check_one_flip_per_cone(I)
+
+
+def test_a_flip_onto_a_found_cone_raises(monkeypatch):
+    # a facet whose two sides give different weights is never matched, so
+    # its second flip reaches the cone that the first flip started from
+    real = Cone.facet_interior_point
+
+    def lopsided(cone, v):
+        w = real(cone, v)
+        return tuple(2 * x for x in w) if next(x for x in v if x) < 0 else w
+
+    monkeypatch.setattr(Cone, "facet_interior_point", lopsided)
+    I = ideal(qring("x", "y", "z"), "x^2 - y*z", "y^2 - x*z", "z^2 - x*y", "x*y*z")
+    assert _eager_walk(I).size == 6
+    with pytest.raises(InvariantViolation, match="found cone"):
+        enumerate_fan(I)
