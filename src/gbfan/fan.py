@@ -32,7 +32,7 @@ when several of its markings are realizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from .cones import Cone, strict_positive_solution
 from .errors import (
@@ -64,6 +64,8 @@ def cone_of_marked(elements, markings, nvars: int) -> Cone:
     """Canonical cone of a marked basis.  Marking vectors are never zero, so
     a strictly positive weight realizes the marking exactly when the cone
     is full-dimensional, and `Cone.from_vectors` raises when it is not."""
+    if len(elements) != len(markings):
+        raise DimensionMismatch(f"{len(elements)} elements with {len(markings)} markings")
     for g, lt in zip(elements, markings):
         if g.ring.nvars != nvars:
             raise DimensionMismatch(f"{g!r} for a cone in {nvars} variables")
@@ -80,9 +82,12 @@ class MarkedBasis:
     basis: ReducedGB
 
     def __post_init__(self):
-        key = cache(self.basis.order.key)  # tails share their terms
-        for lt, g in zip(self.basis.lt_exps, self.basis.elements):
-            if lt != max(g.coeffs, key=key):
+        gb = self.basis
+        terms = set().union(*(g.coeffs for g in gb.elements))  # tails share terms
+        rank = gb.order.rank_key(max(map(sum, terms), default=0))
+        ranks = dict(zip(terms, map(rank, terms)))
+        for lt, g in zip(gb.lt_exps, gb.elements):
+            if lt != max(g.coeffs, key=ranks.__getitem__):
                 raise InvariantViolation(f"marked term of {g!r} does not lead it")
 
     @cached_property
@@ -92,8 +97,12 @@ class MarkedBasis:
         return Cone.from_vectors(vecs, gb.ring.nvars)
 
     def identity(self):
-        """Equality key; the leading terms fix the marking, so also the cone."""
-        return (self.basis.lt_key(), frozenset(self.basis.elements))
+        """Equality key: each element beside its leading term, by leading
+        term, which fixes the marking, so also the cone.  No two elements
+        share a leading term, so sorting compares no polynomials, and `==`
+        compares coefficients without hashing them."""
+        gb = self.basis
+        return tuple(sorted(zip(gb.lt_exps, gb.elements)))
 
 
 class GroebnerFan:
@@ -310,7 +319,8 @@ def fan_oracle_zerodim(ideal: Ideal, bound: int = 12) -> GroebnerFan:
         if w is None:
             continue
         order = weight_order(w)
-        pairs = sorted(zip(corner_terms, reps), key=lambda pair: order.key(pair[0]))
+        rank = order.rank_key(max(map(sum, corner_terms)))
+        pairs = sorted(zip(corner_terms, reps), key=lambda pair: rank(pair[0]))
         gb = ReducedGB(ring, order, pairs)
         key = gb.lt_key()
         if key in found:

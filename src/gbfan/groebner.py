@@ -378,7 +378,8 @@ class ReducedGB:
             lt = self.lt_ideal()
             if not lt.is_zero_dimensional():
                 raise NotZeroDimensional("the ideal is not zero-dimensional")
-            terms = sorted(lt.order_ideal(), key=self.order.key)
+            terms = lt.order_ideal()
+            terms.sort(key=self.order.rank_key(max(map(sum, terms), default=0)))
             self._index = {t: i for i, t in enumerate(terms)}
         return tuple(self._index)
 
@@ -600,12 +601,13 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroIdealDivisor("division by the zero polynomial")
     ring = f.ring
     order = ring.default_order()
-    okey = order.key
     g_lt, g_lc = g.leading_term(order)
+    # degrevlex puts g_lt at g's top degree, so work never exceeds deg f
+    rank = order.rank_key(f.total_degree())
     work = dict(f.coeffs)
     quot: dict = {}
     while work:
-        t = max(work, key=okey)
+        t = max(work, key=rank)
         if not tdivides(g_lt, t):
             raise InvariantViolation("inexact polynomial division")
         c = work[t] / g_lc

@@ -185,11 +185,13 @@ def basis_from_functionals(order, p, vec_of):
     `(lead_term, coeffs)` by increasing lead_term, coeffs residues over
     GF(p) and `Fraction`s over QQ, and the quotient basis in increasing order.
     """
-    okey = order.key
     n = order.nvars
     origin = (0,) * n
-    heap = [(okey(origin), origin)]
     pending = {origin: vec_of(origin, None, None)}
+    # at most s = len(vector) quotient terms, each x_i times an earlier one,
+    # so a quotient term has degree < s and a pushed term degree <= s
+    rank = order.rank_key(len(pending[origin]))
+    heap = [(0, origin)]
 
     quotient: list[tuple] = []
     echelon: list[tuple] = []
@@ -210,7 +212,7 @@ def basis_from_functionals(order, p, vec_of):
             up = t[:i] + (t[i] + 1,) + t[i + 1 :]
             if up not in pending:
                 pending[up] = vec_of(up, vec, i)
-                heappush(heap, (okey(up), up))
+                heappush(heap, (rank(up), up))
     return elements, quotient
 
 

@@ -3,6 +3,16 @@
 A matrix defines a term ordering by comparing the images M·s and M·t
 lexicographically.  Validity requires rank n and, so that 1 is minimal,
 that the first nonzero entry of every column (read top-down) is positive.
+
+`TermOrder.key`, the tuple M·t, is the ordering's definition and the
+tests' reference; the library ranks terms by one int instead.  M' keeps
+the n rows of M that raise the rank (a row in the span of the rows before
+it never decides a comparison), each made nonnegative by adding the least
+multiple of the sum of the kept rows before it, which never changes the
+ordering (Robbiano 1985).  `TermOrder.rank_key(d)` packs M'·t into one slot
+per row, wide enough for any term of degree at most d, so the ints compare
+as the tuples do; `Packing` adds exponent slots below the same rows for
+Buchberger's kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ class TermOrder:
     """A term ordering given by integer weight rows, compared row by row;
     an entry with a fractional part raises `InvalidOrdering`."""
 
-    __slots__ = ("rows", "tag", "nvars", "_canon")
+    __slots__ = ("rows", "tag", "nvars", "_canon", "_nonneg", "_top", "_ranks")
 
     def __init__(self, rows, tag: str = "matrix"):
         given = tuple(map(tuple, rows))
@@ -36,22 +46,36 @@ class TermOrder:
                 raise InvalidOrdering(
                     f"column {col}: first nonzero weight must be positive"
                 )
-        # the canonical form (see `canonical`) is also the rank check
+        # the canonical form (see `canonical`) is also the rank check, and M'
+        # (see `rank_key`) keeps the rows that raise the rank, each lifted by
+        # the smallest multiple of the sum of those before it that clears
+        # its negatives
         echelon: list = []
         canon: list[tuple[int, ...]] = []
+        lifted: list[tuple[int, ...]] = []
+        above = (0,) * n
         for row in rows:
             pivot, vec, _ = echelon_reduce(echelon, row, 0)
-            if pivot is not None:
-                echelon.append((pivot, vec, None))
-                canon.append(tuple(vec))
-                if len(canon) == n:
-                    break
+            if pivot is None:
+                continue
+            echelon.append((pivot, vec, None))
+            canon.append(tuple(vec))
+            if min(row) < 0:
+                lam = max(-(w // s) for w, s in zip(row, above) if w < 0)
+                row = tuple([w + lam * s for w, s in zip(row, above)])
+            lifted.append(row)
+            if len(canon) == n:
+                break
+            above = tuple(map(add, above, row))
         if len(canon) != n:
             raise InvalidOrdering("weight matrix must have full column rank")
         self.rows = rows
         self.tag = tag
         self.nvars = n
         self._canon = tuple(canon)
+        self._nonneg = tuple(lifted)
+        self._top = max(map(max, lifted))
+        self._ranks: dict[int, object] = {}  # slot width -> rank function
 
     def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key: the weighted image of an exponent vector."""
@@ -60,6 +84,33 @@ class TermOrder:
                 f"exponent length {len(exp)} != {self.nvars} variables"
             )
         return tuple([sum(map(mul, row, exp)) for row in self.rows])
+
+    def rank_key(self, degree: int):
+        """A key function that maps an exponent tuple of total degree at
+        most `degree` to one int; the ints compare as `key` does.
+
+        The int holds M'·t (see the module docstring), one slot per row,
+        the first row highest.  A slot holds at most degree · max(M'), so
+        slots of that many bits never carry and the ints compare row by
+        row.  Widths are powers of two, at least 16 bits, and each width's
+        function is kept on the order.  A term of higher degree may rank
+        wrongly, so each caller passes a bound on the terms it ranks."""
+        need = (self._top * degree).bit_length()
+        bits = 1 << max(4, (need - 1).bit_length())
+        rank = self._ranks.get(bits)
+        if rank is None:
+            rows = self._nonneg
+            top = len(rows) - 1
+            units = tuple(
+                sum(row[j] << ((top - i) * bits) for i, row in enumerate(rows))
+                for j in range(self.nvars)
+            )
+
+            def rank(exp: tuple[int, ...]) -> int:
+                return sum(map(mul, exp, units))
+
+            rank = self._ranks.setdefault(bits, rank)
+        return rank
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Canonical form identifying matrices that define the same ordering.
@@ -94,11 +145,10 @@ class Packing:
     Buchberger's reduction kernel.
 
     A term t packs into slots of `bits` bits, each with a guard bit at its
-    top: the high slots hold M'·t, one per weight row, the first row
-    highest, and the low slots hold t's exponents.  M' is the ordering's
-    rows made nonnegative: each row gains λ times the sum of the rows
-    before it, with the smallest λ that clears its negatives, which never
-    changes the ordering (Robbiano 1985).  While every guard is clear:
+    top: the high slots hold M'·t, the ordering's rows made nonnegative
+    (see the module docstring), the first row highest, as in
+    `TermOrder.rank_key`, and the low slots hold t's exponents.  While every
+    guard is clear:
 
     - T < S exactly when t < s, so no order key is computed for a term;
     - T + S packs t·s, so a shift is one addition;
@@ -115,12 +165,7 @@ class Packing:
     __slots__ = ("bits", "guard", "_units", "_refused", "_mask", "_shifts")
 
     def __init__(self, order: TermOrder, bits: int):
-        rows: list[list[int]] = []
-        above = [0] * order.nvars  # the sum of the rows made so far
-        for row in order.rows:
-            lam = max((-(w // s) for w, s in zip(row, above) if w < 0), default=0)
-            rows.append([w + lam * s for w, s in zip(row, above)])
-            above = list(map(add, above, rows[-1]))
+        rows = order._nonneg
         n, high = order.nvars, len(rows)
         self.bits = bits
         self.guard = sum(1 << (k * bits + bits - 1) for k in range(n + high))
@@ -130,7 +175,7 @@ class Packing:
             for j in range(n)
         )
         # the least degree d with d * (max entry of M' + 1) >= 2^(bits - 1)
-        top = max(map(max, rows)) + 1
+        top = order._top + 1
         self._refused = -(-(1 << (bits - 1)) // top)
         self._mask = (1 << bits) - 1
         self._shifts = tuple(j * bits for j in range(n))

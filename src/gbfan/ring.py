@@ -152,9 +152,7 @@ class Polynomial:
         return bool(self.coeffs)
 
     def total_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
+        return max(map(sum, self.coeffs), default=-1)
 
     def degree_in(self, i: int) -> int:
         if not self.coeffs:
@@ -174,7 +172,7 @@ class Polynomial:
         order = self.ring.term_order(order)
         if not self.coeffs:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        exp = max(self.coeffs, key=order.key)
+        exp = max(self.coeffs, key=order.rank_key(self.total_degree()))
         return exp, self.coeffs[exp]
 
     def monic(self, order: TermOrder) -> "Polynomial":
@@ -266,7 +264,8 @@ class Polynomial:
             return "0"
         field = self.ring.field
         parts = []
-        for i, exp in enumerate(sorted(self.coeffs, key=order.key, reverse=True)):
+        rank = order.rank_key(self.total_degree())
+        for i, exp in enumerate(sorted(self.coeffs, key=rank, reverse=True)):
             c = self.coeffs[exp]
             neg = field.is_negative(c)
             mag = -c if neg else c

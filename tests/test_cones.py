@@ -243,6 +243,12 @@ def test_vectors_of_the_wrong_length_raise():
     # monomials give no vector at all, so the ring's size is checked first
     with pytest.raises(DimensionMismatch, match="3 variables"):
         cone_of_marked([R.parse("x"), R.parse("y^2")], [(1, 0), (0, 2)], 3)
+    # an element without a marking, or a marking without an element, is
+    # not dropped
+    with pytest.raises(DimensionMismatch, match="2 elements with 1 markings"):
+        cone_of_marked([R.parse("x + y"), R.parse("x^2 + y")], [(1, 0)], 2)
+    with pytest.raises(DimensionMismatch, match="1 elements with 2 markings"):
+        cone_of_marked([R.parse("x + y")], [(1, 0), (0, 1)], 2)
 
 
 def test_a_cone_rebuilt_from_its_fields_is_the_same_cone():

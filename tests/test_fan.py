@@ -419,26 +419,66 @@ def test_marked_basis_rejects_a_term_its_ordering_does_not_lead(rxy):
         MarkedBasis(basis)
 
 
-def test_marked_basis_keys_each_term_once(record_calls):
-    # a flip basis's marking check keys each term once, and its reductions
-    # key none, since they compare packed terms; the basis builds its
+def test_marked_basis_keys_each_term_once(record_calls, monkeypatch):
+    # a flip basis's marking check computes no `TermOrder.key` and ranks
+    # each term once, since the tails share their terms; its reductions
+    # rank none, since they compare packed terms; the basis builds its
     # reducers only once it reduces
     R = qring("x", "y", "z")
     I = ideal(R, "x^2 - y*z + 1", "y^2 - x*z + 2", "z^2 - x*y + 3")
     flip = I.groebner().change_order(lex(3))
     standard = flip.quotient_basis()
-    calls = record_calls(TermOrder, "key")
+    ranked = []
+    rank_key = TermOrder.rank_key
+
+    def counted_rank_key(order, degree):
+        rank = rank_key(order, degree)
+
+        def counted(exp):
+            ranked.append(exp)
+            return rank(exp)
+
+        return counted
+
+    monkeypatch.setattr(TermOrder, "rank_key", counted_rank_key)
+    keyed = record_calls(TermOrder, "key")
     MarkedBasis(flip)
     assert flip._kernel is None
-    checked = [call["exp"] for call in calls]
-    calls.clear()
+    checked = list(ranked)
+    ranked.clear()
     for g in I.gens:
         assert flip.reduce(g).is_zero()
     for t in standard:
         flip.nf_coords(tuple(2 * e for e in t))
-    assert calls == []
-    assert checked
-    assert len(checked) == len(set(checked))
+    assert keyed == [] and ranked == []
+    terms = {t for g in flip.elements for t in g.coeffs}
+    assert len(checked) == len(terms) == len(set(checked))
+    assert set(checked) == terms
+
+
+def test_fan_equality_sees_a_tail_coefficient():
+    # cones are identified by their elements beside their leading terms,
+    # compared coefficient by coefficient: one changed tail coefficient
+    # makes the fans differ, and equal fans hash equal (the two-cone fan
+    # of test_symmetric_ideal_two_cones)
+    R = qring("x", "y")
+    I = ideal(R, "x^2 + x*y + y^2", "x^3", "x^2*y", "x*y^2", "y^3")
+    oracle = fan_oracle_zerodim(I)
+    assert oracle == enumerate_fan(I) == fan_oracle_zerodim(I)
+    assert hash(oracle) == hash(enumerate_fan(I)) == hash(fan_oracle_zerodim(I))
+    first, *rest = oracle.cones
+    gb = first.basis
+    k, g = next((k, g) for k, g in enumerate(gb.elements) if len(g.coeffs) > 1)
+    tail = next(t for t in g.coeffs if t != gb.lt_exps[k])
+    coeffs = [dict(h.coeffs) for h in gb.elements]
+    coeffs[k][tail] *= 2
+    changed = ReducedGB(R, gb.order, list(zip(gb.lt_exps, coeffs)))
+    assert changed.lt_exps == gb.lt_exps and changed.elements != gb.elements
+    other = GroebnerFan(R, [MarkedBasis(changed), *rest])
+    assert other != oracle and oracle != other
+    rebuilt = ReducedGB(R, gb.order, list(zip(gb.lt_exps, (dict(h.coeffs) for h in gb.elements))))
+    same = GroebnerFan(R, [MarkedBasis(rebuilt), *rest])
+    assert same == oracle and hash(same) == hash(oracle)
 
 
 def test_oracle_requires_zero_dimensional(rxy):

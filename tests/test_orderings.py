@@ -4,12 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gbfan import QQ, Ideal, PolyRing, deglex, degrevlex, lex, parse_order, weight_order
 from gbfan.errors import DimensionMismatch, InvalidOrdering, ParseError
+from gbfan.fan import flip_order
 from gbfan.orderings import SlotOverflow, TermOrder, elimination_order, packing
-from gbfan.terms import tdivides
+from gbfan.terms import tdivides, term_str
 
 
 def test_lex_compare():
@@ -253,3 +254,52 @@ def test_pack_refuses_a_term_that_could_fill_a_slot():
     wider = packing(lex(1), 16)
     assert wider.unpack(wider.pack((64,))) == (64,)
     assert packing(lex(1), 8) is pk
+
+
+@st.composite
+def _ranked_case(draw):
+    """An ordering of each kind, flip orderings (negative rows) and random
+    matrices among them, and terms with exponents up to 2^70, so that
+    slots run past 64 bits, and the least degree bound that holds them."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    weights = st.lists(st.integers(min_value=1, max_value=2**30), min_size=n, max_size=n)
+    order = draw(st.one_of(
+        st.sampled_from([lex(n), deglex(n), degrevlex(n)]),
+        weights.map(weight_order),
+        st.sets(st.integers(min_value=0, max_value=n - 1)).map(
+            lambda block: elimination_order(n, block)
+        ),
+        st.tuples(weights, st.lists(st.integers(-9, 9), min_size=n, max_size=n)).map(
+            lambda wv: flip_order(wv[0], wv[1], n)
+        ),
+        _matrices(n).map(_valid_order),
+    ))
+    exponent = st.one_of(st.integers(min_value=0, max_value=6), st.integers(0, 2**70))
+    terms = draw(st.lists(st.tuples(*[exponent] * n), min_size=2, max_size=6))
+    degree = max(map(sum, terms)) + draw(st.integers(min_value=0, max_value=3))
+    return order, terms, degree
+
+
+@settings(deadline=None)
+@given(_ranked_case())
+@example((lex(2), [(1, 0), (0, 2**70)], 2**70))
+@example((weight_order([2**30, 1]), [(2**40, 0), (0, 2**40), (2**40 - 1, 2**30 + 1)], 2**40 + 2**30))
+def test_rank_key_compares_as_key(case):
+    order, terms, degree = case
+    rank = order.rank_key(degree)
+    for s in terms:
+        assert isinstance(rank(s), int)
+        for t in terms:
+            assert (rank(s) < rank(t)) == (order.key(s) < order.key(t))
+            assert (rank(s) == rank(t)) == (s == t)
+
+
+def test_to_str_ranks_a_term_past_64_bit_slots():
+    R = PolyRing(QQ, ["x", "y"])
+    f = R.parse(f"x^{2**40} + y^3 + 1")
+    orders = [lex(2), degrevlex(2), weight_order([1, 2**40]), flip_order([2**30, 1], [1, -5], 2)]
+    for order in orders:
+        terms = sorted(f.coeffs, key=order.key, reverse=True)
+        assert f.to_str(order) == " + ".join(term_str(t, R.vars) for t in terms)
+    assert f.to_str(lex(2)) == f"x^{2**40} + y^3 + 1"
+    assert f.to_str(weight_order([1, 2**40])) == f"y^3 + x^{2**40} + 1"

@@ -1,6 +1,7 @@
 """The public surface: the exported names, the README quick start, the
-names the benchmark's tracer wraps, and two source rules: every import is
-used, and every private function is called."""
+names the benchmark's tracer wraps, and three source rules: every import
+is used, every private function is called, and only `orderings` reads an
+ordering's tuple key."""
 
 import ast
 import importlib.util
@@ -85,3 +86,17 @@ def test_every_private_function_has_a_caller():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
     ]
     assert private and [name for name in private if name.split(".")[1] not in loaded] == []
+
+
+def test_only_orderings_reads_a_tuple_key():
+    # the library ranks terms by `TermOrder.rank_key` ints; `TermOrder.key`
+    # is the ordering's definition, read in `orderings` and by the tests.
+    # No other type in the package has an attribute named key.
+    readers = sorted(
+        f"{stem}:{node.lineno}"
+        for stem, tree in _modules().items()
+        if stem != "orderings"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "key"
+    )
+    assert readers == []
