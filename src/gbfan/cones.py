@@ -221,11 +221,13 @@ class Cone:
         """The primitive sum of the extreme rays on facet v: strictly
         positive, as the facet's relative interior is, and the same from
         both cones that share the facet.  Raises `DomainError` for a v that
-        is not a facet."""
+        is not a facet or that no extreme ray lies on."""
         v = tuple(v)
         if v not in self.ineqs:
             raise DomainError(f"{v} is not a facet of this cone")
         tight = [r for r in self.rays if not sum(a * b for a, b in zip(v, r))]
+        if not tight:
+            raise DomainError(f"no extreme ray of this cone lies on {v}")
         return primitive_vector([sum(col) for col in zip(*tight)])
 
     def __str__(self):

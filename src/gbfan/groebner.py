@@ -14,10 +14,9 @@ criteria prune the pairs, and the elements left active are the minimal
 basis, whose tails a last pass reduces to give the reduced monic basis.
 
 Inside `_reduce_dict` and `buchberger_dicts` a term is one int, packed
-by `orderings.Packing`: guarded slots holding M'·t above t's exponents,
-M' the ordering's rows made nonnegative, so packed ints compare as their
-terms do, multiply by addition and test divisibility by one subtraction.
-No order key is computed for a term.  A term that outgrows its slots
+by `orderings.Packing` (whose docstring gives the layout), so packed ints
+compare as their terms do, multiply by addition and test divisibility by
+one subtraction.  No order key is computed for a term.  A term that outgrows its slots
 sets a guard bit where it is made and raises `SlotOverflow`, and the run,
 or a `ReducedGB`'s reducers, start again on slots twice as wide; nothing
 is ever truncated.

@@ -5,14 +5,10 @@ lexicographically.  Validity requires rank n and, so that 1 is minimal,
 that the first nonzero entry of every column (read top-down) is positive.
 
 `TermOrder.key`, the tuple M·t, is the ordering's definition and the
-tests' reference; the library ranks terms by one int instead.  M' keeps
-the n rows of M that raise the rank (a row in the span of the rows before
-it never decides a comparison), each made nonnegative by adding the least
-multiple of the sum of the kept rows before it, which never changes the
-ordering (Robbiano 1985).  `TermOrder.rank_key(d)` packs M'·t into one slot
-per row, wide enough for any term of degree at most d, so the ints compare
-as the tuples do; `Packing` adds exponent slots below the same rows for
-Buchberger's kernel.
+tests' reference; the library maps terms to single ints by one layout,
+described in `Packing`.  An ordering keeps its packings, so they live as
+long as it does: Buchberger packs by them and `TermOrder.rank_key` ranks
+by them.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ class TermOrder:
     """A term ordering given by integer weight rows, compared row by row;
     an entry with a fractional part raises `InvalidOrdering`."""
 
-    __slots__ = ("rows", "tag", "nvars", "_canon", "_nonneg", "_top", "_ranks")
+    __slots__ = ("rows", "tag", "nvars", "_canon", "_nonneg", "_packings")
 
     def __init__(self, rows, tag: str = "matrix"):
         given = tuple(map(tuple, rows))
@@ -47,7 +43,7 @@ class TermOrder:
                     f"column {col}: first nonzero weight must be positive"
                 )
         # the canonical form (see `canonical`) is also the rank check, and M'
-        # (see `rank_key`) keeps the rows that raise the rank, each lifted by
+        # (see `Packing`) keeps the rows that raise the rank, each lifted by
         # the smallest multiple of the sum of those before it that clears
         # its negatives
         echelon: list = []
@@ -74,8 +70,7 @@ class TermOrder:
         self.nvars = n
         self._canon = tuple(canon)
         self._nonneg = tuple(lifted)
-        self._top = max(map(max, lifted))
-        self._ranks: dict[int, object] = {}  # slot width -> rank function
+        self._packings: dict[int, Packing] = {}  # slot width -> packing
 
     def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key: the weighted image of an exponent vector."""
@@ -89,28 +84,13 @@ class TermOrder:
         """A key function that maps an exponent tuple of total degree at
         most `degree` to one int; the ints compare as `key` does.
 
-        The int holds M'·t (see the module docstring), one slot per row,
-        the first row highest.  A slot holds at most degree · max(M'), so
-        slots of that many bits never carry and the ints compare row by
-        row.  Widths are powers of two, at least 16 bits, and each width's
-        function is kept on the order.  A term of higher degree may rank
+        It is `Packing.rank` of the narrowest packing of this ordering
+        whose slots hold that degree.  A term of higher degree may rank
         wrongly, so each caller passes a bound on the terms it ranks."""
-        need = (self._top * degree).bit_length()
-        bits = 1 << max(4, (need - 1).bit_length())
-        rank = self._ranks.get(bits)
-        if rank is None:
-            rows = self._nonneg
-            top = len(rows) - 1
-            units = tuple(
-                sum(row[j] << ((top - i) * bits) for i, row in enumerate(rows))
-                for j in range(self.nvars)
-            )
-
-            def rank(exp: tuple[int, ...]) -> int:
-                return sum(map(mul, exp, units))
-
-            rank = self._ranks.setdefault(bits, rank)
-        return rank
+        pk = packing(self)
+        while degree >= pk.refused:
+            pk = packing(self, 2 * pk.bits)
+        return pk.rank
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Canonical form identifying matrices that define the same ordering.
@@ -141,61 +121,75 @@ class SlotOverflow(Exception):
 
 
 class Packing:
-    """Terms of one ordering as single ints (Bachmann–Schönemann), for
-    Buchberger's reduction kernel.
+    """Terms of one ordering as single ints (Bachmann–Schönemann): the
+    library's one term-to-int layout, for Buchberger's reduction kernel and
+    for `TermOrder.rank_key`.
 
-    A term t packs into slots of `bits` bits, each with a guard bit at its
-    top: the high slots hold M'·t, the ordering's rows made nonnegative
-    (see the module docstring), the first row highest, as in
-    `TermOrder.rank_key`, and the low slots hold t's exponents.  While every
-    guard is clear:
+    M' keeps the n rows of M that raise the rank (a row in the span of the
+    rows before it never decides a comparison), each made nonnegative by
+    adding the least multiple of the sum of the kept rows before it, which
+    never changes the ordering (Robbiano 1985).  A term t packs into slots
+    of `bits` bits, each with a guard bit at its top: the high slots hold
+    M'·t, the first row highest, and the low slots hold t's exponents.
+    While every guard is clear:
 
-    - T < S exactly when t < s, so no order key is computed for a term;
+    - T < S exactly when t < s: M'·t sits above t and M' has full rank, so
+      the exponent slots never decide a comparison and no order key is
+      computed for a term;
     - T + S packs t·s, so a shift is one addition;
     - t divides s when ((S | G) - T) & G == G, G the guard bits; since
       M' ≥ 0 the key slots pass whenever the exponent slots do.
 
-    `pack` refuses, with `SlotOverflow`, a term whose degree could fill a
-    slot.  A slot with its guard clear holds less than 2^(bits - 1), so
-    two such slots add up to less than 2^bits and no carry leaves a slot:
-    a sum of packed terms has outgrown its slots exactly when it sets a
-    guard, which is the caller's to test.
+    A term of degree below `refused` sets no guard.  `pack` refuses, with
+    `SlotOverflow`, a term of higher degree; `rank` packs without that
+    check, for callers that bound their degrees up front.  A slot with its
+    guard clear holds less than 2^(bits - 1), so two such slots add up to
+    less than 2^bits and no carry leaves a slot: a sum of packed terms has
+    outgrown its slots exactly when it sets a guard, which is the caller's
+    to test.
     """
 
-    __slots__ = ("bits", "guard", "_units", "_refused", "_mask", "_shifts")
+    __slots__ = ("bits", "guard", "refused", "rank", "_mask", "_shifts")
 
     def __init__(self, order: TermOrder, bits: int):
         rows = order._nonneg
         n, high = order.nvars, len(rows)
         self.bits = bits
         self.guard = sum(1 << (k * bits + bits - 1) for k in range(n + high))
-        self._units = tuple(
+        units = tuple(
             (1 << (j * bits))
             + sum(row[j] << ((n + high - 1 - i) * bits) for i, row in enumerate(rows))
             for j in range(n)
         )
         # the least degree d with d * (max entry of M' + 1) >= 2^(bits - 1)
-        top = order._top + 1
-        self._refused = -(-(1 << (bits - 1)) // top)
+        top = max(map(max, rows)) + 1
+        self.refused = -(-(1 << (bits - 1)) // top)
         self._mask = (1 << bits) - 1
         self._shifts = tuple(j * bits for j in range(n))
 
+        def rank(t: tuple[int, ...]) -> int:  # one function per packing
+            return sum(map(mul, t, units))
+
+        self.rank = rank
+
     def pack(self, t: tuple[int, ...]) -> int:
-        if sum(t) >= self._refused:
+        if sum(t) >= self.refused:
             raise SlotOverflow(f"a term of degree {sum(t)} in {self.bits}-bit slots")
-        return sum(map(mul, t, self._units))
+        return self.rank(t)
 
     def unpack(self, packed: int) -> tuple[int, ...]:
         mask = self._mask
         return tuple([(packed >> s) & mask for s in self._shifts])
 
 
-@cache
 def packing(order: TermOrder, bits: int = 32) -> Packing:
-    """The packing of `order` in slots of `bits` bits, built once for every
-    equal ordering: each Buchberger run and each basis's reducers ask for
-    one, and those of equal orderings, across ideals, share it."""
-    return Packing(order, bits)
+    """The packing of `order` in slots of `bits` bits (see `Packing`),
+    built once and kept on the ordering, so it lives as long as the
+    ordering does."""
+    pk = order._packings.get(bits)
+    if pk is None:
+        pk = order._packings.setdefault(bits, Packing(order, bits))
+    return pk
 
 
 @cache

@@ -265,6 +265,16 @@ def test_a_cone_rebuilt_from_its_fields_is_the_same_cone():
         Cone(2, ((1, -1),))
 
 
+def test_a_facet_that_no_ray_lies_on_raises():
+    # a cone rebuilt without its rays has no ray on any facet, so no facet
+    # point: no weight of length 0
+    cone = Cone(2, ((1, -1),), ())
+    with pytest.raises(DomainError, match=r"no extreme ray of this cone lies on \(1, -1\)"):
+        cone.facet_interior_point((1, -1))
+    with pytest.raises(DomainError, match="is not a facet"):
+        cone.facet_interior_point((-1, 1))
+
+
 def test_cone_of_single_binomial():
     R = qring("x", "y")
     f = R.parse("x + y")

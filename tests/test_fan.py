@@ -236,6 +236,27 @@ def test_oracle_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_no_ordering_outlives_its_walk():
+    # a flip ordering keeps its packings, and nothing global keeps a flip
+    # ordering: once a walk's fan and the models reduced across it are
+    # dropped, the walk's orderings go with them
+    import gc
+
+    def flips():
+        gc.collect()
+        return sum(type(o) is TermOrder and o.tag == "flip" for o in gc.get_objects())
+
+    def walk_and_models():
+        assert enumerate_fan(ideal(qring("x", "y", "z"), "x^2 - y^3", "x*y - z")).size == 9
+        R = qring("x", "y")
+        I = vanishing_ideal(points(R, [(i, i * i % 7) for i in range(6)]))
+        assert minimal_models(R.parse("x*y + y^2"), I)
+
+    before = flips()
+    walk_and_models()
+    assert flips() == before
+
+
 def test_concurrent_change_order_on_one_basis():
     # eight threads flip from one cached basis while filling its
     # normal-form cache; each gets the basis that Buchberger computes

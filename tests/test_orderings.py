@@ -294,6 +294,18 @@ def test_rank_key_compares_as_key(case):
             assert (rank(s) == rank(t)) == (s == t)
 
 
+def test_the_rank_is_the_packings():
+    # rank_key reads the narrowest packing of the ordering whose slots hold
+    # the degree: the one Buchberger starts on, and the next width up from
+    # the degree that packing refuses
+    order = lex(2)
+    r = packing(order).refused
+    assert order.rank_key(r - 1) is packing(order).rank
+    assert order.rank_key(r) is packing(order, 64).rank
+    terms = [(r, 0), (r - 1, 1), (0, r), (r - 1, 0)]
+    assert sorted(terms, key=order.rank_key(r)) == sorted(terms, key=order.key)
+
+
 def test_to_str_ranks_a_term_past_64_bit_slots():
     R = PolyRing(QQ, ["x", "y"])
     f = R.parse(f"x^{2**40} + y^3 + 1")
