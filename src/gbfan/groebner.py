@@ -19,7 +19,10 @@ compare as their terms do, multiply by addition and test divisibility by
 one subtraction.  No order key is computed for a term.  A term that outgrows its slots
 sets a guard bit where it is made and raises `SlotOverflow`, and the run,
 or a `ReducedGB`'s reducers, start again on slots twice as wide; nothing
-is ever truncated.
+is ever truncated.  Beside each reducer list, `_reduce_dict` keeps every
+term's first divisor, or for a term none divides the list length it was
+scanned to, and over GF(p) it reduces a term's accumulated products mod p
+once, when the term leaves the work.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ from math import gcd
 from operator import add
 
 from .errors import (
+    DimensionMismatch,
     InvariantViolation,
     NotZeroDimensional,
+    ParseError,
     ZeroIdealDivisor,
 )
 from .linalg import basis_from_functionals, clear_denominators
@@ -61,46 +66,57 @@ def _reduce_dict(f: dict, reducers, divisors: dict, guard: int, p: int) -> tuple
     remainder by the monic reducers, along the same path.
 
     The work's terms sit in a heap as negated packed ints, which order
-    them as the ordering does.  A term is pushed each time it enters the
-    work; an entry whose term has since left the work, cancelled or
-    reduced, pops with no coefficient and is skipped.  Every new term lies
-    below the one reduced, so a term's entries pop together.  Every term is
-    reduced, the leading one and the tail alike, so no term of r is
-    divisible by a reducer's leading term.  A reducer divides t when
-    subtracting its lt from t with every guard set keeps every guard, and
-    a step shifts its tail by adding t - lt to each term.
+    them as the ordering does.  A term is pushed once, when it enters the
+    work, and leaves it when it pops; every new term lies below the one
+    reduced, so no term enters twice.  Every term is reduced, the leading
+    one and the tail alike, so no term of r is divisible by a reducer's
+    leading term.  A reducer divides t when subtracting its lt from t
+    with every guard set keeps every guard, and a step shifts its tail by
+    adding t - lt to each term.
     Two valid slots add up to less than 2^bits, so a shifted term has
     outgrown its slots exactly when one of its guard bits is set; such a
     term cannot be in the work already, and the step raises `SlotOverflow`
     when it meets one.  The caller then packs wider.
 
+    The work holds unreduced sums: a step adds m*c2 to a term's value,
+    with m = -c over QQ and p - c over GF(p), so each product lies below
+    p^2, and one loop serves both fields.  A value is reduced mod p once,
+    when its term pops, and a term whose value has cancelled, 0 over QQ
+    or a multiple of p over GF(p), is skipped then; so every coefficient
+    of r over GF(p) is a residue in [1, p).
+
     `divisors` maps a term to the index of the first reducer whose leading
-    term divides it; a scan fills it on a hit, and a term found there is
-    not scanned again.  The caller keeps one such dict beside each reducer
-    list, shared by every reduction against that list.  This is exact
-    because a reducer list only ever grows at its end: the first divisor
-    found stays the first divisor, so each step takes the reducer a full
-    scan would take.  A miss is not recorded, since a reducer appended
-    later may divide the term.
+    term divides it, or, for a miss, to ~k: no divisor among the first k
+    reducers.  A scan fills it, and a term found there is scanned only
+    against the reducers from k on, if at all.  The caller keeps one such
+    dict beside each reducer list, shared by every reduction against that
+    list.  This is exact because a reducer list only ever grows at its
+    end: the first divisor found stays the first divisor, and a reducer
+    appended later sits past every recorded k, so each step takes the
+    reducer a full scan would take.
     """
     work = dict(f)
     heap = [-t for t in work]
     heapify(heap)
     out: dict = {}
     scale = 1
+    n = len(reducers)
     while heap:
         t = -heappop(heap)
-        c = work.pop(t, None)
-        if c is None:  # left the work since it was pushed
+        c = work.pop(t)
+        if p:
+            c %= p
+        if not c:  # cancelled since it entered the work
             continue
-        i = divisors.get(t)
-        if i is None:
+        i = divisors.get(t, -1)  # ~0: no divisor among the first 0
+        if i < 0:
             guarded = t | guard
-            for i, (lt, _, _) in enumerate(reducers):
-                if (guarded - lt) & guard == guard:
+            for i in range(~i, n):
+                if (guarded - reducers[i][0]) & guard == guard:
                     divisors[t] = i
                     break
             else:
+                divisors[t] = ~n
                 out[t] = c
                 continue
         lt, a, rest = reducers[i]
@@ -122,14 +138,10 @@ def _reduce_dict(f: dict, reducers, divisors: dict, guard: int, p: int) -> tuple
             if cur is None:
                 if key & guard:
                     raise SlotOverflow("a reduction step outgrew its slots")
-                work[key] = m * c2 % p if p else m * c2
+                work[key] = m * c2
                 heappush(heap, -key)
             else:
-                val = (cur + m * c2) % p if p else cur + m * c2
-                if val:
-                    work[key] = val
-                else:
-                    del work[key]
+                work[key] = cur + m * c2
     return out, scale
 
 
@@ -203,7 +215,7 @@ def _buchberger(gens, pk: Packing, p: int, use_criteria: bool) -> list:
     basis: list[tuple] = []  # (lt, a, rest), the one reducer list
     lts: list[tuple] = []  # the leading terms of basis, unpacked
     active: list[int] = []  # the elements no later leading term divides
-    divisors: dict = {}  # first divisors in basis, which only grows
+    divisors: dict = {}  # first divisors and misses in basis, which only grows
     queue: list = []  # ((degree, packed lcm), j, i, lcm) for i < j
 
     def insert(f: dict) -> None:
@@ -385,9 +397,15 @@ class ReducedGB:
     def nf_coords(self, exp: tuple) -> tuple:
         """Coordinates of the normal form of x^exp in `quotient_basis`, in
         the form `linalg` reduces: residues, ints in [0, p), over GF(p), and
-        `Fraction`s over QQ.  Cached; racing fills store equal tuples."""
+        `Fraction`s over QQ.  Cached; racing fills store equal tuples.
+        Raises `DimensionMismatch` for an exponent of the wrong length and
+        `ParseError` for a negative one, as `PolyRing.poly` does."""
         vec = self._nf.get(exp)
         if vec is None:
+            if len(exp) != self.order.nvars:
+                raise DimensionMismatch(f"exponent {exp} has wrong length")
+            if min(exp, default=0) < 0:
+                raise ParseError(f"negative exponent in {exp}")
             field = self.ring.field
             p = field.characteristic
             row = [0 if p else field.zero()] * len(self.quotient_basis())
@@ -566,7 +584,10 @@ class Ideal:
         """Monic generator of the intersection with K[x_i], for a
         zero-dimensional ideal: FGLM in x_i alone over the normal forms of
         the cached degrevlex basis, so the first power of x_i whose normal
-        form depends on the lower ones leads the eliminant, that dependence."""
+        form depends on the lower ones leads the eliminant, that dependence.
+        Raises `DimensionMismatch` unless i is in range(nvars)."""
+        if not 0 <= i < self.ring.nvars:
+            raise DimensionMismatch(f"no variable {i} in a ring of {self.ring.nvars} variables")
         gb = self.groebner()
         p = self.ring.field.characteristic
 

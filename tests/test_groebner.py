@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +28,11 @@ from gbfan.errors import (
     DimensionMismatch,
     InvariantViolation,
     NotZeroDimensional,
+    ParseError,
     RingMismatch,
     ZeroIdealDivisor,
 )
-from gbfan.groebner import ReducedGB, _reduce_dict, buchberger_dicts, kernel_poly
+from gbfan.groebner import ReducedGB, _reduce_dict, _reducer, buchberger_dicts, kernel_poly
 from gbfan.random_ideals import random_point_set, random_zero_dim_ideal
 from gbfan.points import vanishing_ideal
 from gbfan.terms import tdivides, term_str
@@ -355,6 +357,38 @@ def test_first_divisors_match_a_fresh_scan(record_calls, field):
     assert reducers == basis and divisors
 
 
+def _packed_reducers(reducers, order, p) -> list:
+    # polynomials in `_reduce_dict`'s reducer form, on terms packed for order
+    pk = packing(order)
+    out = []
+    for g in reducers:
+        [f] = kernel_gens(g.ring, [g])
+        lt = g.leading_term(order)[0]
+        out.append(_reducer({pk.pack(e): c for e, c in f.items()}, pk.pack(lt), p))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_a_recorded_miss_is_exact(field):
+    # y - 1 does not divide x^2, and the dict records that miss with the
+    # list's length; once x - 2 is appended, the same dict sends x^2 on
+    # to the new reducer, as a fresh dict does
+    R = PolyRing(field, ["x", "y"])
+    p = field.characteristic
+    order = degrevlex(2)
+    pk = packing(order)
+    x2 = {pk.pack((2, 0)): 1}
+    reducers = _packed_reducers([R.parse("y - 1")], order, p)
+    divisors: dict = {}
+    assert _reduce_dict(x2, reducers, divisors, pk.guard, p) == (x2, 1)
+    assert divisors == {pk.pack((2, 0)): ~1}
+    reducers += _packed_reducers([R.parse("x - 2")], order, p)
+    got = _reduce_dict(x2, reducers, divisors, pk.guard, p)
+    assert got == _reduce_dict(x2, reducers, {}, pk.guard, p)
+    assert got == ({pk.pack((0, 0)): 4}, 1)
+    assert divisors[pk.pack((2, 0))] == 1
+
+
 @pytest.mark.parametrize("texts", [KATSURA3, CYCLIC4], ids=["katsura3", "cyclic4"])
 @pytest.mark.parametrize("order", [degrevlex(4), lex(4)], ids=lambda o: o.tag)
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
@@ -538,8 +572,9 @@ def test_builders_hand_reduced_gb_its_leading_terms(field, builder):
 
 
 def _monic_remainder(f: dict, gb: ReducedGB) -> dict:
-    # the reference: plain reduction on Fractions by the monic elements
+    # the reference: plain reduction on field elements by the monic elements
     okey = gb.order.key
+    zero = gb.elements[0].ring.field.zero()
     work, out = dict(f), {}
     while work:
         t = max(work, key=okey)
@@ -551,7 +586,7 @@ def _monic_remainder(f: dict, gb: ReducedGB) -> dict:
                 for e, c2 in g.coeffs.items():
                     key = tuple(a + b for a, b in zip(e, shift))
                     if key != t:
-                        val = work.get(key, 0) - c * c2
+                        val = work.get(key, zero) - c * c2
                         if val:
                             work[key] = val
                         else:
@@ -607,6 +642,84 @@ def test_fraction_free_reduction_is_exact_over_qq(case):
             assert basis.nf_coords(exp) == tuple(row)
         for f in list(I.gens) + [R.parse("x^3*y - 2/3*x*y^2 + 5/7*y^4 - 1/2")]:
             assert basis.reduce(f).coeffs == _monic_remainder(f.coeffs, basis)
+
+
+def _check_lazy_residues(f, reducers, order):
+    # _reduce_dict of f by the monic reducers, with one fresh divisor dict,
+    # against _monic_remainder along the same first-divisor path; over
+    # GF(p) every remainder coefficient is a residue in [1, p)
+    R = f.ring
+    field = R.field
+    p = field.characteristic
+    pk = packing(order)
+    [ints] = kernel_gens(R, [f])
+    packed = _packed_reducers(reducers, order, p)
+    r, s = _reduce_dict({pk.pack(e): c for e, c in ints.items()}, packed, {}, pk.guard, p)
+    assert all(type(c) is int and c for c in r.values())
+    if p:
+        assert s == 1 and all(0 < c < p for c in r.values())
+    got = {pk.unpack(t): field.from_int(c) / field.from_int(s) for t, c in r.items()}
+    want = _monic_remainder(
+        {e: field.from_int(c) for e, c in ints.items()},
+        SimpleNamespace(order=order, elements=reducers),
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "field, texts, reducers, want",
+    [
+        # two updates of 1 to the constant sum to 2, a nonzero multiple of p
+        (GF(2), "x^2 + x*y + y^2", ["x^2 + 1", "x*y + 1"], "y^2"),
+        # three updates of 1 sum to 3, whose residue 1 is left
+        (GF(2), "x^2 + x*y + y^2", ["x^2 + 1", "x*y + 1", "y^2 + 1"], "1"),
+        # 2 + 2 + 2 = 6 is a multiple of 3 over GF(3)
+        (GF(3), "x^2 + x*y + y^2", ["x^2 + 1", "x*y + 1", "y^2 + 1"], "0"),
+        (GF(32003), "x^2 - x*y", ["x^2 + 16002", "x*y + 16002"], "0"),
+    ],
+    ids=["gf2-twice", "gf2-thrice", "gf3", "gf32003"],
+)
+def test_sums_of_updates_are_reduced_when_their_term_pops(field, texts, reducers, want):
+    R = PolyRing(field, ["x", "y"])
+    order = degrevlex(2)
+    f, reducers = R.parse(texts), [R.parse(t) for t in reducers]
+    _check_lazy_residues(f, reducers, order)
+    plain = _monic_remainder(f.coeffs, SimpleNamespace(order=order, elements=reducers))
+    assert plain == R.parse(want).coeffs
+
+
+@st.composite
+def _reductions(draw):
+    # f and one to three monic reducers, sparse, in 2-3 variables, under a
+    # degree-first ordering; coefficients near 0 and near p, so sums often
+    # reach a multiple of p
+    field = draw(st.sampled_from(_FIELDS))
+    p = field.characteristic
+    n = draw(st.integers(2, 3))
+    R = PolyRing(field, "xyz"[:n])
+
+    def coeff():
+        if p:
+            near = sorted({c % p for c in (1, 2, 3, p - 1, p - 2)} - {0})
+            return field.from_int(draw(st.sampled_from(near)))
+        num = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
+        return Fraction(num, draw(st.integers(1, 4)))
+
+    def poly(top, max_size):
+        exps = st.tuples(*[st.integers(0, top)] * n)
+        terms = draw(st.lists(exps, min_size=1, max_size=max_size))
+        return R.poly({e: coeff() for e in terms})
+
+    order = draw(st.sampled_from([degrevlex(n), deglex(n)]))
+    reducers = [g.monic(order) for g in (poly(2, 4) for _ in range(draw(st.integers(1, 3))))]
+    return poly(3, 6), reducers, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reductions())
+def test_lazy_residues_match_plain_monic_reduction(case):
+    # over GF(2), GF(3), GF(32003), modulo 2^61 - 1 and over QQ
+    _check_lazy_residues(*case)
 
 
 def test_normal_form_is_idempotent_and_linear(rxy):
@@ -790,6 +903,30 @@ def test_univariate_in_reduces_only_powers_of_the_variable(record_calls, rxy):
 def test_univariate_in_needs_zero_dimensional(rxy):
     with pytest.raises(NotZeroDimensional, match="zero-dimensional"):
         ideal(rxy, "x + y").univariate_in(0)
+
+
+@pytest.mark.parametrize("i", [5, 2, -1])
+def test_univariate_in_refuses_an_index_outside_the_variables(rxy, i):
+    I = ideal(rxy, "x^2 - y", "y^2 - 1")
+    with pytest.raises(DimensionMismatch, match="no variable"):
+        I.univariate_in(i)
+    assert I.univariate_in(0) == rxy.parse("x^4 - 1")
+
+
+@pytest.mark.parametrize(
+    "exp, error",
+    [((-1, 0), ParseError), ((0, 0, 7), DimensionMismatch), ((1,), DimensionMismatch)],
+    ids=["negative", "longer", "shorter"],
+)
+def test_nf_coords_refuses_a_malformed_exponent(rxy, exp, error):
+    # checked before the exponent is packed: a negative entry would set a
+    # guard bit and widen the slots without end, a wrong length would be
+    # cut to the ring's or read as a shorter term
+    gb = ideal(rxy, "x^2 - y", "y^2 - 1").groebner()
+    with pytest.raises(error):
+        gb.nf_coords(exp)
+    assert gb.quotient_basis() == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert gb.nf_coords((1, 2)) == (0, 0, 1, 0)
 
 
 def test_groebner_cache_shared_between_equivalent_orders(rxy):
