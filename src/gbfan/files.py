@@ -154,6 +154,6 @@ def load_shift(path: str, ring: PolyRing) -> LinearShift:
         scales.append(pair[0])
         offsets.append(pair[1])
     try:
-        return LinearShift(scales, offsets)
+        return LinearShift(ring, scales, offsets)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from exc

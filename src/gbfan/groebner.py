@@ -530,8 +530,9 @@ class Ideal:
         return Ideal(self.ring, [f * g for f in self.gens for g in other.gens])
 
     def eliminate(self, var_indices) -> "Ideal":
-        """Intersection with the subring omitting the given variables."""
-        block = sorted(set(var_indices))
+        """Intersection with the subring omitting the given variables, each
+        given by name or by index (`PolyRing.var_index`)."""
+        block = sorted({self.ring.var_index(v) for v in var_indices})
         if not block:
             return self
         order = elimination_order(self.ring.nvars, block)
@@ -585,9 +586,8 @@ class Ideal:
         zero-dimensional ideal: FGLM in x_i alone over the normal forms of
         the cached degrevlex basis, so the first power of x_i whose normal
         form depends on the lower ones leads the eliminant, that dependence.
-        Raises `DimensionMismatch` unless i is in range(nvars)."""
-        if not 0 <= i < self.ring.nvars:
-            raise DimensionMismatch(f"no variable {i} in a ring of {self.ring.nvars} variables")
+        i is checked by `PolyRing.var_index`."""
+        i = self.ring.var_index(i)
         gb = self.groebner()
         p = self.ring.field.characteristic
 

@@ -127,7 +127,7 @@ class _Parser:
         if kind == "int":
             return self.ring.const(self.ring.field.from_int(int(val)))
         if kind == "name":
-            return self.ring.var(self.ring.var_index(val))
+            return self.ring.var(val)
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")

@@ -16,6 +16,7 @@ from math import prod
 
 from .errors import (
     ComplementarityCertificateFailed,
+    DimensionMismatch,
     DomainError,
     DuplicatePoint,
     EmptyPointSet,
@@ -166,6 +167,7 @@ class GridSpec:
         )
 
     def generator(self, i: int) -> Polynomial:
+        i = self.ring.var_index(i)
         kind, data = self.entries[i]
         if kind == "poly":
             return data
@@ -254,6 +256,8 @@ def grid_primary_components(spec: GridSpec, factors_per_var) -> list[Ideal]:
 def distraction_term(ring: PolyRing, exp, pi) -> Polynomial:
     """Product over i of (x_i - c_i1)...(x_i - c_i,e_i)."""
     exp = tuple(exp)
+    if not len(exp) == len(pi) == ring.nvars:
+        raise DimensionMismatch(f"{ring} needs one exponent and one tuple per variable")
     out = ring.one()
     for i, e in enumerate(exp):
         if e > len(pi[i]):

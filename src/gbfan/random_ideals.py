@@ -74,7 +74,7 @@ def random_linear_shift(rng: Random, ring: PolyRing) -> LinearShift:
         random_scalar(rng, ring.field, nonzero=True) for _ in range(ring.nvars)
     )
     offsets = tuple(random_scalar(rng, ring.field) for _ in range(ring.nvars))
-    return LinearShift(scales, offsets)
+    return LinearShift(ring, scales, offsets)
 
 
 def random_quotient_element(rng: Random, ideal: Ideal) -> Polynomial:

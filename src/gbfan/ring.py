@@ -7,8 +7,6 @@ be viewed under many orderings during fan traversal.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -17,7 +15,6 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
-from .field import GF, QQ, GFElement
 from .orderings import TermOrder, degrevlex
 from .parse import VAR_NAME, parse_polynomial
 from .terms import term_str
@@ -51,11 +48,18 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.vars)
 
-    def var_index(self, name: str) -> int:
+    def var_index(self, v: str | int) -> int:
+        """The index of variable v, given by name or by index: the one check
+        of a variable.  ParseError for an unknown name, DimensionMismatch
+        for an index outside range(nvars)."""
+        if isinstance(v, int):
+            if 0 <= v < self.nvars:
+                return v
+            raise DimensionMismatch(f"no variable {v} in a ring of {self.nvars} variables")
         try:
-            return self._index[name]
+            return self._index[v]
         except KeyError:
-            raise ParseError(f"unknown variable {name!r}; ring has {self.vars}")
+            raise ParseError(f"unknown variable {v!r}; ring has {self.vars}")
 
     def element(self, c):
         """c as a field element: an int is mapped into the field; any other
@@ -92,12 +96,8 @@ class PolyRing:
     def const(self, c) -> "Polynomial":
         return self.poly({(0,) * self.nvars: c})
 
-    def var(self, name_or_index) -> "Polynomial":
-        i = (
-            name_or_index
-            if isinstance(name_or_index, int)
-            else self.var_index(name_or_index)
-        )
+    def var(self, v: str | int) -> "Polynomial":
+        i = self.var_index(v)
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exp: self.field.one()})
 
@@ -154,7 +154,9 @@ class Polynomial:
     def total_degree(self) -> int:
         return max(map(sum, self.coeffs), default=-1)
 
-    def degree_in(self, i: int) -> int:
+    def degree_in(self, v: str | int) -> int:
+        """The degree in variable v (`PolyRing.var_index`); -1 for zero."""
+        i = self.ring.var_index(v)
         if not self.coeffs:
             return -1
         return max(e[i] for e in self.coeffs)
@@ -296,50 +298,33 @@ class Polynomial:
         return self.to_str()
 
 
-def _field_of(c):
-    """The field whose element c is; FieldMismatch for anything else, ints
-    and floats included."""
-    if type(c) is Fraction:
-        return QQ
-    if type(c) is GFElement:
-        return GF(c.p)
-    raise FieldMismatch(f"{c!r} is not a field element")
-
-
 class LinearShift:
-    """An invertible substitution x_i -> a_i * x_i + b_i.
+    """An invertible substitution x_i -> a_i * x_i + b_i of a ring's
+    variables.  Each scale and offset is taken through `PolyRing.element`,
+    one of each per variable; `inverse` keeps the ring."""
 
-    A shift has no ring to map an int into, so its scales and offsets must
-    be elements of one field, or FieldMismatch is raised; `inverse` then
-    stays in that field.
-    """
+    __slots__ = ("ring", "scales", "offsets")
 
-    __slots__ = ("scales", "offsets")
-
-    def __init__(self, scales, offsets):
-        scales = tuple(scales)
-        offsets = tuple(offsets)
-        if len(scales) != len(offsets):
-            raise DimensionMismatch("scales and offsets differ in length")
-        fields = {_field_of(c) for c in scales + offsets}
-        if len(fields) > 1:
-            names = " and ".join(sorted(map(str, fields)))
-            raise FieldMismatch(f"linear shift mixes {names}")
-        if any(not a for a in scales):
+    def __init__(self, ring: PolyRing, scales, offsets):
+        scales = tuple(map(ring.element, scales))
+        offsets = tuple(map(ring.element, offsets))
+        if not len(scales) == len(offsets) == ring.nvars:
+            raise DimensionMismatch(f"{ring} needs one shift scale and one offset per variable")
+        if not all(scales):
             raise DomainError("linear shift scales must be nonzero")
+        self.ring = ring
         self.scales = scales
         self.offsets = offsets
 
     def inverse(self) -> "LinearShift":
         inv_scales = tuple(a ** (-1) for a in self.scales)
         inv_offsets = tuple(-(b * a) for a, b in zip(inv_scales, self.offsets))
-        return LinearShift(inv_scales, inv_offsets)
+        return LinearShift(self.ring, inv_scales, inv_offsets)
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Substitute each variable, fully expanded and normalized."""
-        ring = f.ring
-        if len(self.scales) != ring.nvars:
-            raise DimensionMismatch("shift has wrong variable count")
+        ring = self.ring
+        same_ring(ring, f.ring)
         images = [
             ring.var(i).scale(a) + ring.const(b)
             for i, (a, b) in enumerate(zip(self.scales, self.offsets))
@@ -354,4 +339,4 @@ class LinearShift:
         return out
 
     def __repr__(self):
-        return f"LinearShift(scales={self.scales}, offsets={self.offsets})"
+        return f"LinearShift({self.ring}, scales={self.scales}, offsets={self.offsets})"

@@ -99,7 +99,7 @@ def test_criterion_2_small_fans_and_shift():
         assert gfan_number(ideal(R, "x + y")) == 2
         assert gfan_number(ideal(qring("x", "y", "z"), "x + y + z")) == 3
         shift = LinearShift(
-            (QQ.one(), QQ.one()), (QQ.from_int(1), QQ.from_int(-2))
+            R, (QQ.one(), QQ.one()), (QQ.from_int(1), QQ.from_int(-2))
         )
         shifted = Ideal(R, [shift.apply(g) for g in I.gens])
         assert {mb.basis.lt_key() for mb in enumerate_fan(shifted)} == {j1, j2}

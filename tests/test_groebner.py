@@ -809,6 +809,17 @@ def test_elimination_examples(rxy):
     got = I.eliminate([1])
     assert got.equals(ideal(rxy, "x^2"))
     assert I.eliminate([]) is I
+    assert I.eliminate(["y"]).equals(ideal(rxy, "x^2"))
+
+
+@pytest.mark.parametrize("i", [5, 2, -1])
+def test_eliminate_refuses_an_index_outside_the_variables(rxy, i):
+    # an index past the ring is an error, not an empty block returning I
+    I = ideal(rxy, "x - y", "y^2")
+    with pytest.raises(DimensionMismatch, match="no variable"):
+        I.eliminate([i])
+    with pytest.raises(ParseError, match="unknown variable"):
+        I.eliminate(["z"])
 
 
 def test_elimination_brute_force_oracle():

@@ -34,6 +34,7 @@ from gbfan import (
 )
 from gbfan.errors import (
     CharacteristicTooSmall,
+    DimensionMismatch,
     DomainError,
     DuplicatePoint,
     EmptyPointSet,
@@ -397,6 +398,14 @@ def test_grid_single_point(rxy):
     assert spec.socle_term() == (0, 0)
 
 
+def test_grid_generator_takes_a_variable(rxy):
+    spec = GridSpec.from_roots(rxy, [[QQ.from_int(3)], [QQ.from_int(-1)]])
+    assert spec.generator("y") == spec.generator(1) == rxy.parse("y + 1")
+    for i in (2, -1):
+        with pytest.raises(DimensionMismatch, match="no variable"):
+            spec.generator(i)
+
+
 def test_grid_repeated_root_rejected(rxy):
     spec = GridSpec.from_roots(rxy, [[QQ.one(), QQ.one()], [QQ.zero()]])
     with pytest.raises(RepeatedRoot):
@@ -638,6 +647,14 @@ def test_distraction_term_examples(rxy):
         distraction_term(rxy, (4, 0), pi)
 
 
+def test_distraction_term_needs_one_entry_per_variable(rxy):
+    pi = [(QQ.zero(), QQ.one())] * 2
+    for exp, tuples in [((1, 2, 3), pi), ((1,), pi), ((1, 1), pi[:1]), ((1, 1), pi * 2)]:
+        with pytest.raises(DimensionMismatch, match="one exponent and one tuple per variable"):
+            distraction_term(rxy, exp, tuples)
+    assert distraction_term(rxy, (1, 2), pi) == rxy.parse("x*y*(y - 1)")
+
+
 def test_distraction_term_gf5():
     R = fring(5, "x", "y")
     F = R.field
@@ -819,7 +836,7 @@ def test_shift_ideal_preserves_lt_ideals(rxy):
 
     I = ideal(rxy, "x^2 + x*y + y^2", "x^3", "x^2*y", "x*y^2", "y^3")
     shift = __import__("gbfan").LinearShift(
-        (QQ.one(), QQ.one()), (QQ.from_int(1), QQ.from_int(-2))
+        rxy, (QQ.one(), QQ.one()), (QQ.from_int(1), QQ.from_int(-2))
     )
     shifted = shift_ideal(I, shift)
     lt1 = {mb.basis.lt_key() for mb in enumerate_fan(I)}
@@ -828,7 +845,7 @@ def test_shift_ideal_preserves_lt_ideals(rxy):
     # monomial ideals are fixed by pure scalings
     mono = ideal(rxy, "x^2", "y")
     scaling = __import__("gbfan").LinearShift(
-        (QQ.from_int(3), QQ.from_int(-2)), (QQ.zero(), QQ.zero())
+        rxy, (QQ.from_int(3), QQ.from_int(-2)), (QQ.zero(), QQ.zero())
     )
     assert shift_ideal(mono, scaling).equals(mono)
     # round trip

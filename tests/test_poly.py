@@ -6,7 +6,13 @@ from random import Random
 import pytest
 
 from gbfan import GF, QQ, Ideal, LinearShift, PolyRing, TermOrder, deglex, degrevlex, lex
-from gbfan.errors import FieldMismatch, ParseError, RingMismatch, ZeroPolynomial
+from gbfan.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    ParseError,
+    RingMismatch,
+    ZeroPolynomial,
+)
 from gbfan.random_ideals import random_linear_shift
 
 from conftest import fring, qring
@@ -175,11 +181,11 @@ def test_lt_multiplicative(rxy):
 
 def test_linear_shift_expansion(rxy):
     one = QQ.one()
-    shift = LinearShift((one, one), (QQ.from_int(1), QQ.from_int(-2)))
+    shift = LinearShift(rxy, (one, one), (QQ.from_int(1), QQ.from_int(-2)))
     assert shift.apply(rxy.parse("x^2")) == rxy.parse("x^2 + 2*x + 1")
     f = rxy.parse("x^2 + x*y + y^2")
     assert shift.apply(f) == rxy.parse("(x+1)^2 + (x+1)*(y-2) + (y-2)^2")
-    ident = LinearShift((one, one), (QQ.zero(), QQ.zero()))
+    ident = LinearShift(rxy, (one, one), (QQ.zero(), QQ.zero()))
     assert ident.apply(f) == f
 
 
@@ -200,26 +206,26 @@ def test_linear_shift_roundtrip_and_lt_invariance():
 def test_linear_shift_gf():
     R = fring(5, "x", "y")
     F = R.field
-    shift = LinearShift((F.from_int(2), F.from_int(3)), (F.from_int(1), F.from_int(4)))
+    shift = LinearShift(R, (F.from_int(2), F.from_int(3)), (F.from_int(1), F.from_int(4)))
     f = R.parse("x^2 + y")
     g = shift.apply(f)
     assert shift.inverse().apply(g) == f
 
 
 def test_linear_shift_entries_are_elements_of_one_field(rxy):
-    # a shift has no ring to map an int into, so ints and floats are refused
-    # at construction, as is a mix of fields; a field's shift inverts within
-    # that field
+    # scales and offsets are taken through `PolyRing.element`: a float or
+    # another field's element is refused at construction, an int is mapped
+    # into the ring's field, and a shift inverts within that field
     for scales, offsets in [
-        ((2, 1), (0, 3)),
-        ((1, 1), (0, 0)),
         ((0.5, 1.0), (QQ.zero(), QQ.zero())),
         ((QQ.one(), GF(7).one()), (QQ.zero(), QQ.zero())),
         ((GF(5).one(),), (GF(7).one(),)),
     ]:
         with pytest.raises(FieldMismatch):
-            LinearShift(scales, offsets)
-    shift = LinearShift((QQ.from_int(2), QQ.one()), (QQ.zero(), QQ.from_int(3)))
+            LinearShift(rxy, scales, offsets)
+    shift = LinearShift(rxy, (2, 1), (0, 3))
+    assert shift.scales == (QQ.from_int(2), QQ.one())
+    assert shift.offsets == (QQ.zero(), QQ.from_int(3))
     inverse = shift.inverse()
     assert inverse.scales == (QQ.parse("1/2"), QQ.one())
     assert inverse.offsets == (QQ.zero(), QQ.from_int(-3))
@@ -227,20 +233,29 @@ def test_linear_shift_entries_are_elements_of_one_field(rxy):
     assert inverse.apply(shift.apply(f)) == f == shift.apply(inverse.apply(f))
     R = fring(7, "x", "y")
     F = R.field
-    shift = LinearShift((F.from_int(2), F.from_int(3)), (F.from_int(1), F.from_int(4)))
+    shift = LinearShift(R, (2, 3), (1, 4))
     inverse = shift.inverse()
+    assert inverse.ring == R
     assert inverse.scales == (F.from_int(4), F.from_int(5))
     g = R.parse("x^3 + 2*x*y - y + 6")
     assert inverse.apply(shift.apply(g)) == g == shift.apply(inverse.apply(g))
 
 
 def test_linear_shift_field_mismatch(rxy):
-    from gbfan.errors import FieldMismatch
-
-    F = GF(5)
-    gf_shift = LinearShift((F.one(), F.one()), (F.from_int(1), F.zero()))
-    with pytest.raises(FieldMismatch):
+    # a shift applies to polynomials of its own ring only
+    R = fring(5, "x", "y")
+    F = R.field
+    gf_shift = LinearShift(R, (F.one(), F.one()), (F.from_int(1), F.zero()))
+    with pytest.raises(RingMismatch):
         gf_shift.apply(rxy.parse("x + y"))
+
+
+@pytest.mark.parametrize(
+    "scales, offsets", [((1,), (0, 0)), ((1, 1), (0,)), ((1, 1, 1), (0, 0, 0)), ((), ())]
+)
+def test_linear_shift_needs_one_scale_and_offset_per_variable(rxy, scales, offsets):
+    with pytest.raises(DimensionMismatch, match="one shift scale and one offset per variable"):
+        LinearShift(rxy, scales, offsets)
 
 
 def test_scale_takes_its_factor_through_element(rxy):
@@ -254,10 +269,25 @@ def test_scale_takes_its_factor_through_element(rxy):
         with pytest.raises(FieldMismatch):
             f.scale(c)
     with pytest.raises(FieldMismatch):
-        LinearShift((0.5, 1), (0, 0)).apply(f)
+        LinearShift(rxy, (0.5, 1), (0, 0)).apply(f)
     R = fring(7, "x")
     assert R.var(0).scale(3) == R.var(0).scale(10) == R.parse("3*x")
     assert R.var(0).scale(7) == R.zero()
+
+
+@pytest.mark.parametrize("i", [5, 2, -1])
+def test_a_variable_index_outside_the_ring_is_refused(rxy, i):
+    # `PolyRing.var_index` is the one check of a variable: -1 does not read
+    # the last variable, and 5 is not the constant 1
+    f = rxy.parse("x^3*y + y^2")
+    with pytest.raises(DimensionMismatch, match="no variable"):
+        rxy.var(i)
+    with pytest.raises(DimensionMismatch, match="no variable"):
+        f.degree_in(i)
+    with pytest.raises(ParseError, match="unknown variable"):
+        rxy.var("z")
+    assert [f.degree_in(v) for v in (0, 1, "x", "y")] == [3, 2, 3, 2]
+    assert rxy.var(1) == rxy.var("y") == rxy.parse("y")
 
 
 def test_evaluate(rxy):

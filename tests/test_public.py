@@ -1,7 +1,8 @@
 """The public surface: the exported names, the README quick start, the
-names the benchmark's tracer wraps, and three source rules: every import
-is used, every private function and method is called, and only
-`orderings` reads an ordering's tuple key."""
+names the benchmark's tracer wraps, and four source rules: every import
+is used, every private function and method is called, only `orderings`
+reads an ordering's tuple key, and outside `field` only `PolyRing.element`
+refuses a field element."""
 
 import ast
 import importlib.util
@@ -107,3 +108,28 @@ def test_only_orderings_reads_a_tuple_key():
         if isinstance(node, ast.Attribute) and node.attr == "key"
     )
     assert readers == []
+
+
+def _scoped(tree, scope=""):
+    """Each node below tree, with the dotted name of the class or function
+    that holds it."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        yield scope, node
+        yield from _scoped(node, inner)
+
+
+def test_only_the_ring_refuses_a_field_element():
+    # `field` checks the operands of its own arithmetic; everywhere else a
+    # value becomes a field element through `PolyRing.element`, the one
+    # place that raises FieldMismatch
+    raisers = sorted(
+        f"{stem}.{scope}"
+        for stem, tree in _modules().items()
+        if stem != "field"
+        for scope, node in _scoped(tree)
+        if isinstance(node, ast.Raise) and "FieldMismatch" in _loaded(node)
+    )
+    assert raisers == ["ring.PolyRing.element"]
